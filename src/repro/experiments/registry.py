@@ -200,8 +200,11 @@ def run_instrumented(
     ``"compiled"`` for flow experiments, ``"reference"`` / ``"batched"``
     for flit experiments) is forwarded only to engine-aware experiments;
     requesting a non-reference engine anywhere else is an error rather
-    than a silent no-op.  The fault keywords (``fault_rate`` failure-rate
-    grid, ``fault_links`` explicit cable ids, ``fault_seed``) mirror
+    than a silent no-op.  With ``engine="batched"`` the manifest's
+    ``extra["flit_kernel"]`` records which phase-B path ran: ``"native"``
+    or ``"reference: <why the kernel is unavailable>"``.  The fault
+    keywords (``fault_rate`` failure-rate grid, ``fault_links`` explicit
+    cable ids, ``fault_seed``) mirror
     that contract: forwarded to fault-aware experiments, an error
     elsewhere.  So do the runner keywords: ``jobs`` (worker processes)
     and ``cache`` / ``cache_dir`` (on-disk result cache; ``cache_dir``
@@ -262,6 +265,12 @@ def run_instrumented(
         name, fidelity=fidelity_name, seed=seed,
         argv=tuple(argv) if argv is not None else None,
     )
+    if engine == "batched":
+        from repro.flit import native
+
+        manifest.extra["flit_kernel"] = (
+            "native" if native.available()
+            else f"reference: {native.unavailable_reason()}")
     if seed is not None:
         kwargs["seed"] = seed
     t0 = perf_counter()

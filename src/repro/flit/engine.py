@@ -254,15 +254,7 @@ class FlitSimulator:
         head_pending = [False] * n_buffers  # current head already requested
 
         busy_until = [0] * n_channels    # physical output port free time
-        credits = [cfg.buffer_packets] * n_sub
-        if self.degraded is not None and not self.degraded.is_pristine:
-            # A failed channel never grants credits: even if a stray
-            # route referenced it, no packet could start crossing.
-            for c, ok in enumerate(self.degraded.link_ok):
-                if not ok:
-                    base = c * n_vcs
-                    for v in range(n_vcs):
-                        credits[base + v] = 0
+        credits = self._initial_credits()
         requests: list[_Fifo] = [_Fifo() for _ in range(n_channels)]
         rr_state: dict[int, int] = {}
 
@@ -475,7 +467,31 @@ class FlitSimulator:
                         messages_completed += 1
                         delays.append(msg.delay)
 
-        if record:
+        return self._finish(rec, workload, delays, messages_measured,
+                            messages_completed, flits_created,
+                            flits_delivered, credit_stalls, events, now)
+
+    def _initial_credits(self) -> list[int]:
+        """Downstream credits per sub-channel (VC lane) at cycle 0."""
+        n_vcs = self.config.virtual_channels
+        credits = [self.config.buffer_packets] * (self._n_channels * n_vcs)
+        if self.degraded is not None and not self.degraded.is_pristine:
+            # A failed channel never grants credits: even if a stray
+            # route referenced it, no packet could start crossing.
+            for c, ok in enumerate(self.degraded.link_ok):
+                if not ok:
+                    base = c * n_vcs
+                    for v in range(n_vcs):
+                        credits[base + v] = 0
+        return credits
+
+    def _finish(self, rec, workload, delays, messages_measured,
+                messages_completed, flits_created, flits_delivered,
+                credit_stalls, events, sim_cycles) -> FlitRunResult:
+        """Run epilogue shared by both engines: the ``flit.*`` counters,
+        the message-delay histogram, and the window statistics."""
+        cfg = self.config
+        if rec.enabled:
             rec.count("flit.runs", 1)
             rec.count("flit.events", events)
             rec.count("flit.flits_injected", flits_created)
@@ -485,9 +501,8 @@ class FlitSimulator:
             rec.count("flit.messages_completed", messages_completed)
             for d in delays:
                 rec.observe("flit.message_delay", d)
-
         mean_delay, p95_delay, max_delay = delay_stats(delays)
-        denom = cfg.measure_cycles * n_procs
+        denom = cfg.measure_cycles * self._n_procs
         injected = flits_created / denom if denom else 0.0
         return FlitRunResult(
             offered_load=workload.load if workload is not None else injected,
@@ -498,6 +513,6 @@ class FlitSimulator:
             max_delay=max_delay,
             messages_measured=messages_measured,
             messages_completed=messages_completed,
-            sim_cycles=min(now, horizon),
+            sim_cycles=min(sim_cycles, cfg.horizon),
             events=events,
         )

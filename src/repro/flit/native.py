@@ -3,16 +3,17 @@
 :mod:`repro.flit.batched` splits a run into an injection plan (phase A,
 where every random draw happens) and pure integer event processing
 (phase B).  Phase B has no python left in its contract — flat arrays in,
-flat arrays out — so when a C compiler is present this module compiles
-``kernel.c`` (shipped alongside, mirrored line for line from the python
-kernels) into a shared library once per machine, caches it under
-``~/.cache/repro-flit`` keyed by source hash, and loads it with ctypes.
+flat arrays out — so this module compiles ``kernel.c`` (shipped
+alongside; it mirrors :meth:`repro.flit.engine.FlitSimulator.run` event
+for event, for both switch models and with telemetry) into a shared
+library once per machine, caches it under ``~/.cache/repro-flit`` keyed
+by source hash, and loads it with ctypes.
 
-Everything degrades gracefully: no compiler, a failed build, or
-``REPRO_FLIT_NATIVE=0`` simply means the pure-python kernels run
-(correct, ~3.5x the reference; the native path is ~20x).  The parity
-suite exercises both paths, so the fallback is not a lesser citizen.
-No third-party packages are involved — just ``ctypes`` and a cc.
+When the kernel cannot be built or loaded, :func:`available` is false,
+:func:`unavailable_reason` says why ("no C compiler", "build failed:
+...", "load failed: ..."), and the batched engine runs the reference
+engine instead: correct, just slower.  No third-party packages are
+involved — just ``ctypes`` and a cc.
 """
 
 from __future__ import annotations
@@ -27,14 +28,22 @@ from itertools import chain
 
 import numpy as np
 
+from repro.errors import SimulationError
+
 _SOURCE = os.path.join(os.path.dirname(__file__), "kernel.c")
 
 # params[] layout — must match the P_* enum in kernel.c.
-_P_COUNT = 15
+_P_COUNT = 20
 # out[] layout — must match the O_* enum in kernel.c.
-_O_COUNT = 7
+_O_COUNT = 8
+# Return codes — must match the RC_* enum in kernel.c.
+_RC_NO_MEMORY = 1
+_RC_ARENA_FULL = 2
+# Telemetry row width: t, injected, delivered, credit_stalls, occupancy.
+_ROW = 5
 
 _lib = None
+_reason: str | None = None
 _load_attempted = False
 
 
@@ -49,46 +58,75 @@ def _cache_dir() -> str:
     return root
 
 
-def _compile_and_load():
-    with open(_SOURCE, "rb") as fh:
-        source = fh.read()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    so_path = os.path.join(_cache_dir(), f"kernel-{digest}.so")
+def _build(so_path: str) -> str | None:
+    """Compile ``kernel.c`` into ``so_path``; why it failed, or None."""
+    cc = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
+    if cc is None:
+        return "no C compiler"
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(so_path))
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SOURCE],
+            capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines()
+            return "build failed: " + (
+                lines[0] if lines else f"{cc} exited {proc.returncode}")
+        os.replace(tmp, so_path)  # atomic: concurrent builds collapse
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"build failed: {exc}"
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return None
+
+
+def _load() -> str | None:
+    """Build (unless cached) and load the kernel into ``_lib``; why it
+    failed, or None."""
+    global _lib
+    try:
+        with open(_SOURCE, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+        so_path = os.path.join(_cache_dir(), f"kernel-{digest}.so")
+    except OSError as exc:
+        return f"build failed: {exc}"
     if not os.path.exists(so_path):
-        cc = next(
-            (c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
-        if cc is None:
-            return None
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(so_path))
-        os.close(fd)
-        try:
-            subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SOURCE],
-                check=True, capture_output=True, timeout=120)
-            os.replace(tmp, so_path)  # atomic: concurrent builds collapse
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    lib = ctypes.CDLL(so_path)
+        reason = _build(so_path)
+        if reason is not None:
+            return reason
+    try:
+        lib = ctypes.CDLL(so_path)
+        fn = lib.run_kernel
+    except (OSError, AttributeError) as exc:
+        return f"load failed: {exc}"
     i64p = ctypes.POINTER(ctypes.c_int64)
-    u8p = ctypes.POINTER(ctypes.c_uint8)
-    lib.run_oq.restype = ctypes.c_long
-    lib.run_oq.argtypes = [i64p] * 4 + [i64p, u8p] + [i64p] * 5
-    return lib
+    fn.restype = ctypes.c_long
+    fn.argtypes = [i64p] * 6 + [ctypes.POINTER(ctypes.c_uint8)] + [i64p] * 6
+    _lib = lib
+    return None
 
 
 def available() -> bool:
     """Whether the compiled kernel can be used (cached after first call)."""
-    global _lib, _load_attempted
+    global _reason, _load_attempted
     if not _load_attempted:
         _load_attempted = True
-        if os.environ.get("REPRO_FLIT_NATIVE", "1").lower() not in (
-                "0", "false", "off"):
-            try:
-                _lib = _compile_and_load()
-            except Exception:
-                _lib = None  # any build/load failure -> python kernels
+        _reason = _load()
     return _lib is not None
+
+
+def unavailable_reason() -> str | None:
+    """Why :func:`available` is false, or None when the kernel loaded."""
+    return None if available() else _reason
+
+
+def arena_capacity(n_plan: int, hops: int, input_fifo: bool) -> int:
+    """Event-node arena size: the push bound derived in ``kernel.c``
+    (one push per plan event, plus 2 per route hop output-queued or 4
+    input-FIFO)."""
+    return n_plan + (4 if input_fifo else 2) * hops + 8
 
 
 def _i64(values) -> np.ndarray:
@@ -102,50 +140,65 @@ def _ptr(a: np.ndarray):
         else ctypes.POINTER(ctypes.c_int64))
 
 
-def run_oq(plan, cfg, n_channels: int, initial_credits: list,
-           slack: int) -> tuple:
-    """Run phase B natively; returns the python kernels' stats tuple."""
-    (ev_cycle, ev_msg, ev_child, n_initial, _msg_src, msg_created,
+def run(plan, cfg, n_channels: int, n_procs: int, initial_credits: list,
+        record: bool) -> tuple[tuple, list]:
+    """Run phase B natively.
+
+    Returns ``(stats, rows)``: ``stats`` is the positional tail of
+    :meth:`~repro.flit.engine.FlitSimulator._finish` (delays through
+    ``sim_cycles``) and ``rows`` the per-interval telemetry as
+    ``[t, injected, delivered, credit_stalls, occupancy]`` lists, empty
+    unless ``record``.
+    """
+    (ev_cycle, ev_msg, ev_child, n_initial, msg_src, msg_created,
      msg_measured, pkt_path, pkt_last, overflow) = plan
     n_msgs = len(msg_created)
+    input_fifo = cfg.switch_model == "input-fifo"
+    horizon = cfg.horizon
     pkt_off = np.zeros(len(pkt_last) + 1, dtype=np.int64)
     np.cumsum(np.asarray(pkt_last, dtype=np.int64) + 1, out=pkt_off[1:])
+    hops = int(pkt_off[-1])
+    obs_interval = (cfg.obs_interval or max(1, cfg.measure_cycles // 20)
+                    if record else 0)
+    capacity = arena_capacity(len(ev_cycle), hops, input_fifo)
 
-    params = np.zeros(_P_COUNT, dtype=np.int64)
-    params[0] = len(ev_cycle)
-    params[1] = n_initial
-    params[2] = n_msgs
-    params[3] = cfg.packets_per_message
-    params[4] = n_channels
-    params[5] = cfg.virtual_channels
-    params[6] = cfg.packet_flits
-    params[7] = cfg.wire_delay + cfg.packet_flits
-    params[8] = cfg.wire_delay + cfg.routing_delay
-    params[9] = cfg.warmup_cycles
-    params[10] = cfg.end_of_window
-    params[11] = cfg.horizon
-    params[12] = slack
-    params[13] = n_channels.bit_length()
-    params[14] = 1 if overflow else 0
+    params = np.array([
+        len(ev_cycle), n_initial, n_msgs, cfg.packets_per_message,
+        n_channels, cfg.virtual_channels, cfg.packet_flits,
+        cfg.wire_delay + cfg.packet_flits,
+        cfg.wire_delay + cfg.routing_delay,
+        cfg.warmup_cycles, cfg.end_of_window, horizon,
+        cfg.wire_delay + cfg.packet_flits + cfg.routing_delay,  # slack
+        n_channels.bit_length(), 1 if overflow else 0, n_procs,
+        1 if input_fifo else 0, cfg.message_flits, obs_interval, capacity,
+    ], dtype=np.int64)
+    assert params.size == _P_COUNT
 
-    credits = _i64(initial_credits)
     delays = np.zeros(max(n_msgs, 1), dtype=np.int64)
+    # at most one row per obs_interval cycles up to the horizon
+    telemetry = np.zeros(
+        _ROW * (horizon // obs_interval + 1 if obs_interval else 1),
+        dtype=np.int64)
     out = np.zeros(_O_COUNT, dtype=np.int64)
     arrays = (params, _i64(ev_cycle), _i64(ev_msg), _i64(ev_child),
-              _i64(msg_created),
-              np.ascontiguousarray(
-                  np.frombuffer(bytes(msg_measured), dtype=np.uint8)
-                  if n_msgs else np.zeros(1, dtype=np.uint8)),
-              _i64(pkt_off),
+              _i64(msg_src), _i64(msg_created),
+              np.frombuffer(bytes(msg_measured), dtype=np.uint8)
+              if n_msgs else np.zeros(1, dtype=np.uint8),
+              pkt_off,
               _i64(np.fromiter(chain.from_iterable(pkt_path),
-                               dtype=np.int64, count=int(pkt_off[-1]))),
-              credits, delays, out)
-    rc = _lib.run_oq(*map(_ptr, arrays))
-    if rc != 0:
+                               dtype=np.int64, count=hops)),
+              _i64(initial_credits), delays, telemetry, out)
+    rc = _lib.run_kernel(*map(_ptr, arrays))
+    if rc == _RC_ARENA_FULL:
+        raise SimulationError(
+            f"native flit kernel overflowed its {capacity}-node event "
+            f"arena; the push bound in kernel.c does not hold")
+    if rc == _RC_NO_MEMORY:
         raise MemoryError("native flit kernel allocation failed")
 
     messages_measured = sum(msg_measured)
-    return (delays[:out[6]].tolist(), messages_measured,
-            int(out[0]), messages_measured * cfg.message_flits,
-            int(out[1]), int(out[2]), int(out[3]),
-            cfg.horizon if out[5] else int(out[4]))
+    stats = (delays[:out[6]].tolist(), messages_measured,
+             int(out[0]), messages_measured * cfg.message_flits,
+             int(out[1]), int(out[2]), int(out[3]),
+             horizon if out[5] else int(out[4]))
+    return stats, telemetry[:_ROW * out[7]].reshape(-1, _ROW).tolist()

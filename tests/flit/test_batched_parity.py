@@ -4,10 +4,11 @@ The batched engine's contract is *bit-identical* results — every
 ``FlitRunResult`` field equal (NaN-tolerant for the no-traffic
 statistics) across scheme families, tree shapes, switch models, VC
 counts, path-selection modes, traces, degraded fabrics and telemetry.
-Each case runs twice via the ``kernel`` fixture: once with the
-compiled C kernel allowed (skipped when no compiler is present) and
-once forced onto the pure-python kernels, so the fallback path is a
-first-class citizen of the parity contract.
+Each case runs twice via the ``kernel`` fixture: once on the compiled
+C kernel (skipped when no compiler is present) and once with no
+compiler (the ``python`` leg), where the batched engine falls back to
+the pure-python reference, so the fallback path is a first-class
+citizen of the parity contract.
 """
 
 from __future__ import annotations
@@ -37,15 +38,15 @@ from repro.topology import XGFT, m_port_n_tree
 
 
 @pytest.fixture(params=["native", "python"])
-def kernel(request, monkeypatch):
-    """Run the test body once per batched-engine backend."""
+def kernel(request):
+    """Run the test body once per batched-engine backend: the native
+    kernel, and the pure-python path — the reference fallback taken when
+    no C compiler is found (see the ``no_compiler`` fixture)."""
     if request.param == "python":
-        # Pretend the load already failed: available() returns False and
-        # the batched engine stays on the pure-python kernels.
-        monkeypatch.setattr(native, "_lib", None)
-        monkeypatch.setattr(native, "_load_attempted", True)
+        request.getfixturevalue("no_compiler")
     elif not native.available():
-        pytest.skip("no C compiler available for the native kernel")
+        pytest.skip(f"native kernel unavailable: "
+                    f"{native.unavailable_reason()}")
     return request.param
 
 
@@ -136,14 +137,15 @@ def test_degraded_parity(kernel):
 
 
 @pytest.mark.parametrize("model", ["output-queued", "input-fifo"])
-def test_recorder_parity(model):
+@pytest.mark.parametrize("vcs", [1, 2])
+def test_recorder_parity(kernel, model, vcs):
     """With telemetry on, counters, events and histograms must match
     too (the batched engine flushes intervals per bucket, the reference
     per event — same cycles, same values)."""
     xgft = m_port_n_tree(4, 2)
     cfg = FlitConfig(warmup_cycles=100, measure_cycles=400,
                      drain_cycles=600, switch_model=model,
-                     obs_interval=50, seed=21)
+                     virtual_channels=vcs, obs_interval=50, seed=21)
     ref, bat = both(xgft, "random:2", cfg)
     r_ref, r_bat = Recorder(), Recorder()
     a = ref.run(UniformRandom(0.7), recorder=r_ref)
@@ -153,6 +155,21 @@ def test_recorder_parity(model):
     assert r_ref.events == r_bat.events
     assert ({k: h.to_dict() for k, h in r_ref.hists.items()}
             == {k: h.to_dict() for k, h in r_bat.hists.items()})
+
+
+@pytest.mark.parametrize("model", ["output-queued", "input-fifo"])
+def test_saturation_parity(kernel, model):
+    """Past saturation with one-packet buffers: the deepest event
+    backlog (and, input-FIFO, the most head-ready retries) the kernel's
+    event arena has to hold."""
+    xgft = m_port_n_tree(4, 2)
+    cfg = FlitConfig(warmup_cycles=100, measure_cycles=400,
+                     drain_cycles=600, switch_model=model, buffer_packets=1,
+                     virtual_channels=2, seed=23)
+    ref, bat = both(xgft, "disjoint:2", cfg)
+    a, b = ref.run(UniformRandom(1.0)), bat.run(UniformRandom(1.0))
+    assert_bit_identical(a, b)
+    assert a.throughput < a.injected_load  # saturated
 
 
 def test_workload_family_parity(kernel):

@@ -1,8 +1,8 @@
 """Edge cases of the engine's small data structures.
 
-``_Fifo`` and ``free_vc`` sit on the hot path of both engines; their
-corner behaviour (empty queues, exhausted credit lanes) is what the
-stall accounting and the batched engine's specialized kernels rely on.
+``_Fifo`` and ``free_vc`` sit on the reference engine's hot path, and
+``kernel.c`` mirrors ``free_vc``; their corner behaviour (empty queues,
+exhausted credit lanes) is what the stall accounting relies on.
 """
 
 import pytest
@@ -77,8 +77,7 @@ class TestFreeVc:
         assert free_vc([0, 0, 0], 0, 3) == -1
 
     def test_single_vc(self):
-        # 1 VC: the sub-channel index equals the channel index — the
-        # identity the batched engine's 1-VC kernel specializes on.
+        # 1 VC: the sub-channel index equals the channel index.
         credits = [0, 3]
         assert free_vc(credits, 0, 1) == -1
         assert free_vc(credits, 1, 1) == 1
