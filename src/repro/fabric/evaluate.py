@@ -48,12 +48,13 @@ def trace(
 
 
 def compile_flit_routes(routes: FabricRoutes) -> dict[int, list[tuple[int, ...]]]:
-    """Compile fabric routes into the flit engine's route-table format.
+    """Compile fabric routes into flit route lists.
 
     Returns the mapping ``src * n_hosts + dst -> [channel-id paths]``
-    (one per LID offset, deduplicated) consumed by
-    :meth:`repro.flit.FlitSimulator.from_tables` — enabling flit-level
-    simulation of discovered (and degraded) fabrics.
+    (one per LID offset, deduplicated) that
+    :meth:`repro.flit.FlitSimulator.from_tables` converts into its route
+    table — enabling flit-level simulation of discovered (and degraded)
+    fabrics.
 
     Raises :class:`RoutingError` when any host pair is unreachable; a
     flit study on a partitioned network would silently starve.

@@ -13,7 +13,9 @@ bit for bit — but splits a run in two:
   hosts replicating the reference's draw order exactly (destination,
   path choices, arrival clock, per pop) — and materializes flat
   per-message and per-packet arrays: creation cycle, measured flag, and
-  one route tuple per packet.  Phase B is then RNG-free.
+  one path id per packet (``pair_ptr[key] + choice`` in the
+  :class:`~repro.routing.vectorized.RouteTable`).  Phase B is then
+  RNG-free.
 
 * **Event kernel (phase B, C).**  ``kernel.c``, compiled on demand by
   :mod:`repro.flit.native`, replays the reference's ``(time, seq)`` heap
@@ -102,15 +104,17 @@ class BatchedFlitSimulator(FlitSimulator):
         exact draw order, into flat arrays.
 
         Returns ``(ev_cycle, ev_msg, ev_child, n_initial, msg_src,
-        msg_created, msg_measured, pkt_path, pkt_last, overflow)``:
-        injection events in *push order* (cycle, message id or -1 for a
-        silent poll, successor event id or -1), per-message and
-        per-packet state, and whether any event lands past the horizon
-        (which pins ``sim_cycles`` to the horizon, as in the reference).
+        msg_created, msg_measured, pkt_path, overflow)``: injection
+        events in *push order* (cycle, message id or -1 for a silent
+        poll, successor event id or -1), per-message state, each
+        packet's path id in :attr:`routes`, and whether any event lands
+        past the horizon (which pins ``sim_cycles`` to the horizon, as in
+        the reference).
         """
         cfg = self.config
         n_procs = self._n_procs
-        routes = self.routes
+        pair_ptr = self.routes.pair_ptr
+        n_keys = pair_ptr.size - 1
         ppm = cfg.packets_per_message
         warmup = cfg.warmup_cycles
         window_end = cfg.end_of_window
@@ -124,8 +128,7 @@ class BatchedFlitSimulator(FlitSimulator):
         msg_src: list[int] = []
         msg_created: list[int] = []
         msg_measured: list[bool] = []
-        pkt_path: list[tuple[int, ...]] = []
-        pkt_last: list[int] = []
+        pkt_path: list[int] = []
         rr_state: dict[int, int] = {}
         overflow = False
         randrange = rng.randrange
@@ -134,27 +137,23 @@ class BatchedFlitSimulator(FlitSimulator):
             msg_src.append(host)
             msg_created.append(cyc)
             msg_measured.append(warmup <= cyc < window_end)
-            paths = routes[host * n_procs + dst]
-            n_paths = len(paths)
+            key = host * n_procs + dst
+            if not 0 <= key < n_keys:
+                raise KeyError(key)  # as the reference's table lookup
+            first = pair_ptr.item(key)
+            n_paths = pair_ptr.item(key + 1) - first
+            if not n_paths:
+                raise KeyError(key)
             if round_robin:
-                key = host * n_procs + dst
                 base = rr_state.get(key, 0)
                 rr_state[key] = (base + ppm) % n_paths
                 for j in range(ppm):
-                    path = paths[(base + j) % n_paths]
-                    pkt_path.append(path)
-                    pkt_last.append(len(path) - 1)
+                    pkt_path.append(first + (base + j) % n_paths)
             elif per_packet:
                 for _ in range(ppm):
-                    path = paths[randrange(n_paths)]
-                    pkt_path.append(path)
-                    pkt_last.append(len(path) - 1)
+                    pkt_path.append(first + randrange(n_paths))
             else:
-                path = paths[randrange(n_paths)]
-                last = len(path) - 1
-                for _ in range(ppm):
-                    pkt_path.append(path)
-                    pkt_last.append(last)
+                pkt_path.extend([first + randrange(n_paths)] * ppm)
 
         if trace is not None:
             n_initial = len(trace)
@@ -215,7 +214,7 @@ class BatchedFlitSimulator(FlitSimulator):
                     heappush(heap, (nxt, cid))
 
         return (ev_cycle, ev_msg, ev_child, n_initial, msg_src, msg_created,
-                msg_measured, pkt_path, pkt_last, overflow)
+                msg_measured, pkt_path, overflow)
 
     # ------------------------------------------------------------------
     def run(self, workload: Workload | None, *, seed: int | None = None,
@@ -235,9 +234,12 @@ class BatchedFlitSimulator(FlitSimulator):
                                      recorder=recorder, _trace=_trace)
         rec = recorder if recorder is not None else get_recorder()
         rng = random.Random(cfg.seed if seed is None else seed)
-        plan = self._injection_plan(workload, rng, _trace)
-        stats, rows = native.run(plan, cfg, self._n_channels, self._n_procs,
-                                 self._initial_credits(), rec.enabled)
+        with rec.timer("flit.plan"):
+            plan = self._injection_plan(workload, rng, _trace)
+        with rec.timer("flit.kernel"):
+            stats, rows = native.run(plan, self.routes, cfg,
+                                     self._n_channels, self._n_procs,
+                                     self._initial_credits(), rec.enabled)
         for t, injected, delivered, stalls, occupancy in rows:
             rec.event("flit_interval", t=t, injected=injected,
                       delivered=delivered, credit_stalls=stalls,

@@ -36,7 +36,10 @@ paper's discussion.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping, Sequence
 from heapq import heappop, heappush
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.flit.config import FlitConfig
@@ -45,7 +48,7 @@ from repro.flit.stats import FlitRunResult, delay_stats
 from repro.obs.recorder import get_recorder
 from repro.flit.workload import Workload
 from repro.routing.base import RoutingScheme
-from repro.routing.vectorized import compile_routes
+from repro.routing.vectorized import RouteTable, compile_routes
 from repro.topology.xgft import XGFT
 
 # Event kinds (heap entries are (time, seq, kind, payload)).
@@ -132,24 +135,20 @@ class FlitSimulator:
             raise SimulationError(
                 "degraded fabric was built for a different topology")
         self.degraded = degraded
-        if compiled is not None:
-            # Reuse an existing compiled plan's incidence instead of
-            # re-deriving every pair's link sequence.
-            if compiled.xgft != xgft:
-                raise SimulationError(
-                    "compiled plan was built for a different topology")
-            self.routes = compiled.route_table()
-        else:
-            self.routes = compile_routes(xgft, scheme)
+        if compiled is not None and compiled.xgft != xgft:
+            raise SimulationError(
+                "compiled plan was built for a different topology")
+        with get_recorder().timer("flit.build"):
+            # A compiled plan already holds every pair's link sequence.
+            self.routes = (compiled.route_table() if compiled is not None
+                           else compile_routes(xgft, scheme))
         if self.degraded is not None and not self.degraded.is_pristine:
-            link_ok = self.degraded.link_ok
-            for paths in self.routes.values():
-                for path in paths:
-                    for c in path:
-                        if not link_ok[c]:
-                            raise SimulationError(
-                                f"route table references failed channel {c}; "
-                                f"wrap the scheme in DegradedScheme first")
+            dead = ~self.degraded.link_ok[self.routes.links]
+            if dead.any():
+                raise SimulationError(
+                    f"route table references failed channel "
+                    f"{self.routes.links[dead.argmax()]}; "
+                    f"wrap the scheme in DegradedScheme first")
         self._n_procs = xgft.n_procs
         self._n_channels = xgft.n_links
 
@@ -158,7 +157,7 @@ class FlitSimulator:
         cls,
         n_hosts: int,
         n_channels: int,
-        routes: dict[int, list[tuple[int, ...]]],
+        routes: Mapping[int, Sequence[Sequence[int]]],
         config: FlitConfig,
     ) -> "FlitSimulator":
         """Build a simulator from precompiled routes on an arbitrary
@@ -168,7 +167,8 @@ class FlitSimulator:
 
         ``routes`` maps pair keys ``src * n_hosts + dst`` to non-empty
         lists of channel-id paths; every ordered host pair that the
-        workload can produce must be present.
+        workload can produce must be present.  It is converted once
+        into a :class:`~repro.routing.vectorized.RouteTable`.
 
         Keys and channel ids are validated up front: a route referencing
         a channel ``>= n_channels`` (or a key implying a negative or
@@ -179,24 +179,29 @@ class FlitSimulator:
         if n_hosts < 1 or n_channels < 1:
             raise SimulationError("need at least one host and one channel")
         n_pairs = n_hosts * n_hosts
-        for key, paths in routes.items():
-            if not 0 <= key < n_pairs:
-                raise SimulationError(
-                    f"pair key {key} outside [0, {n_pairs}); keys are "
-                    f"src * n_hosts + dst with src, dst in [0, {n_hosts})")
-            if not paths:
-                raise SimulationError(f"pair key {key} has no paths")
-            for path in paths:
-                for c in path:
-                    if not 0 <= c < n_channels:
-                        raise SimulationError(
-                            f"route for pair key {key} references channel "
-                            f"{c} outside [0, {n_channels})")
+        try:
+            table = RouteTable.from_mapping(routes, n_pairs)
+        except KeyError as exc:
+            raise SimulationError(
+                f"pair key {exc.args[0]} outside [0, {n_pairs}); keys are "
+                f"src * n_hosts + dst with src, dst in [0, {n_hosts})"
+            ) from None
+        if len(table) < len(routes):  # an empty path list reads as absent
+            key = next(key for key, paths in routes.items() if not paths)
+            raise SimulationError(f"pair key {key} has no paths")
+        bad = (table.links < 0) | (table.links >= n_channels)
+        if bad.any():
+            at = bad.argmax()
+            path = np.searchsorted(table.path_ptr, at, side="right") - 1
+            key = np.searchsorted(table.pair_ptr, path, side="right") - 1
+            raise SimulationError(
+                f"route for pair key {key} references channel "
+                f"{table.links[at]} outside [0, {n_channels})")
         sim = cls.__new__(cls)
         sim.xgft = None
         sim.scheme = None
         sim.config = config
-        sim.routes = routes
+        sim.routes = table
         sim.degraded = None
         sim._n_procs = n_hosts
         sim._n_channels = n_channels

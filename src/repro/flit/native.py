@@ -24,7 +24,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from itertools import chain
 
 import numpy as np
 
@@ -140,23 +139,24 @@ def _ptr(a: np.ndarray):
         else ctypes.POINTER(ctypes.c_int64))
 
 
-def run(plan, cfg, n_channels: int, n_procs: int, initial_credits: list,
-        record: bool) -> tuple[tuple, list]:
+def run(plan, routes, cfg, n_channels: int, n_procs: int,
+        initial_credits: list, record: bool) -> tuple[tuple, list]:
     """Run phase B natively.
 
-    Returns ``(stats, rows)``: ``stats`` is the positional tail of
+    ``plan`` is phase A's output, whose packets name path ids in the
+    :class:`~repro.routing.vectorized.RouteTable` ``routes``.  Returns
+    ``(stats, rows)``: ``stats`` is the positional tail of
     :meth:`~repro.flit.engine.FlitSimulator._finish` (delays through
     ``sim_cycles``) and ``rows`` the per-interval telemetry as
     ``[t, injected, delivered, credit_stalls, occupancy]`` lists, empty
     unless ``record``.
     """
     (ev_cycle, ev_msg, ev_child, n_initial, msg_src, msg_created,
-     msg_measured, pkt_path, pkt_last, overflow) = plan
+     msg_measured, pkt_path, overflow) = plan
     n_msgs = len(msg_created)
     input_fifo = cfg.switch_model == "input-fifo"
     horizon = cfg.horizon
-    pkt_off = np.zeros(len(pkt_last) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(pkt_last, dtype=np.int64) + 1, out=pkt_off[1:])
+    pkt_off, hop_links = routes.gather(np.asarray(pkt_path, dtype=np.int64))
     hops = int(pkt_off[-1])
     obs_interval = (cfg.obs_interval or max(1, cfg.measure_cycles // 20)
                     if record else 0)
@@ -184,10 +184,8 @@ def run(plan, cfg, n_channels: int, n_procs: int, initial_credits: list,
               _i64(msg_src), _i64(msg_created),
               np.frombuffer(bytes(msg_measured), dtype=np.uint8)
               if n_msgs else np.zeros(1, dtype=np.uint8),
-              pkt_off,
-              _i64(np.fromiter(chain.from_iterable(pkt_path),
-                               dtype=np.int64, count=hops)),
-              _i64(initial_credits), delays, telemetry, out)
+              pkt_off, _i64(hop_links), _i64(initial_credits), delays,
+              telemetry, out)
     rc = _lib.run_kernel(*map(_ptr, arrays))
     if rc == _RC_ARENA_FULL:
         raise SimulationError(

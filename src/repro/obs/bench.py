@@ -62,6 +62,10 @@ FLIT_ENGINE_SPEEDUP = 5.0
 #: disabled-recorder overhead budget on the flow hot path (<5 %)
 OBS_OVERHEAD_BUDGET = 0.05
 
+#: shortest timed block in the overhead measurement: the hot-path call
+#: takes microseconds, so it repeats until one block lasts this long
+MIN_TIMED_BLOCK_S = 0.02
+
 #: snapshot file per benchmark, written at the repo root
 SNAPSHOT_FILES = {
     "flow": "BENCH_flow.json",
@@ -375,11 +379,15 @@ def measure_obs_overhead(*, quick: bool = True, rounds: int = 7,
                          reps: int = 5) -> dict:
     """Recorder overhead on the flow hot path (the <5 % budget).
 
-    Returns raw/disabled/enabled best-of timings plus the derived
-    overhead fractions and the budget verdict.  Shared by
-    ``benchmarks/bench_obs_overhead.py`` (which *asserts* the budget)
-    and :func:`bench_obs` (which snapshots the measured value).
+    Returns raw/disabled/enabled median timings plus the derived
+    overhead fractions (medians of the per-round ratios) and the budget
+    verdict.  Each timed block runs at least ``reps`` calls and lasts at
+    least :data:`MIN_TIMED_BLOCK_S`.
+    Shared by ``benchmarks/bench_obs_overhead.py`` (which *asserts* the
+    budget) and :func:`bench_obs` (which snapshots the measured value).
     """
+    from statistics import median
+
     from repro.flow.loads import link_loads
     from repro.flow.metrics import max_link_load
     from repro.flow.simulator import FlowSimulator
@@ -404,7 +412,12 @@ def measure_obs_overhead(*, quick: bool = True, rounds: int = 7,
         with use_recorder(Recorder()):
             return sim.max_load(scheme, tm)
 
-    raw(), disabled(), enabled()  # warm caches outside the timings
+    disabled(), enabled()  # warm caches outside the timings
+    calls, t0 = 0, perf_counter()
+    while perf_counter() - t0 < MIN_TIMED_BLOCK_S:
+        raw()
+        calls += 1
+    reps = max(reps, calls)
 
     def timed(fn):
         t0 = perf_counter()
@@ -412,21 +425,27 @@ def measure_obs_overhead(*, quick: bool = True, rounds: int = 7,
             fn()
         return (perf_counter() - t0) / reps
 
-    # Interleave the three variants within each round so clock-speed
-    # drift (turbo decay, a noisy neighbour) hits them symmetrically —
-    # measuring all raw rounds first would bias the overhead ratio.
-    t_raw = t_disabled = t_enabled = float("inf")
+    # Each round times the three variants forward then backward, so
+    # clock-speed drift within the round (turbo decay, a noisy
+    # neighbour) hits them symmetrically; the medians over rounds then
+    # drop the rounds a burst of noise landed on.  (A best-of estimate
+    # swings by +-10 % on a shared host: one variant catching a lucky
+    # fast block decides it.)
+    t_raw, t_disabled, t_enabled = [], [], []
     for _ in range(rounds):
-        t_raw = min(t_raw, timed(raw))
-        t_disabled = min(t_disabled, timed(disabled))
-        t_enabled = min(t_enabled, timed(enabled))
-    disabled_overhead = t_disabled / t_raw - 1.0
+        a, b, c = timed(raw), timed(disabled), timed(enabled)
+        t_enabled.append((c + timed(enabled)) / 2)
+        t_disabled.append((b + timed(disabled)) / 2)
+        t_raw.append((a + timed(raw)) / 2)
+    disabled_overhead = median(
+        d / r for d, r in zip(t_disabled, t_raw)) - 1.0
     return {
-        "raw_s": t_raw,
-        "disabled_s": t_disabled,
-        "enabled_s": t_enabled,
+        "raw_s": median(t_raw),
+        "disabled_s": median(t_disabled),
+        "enabled_s": median(t_enabled),
         "disabled_overhead": disabled_overhead,
-        "enabled_overhead": t_enabled / t_raw - 1.0,
+        "enabled_overhead": median(
+            e / r for e, r in zip(t_enabled, t_raw)) - 1.0,
         "budget": OBS_OVERHEAD_BUDGET,
         "within_budget": disabled_overhead <= OBS_OVERHEAD_BUDGET,
     }
@@ -439,7 +458,7 @@ def bench_obs(quick: bool = True) -> BenchSnapshot:
     sub-millisecond either way, and the quick (4x2) variant is so short
     that scheduler noise dwarfs the 5 % budget the check enforces.
     """
-    measured = measure_obs_overhead(quick=False, rounds=9, reps=7)
+    measured = measure_obs_overhead(quick=False, rounds=25, reps=7)
     metrics = {
         "flow_hot_path_raw": {
             "wall_s": measured["raw_s"], "cpu_s": measured["raw_s"],

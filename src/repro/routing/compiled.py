@@ -17,7 +17,7 @@ and flattens the lot into one CSR-style incidence over pair keys
 and ``link_weights``.  Self-pairs are empty rows, so evaluators need no
 fixed-point masking.  Evaluating a traffic matrix is then a single
 gather + ``np.bincount`` (see :class:`repro.flow.engine.BatchFlowEngine`),
-and the same incidence backs the flit route tables
+and the same per-level link blocks back the flit route tables
 (:meth:`CompiledScheme.route_table`) and the InfiniBand LFT compiler
 (which only needs :meth:`CompiledScheme.path_index_matrix`).
 
@@ -40,7 +40,7 @@ import numpy as np
 from repro.errors import RoutingError
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
-from repro.routing.vectorized import path_link_matrix
+from repro.routing.vectorized import RouteTable, path_link_matrix
 from repro.topology.xgft import XGFT
 
 
@@ -306,40 +306,36 @@ class CompiledScheme:
         return rows
 
     # -- derived tables ------------------------------------------------
-    def route_table(self, pairs: np.ndarray | None = None) -> dict[int, list[tuple[int, ...]]]:
+    def route_table(self, pairs: np.ndarray | None = None) -> RouteTable:
         """The flit simulator's route table, read off the stored
         incidence (same contract as
         :func:`repro.routing.vectorized.compile_routes`)."""
-        n = self.xgft.n_procs
 
-        def row_paths(lv: CompiledLevel, row: int) -> list[tuple[int, ...]]:
+        def block(lv: CompiledLevel, rows=slice(None)) -> tuple:
             # Masked plans pad short rows with weight-0 duplicates; the
-            # flit simulator picks uniformly from the list, so padding
-            # must not reach it.
-            if lv.pair_weights is None:
-                return [tuple(map(int, path)) for path in lv.links[row]]
-            return [tuple(map(int, path))
-                    for path, w in zip(lv.links[row], lv.pair_weights[row])
-                    if w > 0.0]
+            # flit simulator picks uniformly from a pair's paths, so
+            # padding must not reach it.
+            links = lv.links[rows]
+            keep = (np.ones(links.shape[:2], dtype=bool)
+                    if lv.pair_weights is None
+                    else lv.pair_weights[rows] > 0.0)
+            return lv.keys[rows], keep, links
 
-        table: dict[int, list[tuple[int, ...]]] = {}
+        n = self.xgft.n_procs
         if pairs is None:
-            for lv in self.levels.values():
-                for row in range(lv.n_pairs):
-                    table[int(lv.keys[row])] = row_paths(lv, row)
-            return table
+            return RouteTable.from_blocks(
+                n * n, [block(lv) for lv in self.levels.values()])
         pairs = np.asarray(pairs, dtype=np.int64)
         s_all, d_all = pairs[:, 0], pairs[:, 1]
         if np.any(s_all == d_all):
             raise ValueError("self-pairs have no network route")
         k_arr = self.xgft.nca_level(s_all, d_all)
-        for k in np.unique(k_arr):
+        blocks = []
+        for k in np.unique(k_arr).tolist():
             mask = k_arr == k
-            lv = self._level(int(k))
-            rows = self._rows(int(k), s_all[mask], d_all[mask])
-            for key, row in zip(s_all[mask] * n + d_all[mask], rows):
-                table[int(key)] = row_paths(lv, int(row))
-        return table
+            blocks.append(block(self._level(k),
+                                self._rows(k, s_all[mask], d_all[mask])))
+        return RouteTable.from_blocks(n * n, blocks)
 
 
 def compile_scheme(xgft: XGFT, scheme: RoutingScheme) -> CompiledScheme:

@@ -1,4 +1,4 @@
-"""Batch path-to-link computation.
+"""Batch path-to-link computation and the flit route table.
 
 Converts matrices of path indices into matrices of directed link ids in a
 few NumPy expressions per tree level, mirroring the closed forms used by
@@ -8,6 +8,9 @@ table compiler and by the InfiniBand table builder.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -54,9 +57,127 @@ def path_link_matrix(
     return out
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR pointer array: ``[0, cumsum(counts)...]``."""
+    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+class RouteTable(Mapping):
+    """Every pair's paths as one CSR over pair keys ``src * n + dst``.
+
+    Three int64 arrays:
+
+    * ``pair_ptr`` (``n_keys + 1``): pair key ``q`` owns path ids
+      ``pair_ptr[q]:pair_ptr[q + 1]``, in the scheme's path order;
+    * ``path_ptr`` (``n_paths + 1``): path id ``p`` owns link offsets
+      ``path_ptr[p]:path_ptr[p + 1]``;
+    * ``links``: directed link (channel) ids in traversal order.
+
+    The batched flit engine works on path ids and gathers links with
+    numpy.  Read as a :class:`~collections.abc.Mapping` — the reference
+    engine's view — ``table[key]`` is the pair's list of link-id tuples,
+    and the keys are the pairs that have at least one path.
+
+    >>> table = RouteTable.from_mapping({1: [(0,), (1, 2)]}, n_keys=4)
+    >>> table.pair_ptr.tolist(), table.path_ptr.tolist(), table.links.tolist()
+    ([0, 0, 2, 2, 2], [0, 1, 3], [0, 1, 2])
+    >>> dict(table)
+    {1: [(0,), (1, 2)]}
+    """
+
+    def __init__(self, pair_ptr: np.ndarray, path_ptr: np.ndarray,
+                 links: np.ndarray):
+        self.pair_ptr = pair_ptr
+        self.path_ptr = path_ptr
+        self.links = links
+
+    def __repr__(self) -> str:
+        return (f"RouteTable(pairs={len(self)}, paths={self.n_paths}, "
+                f"links={self.links.size})")
+
+    @property
+    def n_paths(self) -> int:
+        return self.path_ptr.size - 1
+
+    @classmethod
+    def from_blocks(cls, n_keys: int, blocks: list[tuple]) -> "RouteTable":
+        """Scatter fixed-shape path blocks into one table.
+
+        Each block is ``(keys, keep, links)``: ``n`` distinct pair keys,
+        an ``(n, P)`` boolean mask of the paths to keep, and the
+        ``(n, P, L)`` link ids of all ``P`` paths.  Blocks are written at
+        their pairs' offsets, so their order does not matter and nothing
+        is sorted.
+        """
+        counts = np.zeros(n_keys, dtype=np.int64)
+        width = np.zeros(n_keys, dtype=np.int64)
+        for keys, keep, links in blocks:
+            counts[keys] = keep.sum(axis=1)
+            width[keys] = links.shape[2]
+        pair_ptr = _offsets(counts)
+        path_ptr = _offsets(np.repeat(width, counts))
+        out = np.empty(int(path_ptr[-1]), dtype=np.int64)
+        for keys, keep, links in blocks:
+            # a kept path's rank is the number of kept paths before it
+            ids = (pair_ptr[keys][:, None] + np.cumsum(keep, axis=1) - 1)[keep]
+            out[path_ptr[ids][:, None] + np.arange(links.shape[2])] = links[keep]
+        return cls(pair_ptr, path_ptr, out)
+
+    @classmethod
+    def from_mapping(cls, routes: Mapping[int, Sequence[Sequence[int]]],
+                     n_keys: int) -> "RouteTable":
+        """Convert ``{key: [path, ...]}`` with paths of any length.
+
+        A key outside ``[0, n_keys)`` raises :class:`KeyError`; a key
+        with an empty path list is the same as an absent key.
+        """
+        items = sorted(routes.items())
+        keys = np.array([key for key, _ in items], dtype=np.int64)
+        bad = (keys < 0) | (keys >= n_keys)
+        if bad.any():
+            raise KeyError(keys[bad.argmax()].item())
+        counts = np.zeros(n_keys, dtype=np.int64)
+        counts[keys] = [len(paths) for _, paths in items]
+        paths = [path for _, pair_paths in items for path in pair_paths]
+        path_ptr = _offsets(np.fromiter(map(len, paths), dtype=np.int64,
+                                        count=len(paths)))
+        links = np.fromiter(chain.from_iterable(paths), dtype=np.int64,
+                            count=int(path_ptr[-1]))
+        return cls(_offsets(counts), path_ptr, links)
+
+    def gather(self, path_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The links of ``path_ids`` back to back, as ``(ptr, links)``:
+        the ``i``-th path's links are ``links[ptr[i]:ptr[i + 1]]``."""
+        starts = self.path_ptr[path_ids]
+        lengths = self.path_ptr[path_ids + 1] - starts
+        ptr = _offsets(lengths)
+        return ptr, self.links[np.repeat(starts - ptr[:-1], lengths)
+                               + np.arange(ptr[-1])]
+
+    # -- Mapping view ----------------------------------------------------
+    def __getitem__(self, key) -> list[tuple[int, ...]]:
+        if not 0 <= key < self.pair_ptr.size - 1:
+            raise KeyError(key)
+        lo, hi = self.pair_ptr[key:key + 2].tolist()
+        if lo == hi:
+            raise KeyError(key)
+        ptr = self.path_ptr[lo:hi + 1].tolist()
+        base = ptr[0]
+        flat = self.links[base:ptr[-1]].tolist()
+        return [tuple(flat[a - base:b - base]) for a, b in zip(ptr, ptr[1:])]
+
+    def __iter__(self):
+        return iter(np.flatnonzero(np.diff(self.pair_ptr)).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(np.diff(self.pair_ptr)))
+
+
 def compile_routes(
     xgft: XGFT, scheme: RoutingScheme, pairs: np.ndarray | None = None
-) -> dict[int, list[tuple[int, ...]]]:
+) -> RouteTable:
     """Materialize path link sequences for SD pairs.
 
     Parameters
@@ -67,8 +188,8 @@ def compile_routes(
 
     Returns
     -------
-    Mapping from pair key ``src * n_procs + dst`` to the list of the
-    pair's path link-id tuples (in the scheme's path order; fractions are
+    A :class:`RouteTable` over pair keys ``src * n_procs + dst`` holding
+    each pair's paths in the scheme's path order (fractions are
     ``scheme.fractions(k)``).
     """
     if hasattr(scheme, "route_table"):
@@ -87,7 +208,7 @@ def compile_routes(
         if np.any(s_all == d_all):
             raise ValueError("self-pairs have no network route")
 
-    table: dict[int, list[tuple[int, ...]]] = {}
+    blocks = []
     k_arr = xgft.nca_level(s_all, d_all)
     for k in range(1, xgft.h + 1):
         mask = k_arr == k
@@ -95,19 +216,10 @@ def compile_routes(
             continue
         s, d = s_all[mask], d_all[mask]
         idx = scheme.path_index_matrix(s, d, k)
-        links = path_link_matrix(xgft, s, d, idx, k)
-        keys = s * n + d
         pair_w = scheme.path_weight_matrix(s, d, k)
-        if pair_w is None:
-            for row, key in enumerate(keys):
-                table[int(key)] = [tuple(map(int, path)) for path in links[row]]
-        else:
-            # Fault-aware schemes pad short rows with weight-0 duplicates;
-            # concrete path lists must not contain them.
-            for row, key in enumerate(keys):
-                table[int(key)] = [
-                    tuple(map(int, path))
-                    for path, w in zip(links[row], pair_w[row])
-                    if w > 0.0
-                ]
-    return table
+        # Fault-aware schemes pad short rows with weight-0 duplicates;
+        # concrete path lists must not contain them.
+        keep = (np.ones(idx.shape, dtype=bool) if pair_w is None
+                else np.asarray(pair_w) > 0.0)
+        blocks.append((s * n + d, keep, path_link_matrix(xgft, s, d, idx, k)))
+    return RouteTable.from_blocks(n * n, blocks)

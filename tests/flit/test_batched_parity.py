@@ -31,7 +31,7 @@ from repro.flit import (
     make_flit_simulator,
 )
 from repro.flit import native
-from repro.flit.traces import synthesize_trace
+from repro.flit.traces import TraceEntry, synthesize_trace
 from repro.obs.recorder import Recorder
 from repro.routing import make_scheme
 from repro.topology import XGFT, m_port_n_tree
@@ -96,6 +96,33 @@ def test_path_selection_parity(kernel, selection):
     ref, bat = both(xgft, "disjoint:2", cfg)
     workload = UniformRandom(0.6)
     assert_bit_identical(ref.run(workload), bat.run(workload))
+
+
+@pytest.mark.parametrize("ppm", [3, 5])
+def test_round_robin_carry_parity(kernel, ppm):
+    """packets_per_message not a multiple of the path count, so the
+    round-robin start carries from one message of a pair to the next."""
+    xgft = m_port_n_tree(4, 2)
+    cfg = FlitConfig(warmup_cycles=150, measure_cycles=500,
+                     drain_cycles=700, path_selection="round-robin",
+                     packets_per_message=ppm, seed=78)
+    ref, bat = both(xgft, "disjoint:2", cfg)
+    workload = UniformRandom(0.5)
+    assert_bit_identical(ref.run(workload), bat.run(workload))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("src, dst", [(1, 0), (-1, 1), (-2, 0), (2, 1)],
+                         ids=["absent", "src-negative", "key-wraps",
+                              "key-beyond"])
+def test_missing_route_raises_key_error(kernel, engine, src, dst):
+    """A pair absent from a ``from_tables`` route table, or a key outside
+    it, fails the same way on both engines (the reference's table
+    lookup) instead of reading another pair's paths."""
+    cfg = FlitConfig(warmup_cycles=0, measure_cycles=100, drain_cycles=100)
+    sim = flit_engine_class(engine).from_tables(2, 1, {1: [(0,)]}, cfg)
+    with pytest.raises(KeyError):
+        sim.run_trace([TraceEntry(5, 0, 1), TraceEntry(9, src, dst)])
 
 
 @pytest.mark.parametrize("model", ["output-queued", "input-fifo"])

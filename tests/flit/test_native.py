@@ -10,7 +10,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments.registry import run_instrumented
 from repro.flit import BatchedFlitSimulator, FlitConfig, UniformRandom, native
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import Recorder, use_recorder
+from repro.obs.report import render_report
 from repro.routing import make_scheme
 from repro.topology import m_port_n_tree
 
@@ -70,3 +71,24 @@ def test_arena_overflow_is_typed(monkeypatch, model):
     sim = BatchedFlitSimulator(xgft, make_scheme(xgft, "d-mod-k"), cfg)
     with pytest.raises(SimulationError, match="event arena"):
         sim.run(UniformRandom(0.5))
+
+
+def test_profiled_run_records_phase_timers():
+    """Build, phase A and phase B each show up as their own timer (and
+    nothing else: counters and events are parity-checked against the
+    reference, which has no phases)."""
+    if not native.available():
+        pytest.skip(f"native kernel unavailable: {native.unavailable_reason()}")
+    xgft = m_port_n_tree(4, 2)
+    cfg = FlitConfig(warmup_cycles=50, measure_cycles=200, drain_cycles=200,
+                     seed=1)
+    rec = Recorder()
+    with use_recorder(rec):
+        sim = BatchedFlitSimulator(xgft, make_scheme(xgft, "disjoint:2"), cfg)
+        sim.run(UniformRandom(0.3))
+        sim.run(UniformRandom(0.3))
+    phases = ("flit.build", "flit.plan", "flit.kernel")
+    assert {name: rec.timers[name][1] for name in phases} == {
+        "flit.build": 1, "flit.plan": 2, "flit.kernel": 2}
+    report = render_report(rec)
+    assert all(name in report for name in phases)

@@ -131,6 +131,12 @@ class TestFromTablesValidation:
         with pytest.raises(SimulationError, match=r"channel 3 outside"):
             FlitSimulator.from_tables(2, 3, {PAIR: [(0, 3)]}, self._cfg())
 
+    def test_names_the_pair_of_a_bad_channel(self):
+        routes = {PAIR: [SHORT], 1 * 2 + 0: [SHORT, (1, 2, 7)]}
+        with pytest.raises(SimulationError,
+                           match=r"pair key 2 references channel 7 outside"):
+            FlitSimulator.from_tables(2, 3, routes, self._cfg())
+
     def test_rejects_negative_channel(self):
         with pytest.raises(SimulationError, match=r"channel -2 outside"):
             FlitSimulator.from_tables(2, 3, {PAIR: [(-2,)]}, self._cfg())
