@@ -66,7 +66,7 @@ from repro.flow import (
 
 # Subpackages intentionally not flattened into the top level (import
 # them directly): repro.flit (the VCT engine), repro.ib (LID/LFT
-# realization), repro.fabric (graph-based subnet-manager routing),
+# realization), repro.faults (fault injection, degraded-fabric routing),
 # repro.analysis (theorem validators, exact LP ratios),
 # repro.experiments (the paper's tables and figures),
 # repro.obs (run telemetry: recorder, JSONL logs, manifests),

@@ -12,9 +12,9 @@ Commands
   p50/p95/p99 wall times, counter totals, span waterfalls
   (``--format text|json|prometheus``);
 * ``bench`` — run the perf benchmarks (flow engine, flit sweep, obs
-  overhead) and write ``BENCH_*.json`` snapshots; ``--check`` compares
-  against the committed baselines and fails on regression
-  (``--quick`` for the CI-sized protocol).
+  overhead, churn re-routing) and write ``BENCH_*.json`` snapshots;
+  ``--check`` compares against the committed baselines and fails on
+  regression (``--quick`` for the CI-sized protocol).
 
 Every experiment subcommand also accepts the telemetry options
 (:mod:`repro.obs`): ``--seed N`` for a reproducible invocation,
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI-sized protocol (small topology/grids, seconds not minutes)")
     p_bench.add_argument(
         "--only", metavar="NAME[,NAME...]", default=None,
-        help="run a subset of benchmarks (flow, flit, obs)")
+        help="run a subset of benchmarks (flow, flit, obs, churn)")
     p_bench.add_argument(
         "--out-dir", metavar="DIR", default=".",
         help="directory for the BENCH_*.json snapshots (default: .)")

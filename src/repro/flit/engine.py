@@ -161,9 +161,9 @@ class FlitSimulator:
         config: FlitConfig,
     ) -> "FlitSimulator":
         """Build a simulator from precompiled routes on an arbitrary
-        channel graph (e.g. :func:`repro.fabric.evaluate.
-        compile_flit_routes` for a — possibly degraded — discovered
-        fabric).
+        channel graph, such as hand-made test tables.  The result has
+        no topology or scheme, so :func:`repro.runner.sweep.run_sweeps`
+        rejects it; call :meth:`run` or :meth:`run_trace` directly.
 
         ``routes`` maps pair keys ``src * n_hosts + dst`` to non-empty
         lists of channel-id paths; every ordered host pair that the

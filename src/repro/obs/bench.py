@@ -12,9 +12,8 @@ is that subsystem:
   compiled permutation evaluation), ``flit`` (serial vs parallel vs
   warm-cache sweep grid), ``obs`` (recorder overhead on the flow hot
   path) and ``churn`` (incremental re-routing vs from-scratch recompile
-  under a fail/repair event stream) — mirroring the tier-listed scripts
-  in ``benchmarks/`` but runnable from the installed package
-  (``repro bench``);
+  under a fail/repair event stream), runnable from the installed
+  package (``repro bench``);
 * :func:`compare_snapshots` — the regression gate: flags any metric
   whose wall time grew beyond ``threshold`` relative to a committed
   baseline, while ignoring host/noise-level jitter.

@@ -48,20 +48,16 @@ def point_seed(config, rep: int) -> int:
     return config.seed + 1000 * rep
 
 
-def point_key(label: str, sim: FlitSimulator, load: float, rep: int,
+def point_key(sim: FlitSimulator, load: float, rep: int,
               workload_factory=UniformRandom) -> str:
     """Cache key for one (scheme, load, repeat) grid point."""
     scheme = sim.scheme
-    if sim.xgft is not None:
-        topology = repr(sim.xgft)
-    else:  # from_tables simulators: identified by their table shape
-        topology = f"tables:{sim._n_procs}h:{sim._n_channels}c"
     return cache_key({
         "kind": "flit_run",
         "code_version": _version(),
-        "topology": topology,
-        "scheme": scheme.label if scheme is not None else label,
-        "scheme_repr": repr(scheme) if scheme is not None else None,
+        "topology": repr(sim.xgft),
+        "scheme": scheme.label,
+        "scheme_repr": repr(scheme),
         "scheme_seed": getattr(scheme, "seed", None),
         "config": asdict(sim.config),
         "workload": getattr(workload_factory, "__qualname__",
@@ -111,10 +107,12 @@ def run_sweeps(
     ----------
     sims:
         Mapping of a caller-chosen key to a ready
-        :class:`FlitSimulator`.  Keys only need to be unique within the
-        call (e.g. ``"random:2@seed1"``); each returned
-        :class:`SweepResult` carries the scheme's own label when the
-        simulator has one.
+        :class:`FlitSimulator` bound to a topology and scheme.  Keys
+        only need to be unique within the call (e.g.
+        ``"random:2@seed1"``); each returned :class:`SweepResult`
+        carries the scheme's own label.  A :meth:`~repro.flit.engine.
+        FlitSimulator.from_tables` simulator has no scheme to key its
+        cached points by, and is rejected.
     loads, repeats, workload_factory:
         As in :func:`repro.flit.sweep.load_sweep`; ``repeats > 1``
         averages per-load statistics over per-repeat seeds.
@@ -136,6 +134,11 @@ def run_sweeps(
         raise RunnerError(f"repeats must be >= 1, got {repeats}")
     if n_jobs < 1:
         raise RunnerError(f"n_jobs must be >= 1, got {n_jobs}")
+    for label, sim in sims.items():
+        if sim.scheme is None:
+            raise RunnerError(
+                f"simulator {label!r} has no routing scheme (built by "
+                f"from_tables); sweeps key and label points by scheme")
     rec = get_recorder()
     load_list = tuple(loads) if loads is not None else default_loads()
     labels = list(sims)
@@ -151,7 +154,7 @@ def run_sweeps(
     for point in points:
         label, load, rep = point
         if cache is not None:
-            key = point_key(label, sims[label], load, rep, workload_factory)
+            key = point_key(sims[label], load, rep, workload_factory)
             keys[point] = key
             hit = cache.get(key)
             if hit is not None:
@@ -209,7 +212,7 @@ def run_sweeps(
     out: dict[str, SweepResult] = {}
     for label in labels:
         sim = sims[label]
-        scheme_label = sim.scheme.label if sim.scheme is not None else label
+        scheme_label = sim.scheme.label
         merged_runs = []
         for load in load_list:
             merged = _merge_runs(

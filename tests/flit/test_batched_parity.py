@@ -34,6 +34,7 @@ from repro.flit import native
 from repro.flit.traces import TraceEntry, synthesize_trace
 from repro.obs.recorder import Recorder
 from repro.routing import make_scheme
+from repro.routing.vectorized import compile_routes
 from repro.topology import XGFT, m_port_n_tree
 
 
@@ -123,6 +124,24 @@ def test_missing_route_raises_key_error(kernel, engine, src, dst):
     sim = flit_engine_class(engine).from_tables(2, 1, {1: [(0,)]}, cfg)
     with pytest.raises(KeyError):
         sim.run_trace([TraceEntry(5, 0, 1), TraceEntry(9, src, dst)])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("spec", ["d-mod-k", "disjoint:2", "random:4"])
+@pytest.mark.parametrize("load", [0.3, 0.8])
+def test_from_tables_matches_topology_bound(kernel, engine, spec, load):
+    """Multi-hop routes handed to ``from_tables`` as a plain dict run
+    exactly like the topology-bound simulator they were compiled from."""
+    xgft = m_port_n_tree(4, 3)
+    scheme = make_scheme(xgft, spec)
+    cfg = FlitConfig(warmup_cycles=150, measure_cycles=500,
+                     drain_cycles=700, seed=41)
+    cls = flit_engine_class(engine)
+    tables = cls.from_tables(xgft.n_procs, xgft.n_links,
+                             dict(compile_routes(xgft, scheme)), cfg)
+    workload = UniformRandom(load)
+    assert_bit_identical(tables.run(workload),
+                         cls(xgft, scheme, cfg).run(workload))
 
 
 @pytest.mark.parametrize("model", ["output-queued", "input-fifo"])

@@ -96,16 +96,16 @@ class TestCacheReplay:
 
     def test_point_key_distinguishes_inputs(self, tree):
         sim = FlitSimulator(tree, make_scheme(tree, "d-mod-k"), CFG)
-        base = point_key("d-mod-k", sim, 0.2, 0)
-        assert point_key("d-mod-k", sim, 0.4, 0) != base
-        assert point_key("d-mod-k", sim, 0.2, 1) != base
+        base = point_key(sim, 0.2, 0)
+        assert point_key(sim, 0.4, 0) != base
+        assert point_key(sim, 0.2, 1) != base
         other = FlitSimulator(tree, make_scheme(tree, "shift-1:2"), CFG)
-        assert point_key("shift-1:2", other, 0.2, 0) != base
+        assert point_key(other, 0.2, 0) != base
 
     def test_point_key_distinguishes_routing_seeds(self, tree):
         a = FlitSimulator(tree, make_scheme(tree, "random:2", seed=0), CFG)
         b = FlitSimulator(tree, make_scheme(tree, "random:2", seed=1), CFG)
-        assert point_key("r", a, 0.2, 0) != point_key("r", b, 0.2, 0)
+        assert point_key(a, 0.2, 0) != point_key(b, 0.2, 0)
 
 
 class TestPoolSharing:
@@ -134,6 +134,11 @@ class TestPoolSharing:
             run_sweeps(sims, repeats=0)
         with pytest.raises(RunnerError, match="n_jobs"):
             run_sweeps(sims, n_jobs=0)
+        # A from_tables simulator has no scheme to key cached points by.
+        tables = {"t": FlitSimulator.from_tables(
+            2, 2, {1: [(0,)], 2: [(1,)]}, CFG)}
+        with pytest.raises(RunnerError, match="no routing scheme"):
+            run_sweeps(tables, loads=LOADS[:1])
 
 
 class TestExperiments:

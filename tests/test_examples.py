@@ -56,12 +56,6 @@ def test_infiniband_lid_budget(capsys):
     assert "4 distinct paths" in out
 
 
-def test_fault_tolerant_fabric(capsys):
-    out = _run_example("fault_tolerant_fabric", capsys)
-    assert "unreachable pairs after failure: 0" in out
-    assert "re-routed" in out
-
-
 def test_collective_replay(capsys):
     out = _run_example("collective_replay", capsys)
     assert "992/992" in out  # every message of every phase delivered
