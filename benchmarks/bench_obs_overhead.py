@@ -7,24 +7,30 @@ check, and the flit event loop pays a single integer comparison per
 event.  This bench measures both against an uninstrumented baseline and
 **asserts** the disabled-recorder cost stays under the 5 % budget on
 the flow path; the enabled-recorder cost is reported for reference.
-
-The measurement core is shared with ``repro bench`` (:func:`repro.obs.
-bench.measure_obs_overhead`), which surfaces the same numbers —
-including the measured overhead fraction and the budget verdict — in
-the committed ``BENCH_obs.json`` snapshot.
 """
 
 from __future__ import annotations
 
+from statistics import median
 from time import perf_counter
 
 from repro.flit.config import FlitConfig
 from repro.flit.engine import FlitSimulator
 from repro.flit.workload import UniformRandom
-from repro.obs import Recorder
-from repro.obs.bench import OBS_OVERHEAD_BUDGET, measure_obs_overhead
+from repro.flow.loads import link_loads
+from repro.flow.metrics import max_link_load
+from repro.flow.simulator import FlowSimulator
+from repro.obs import Recorder, use_recorder
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
+from repro.traffic.permutations import permutation_matrix, random_permutation
+
+#: disabled-recorder overhead budget on the flow hot path (<5 %)
+OBS_OVERHEAD_BUDGET = 0.05
+
+#: shortest timed block in the overhead measurement: the hot-path call
+#: takes microseconds, so it repeats until one block lasts this long
+MIN_TIMED_BLOCK_S = 0.02
 
 
 def _best_of(fn, *, rounds: int = 7, reps: int = 5) -> float:
@@ -39,16 +45,74 @@ def _best_of(fn, *, rounds: int = 7, reps: int = 5) -> float:
     return best
 
 
+def measure_obs_overhead() -> dict:
+    """Recorder overhead on the flow hot path, on the paper's 8-port
+    3-tree.
+
+    Returns raw/disabled/enabled median timings over 7 rounds plus the
+    derived overhead fractions (medians of the per-round ratios).  Each
+    timed block runs at least 5 calls and lasts at least
+    :data:`MIN_TIMED_BLOCK_S`.
+    """
+    xgft = m_port_n_tree(8, 3)
+    sim = FlowSimulator(xgft)
+    scheme = make_scheme(xgft, "disjoint:8")
+    tm = permutation_matrix(random_permutation(xgft.n_procs, 0))
+
+    def raw():
+        return max_link_load(link_loads(xgft, scheme, tm))
+
+    def disabled():
+        return sim.max_load(scheme, tm)  # ambient recorder is the no-op
+
+    def enabled():
+        with use_recorder(Recorder()):
+            return sim.max_load(scheme, tm)
+
+    disabled(), enabled()  # warm caches outside the timings
+    calls, t0 = 0, perf_counter()
+    while perf_counter() - t0 < MIN_TIMED_BLOCK_S:
+        raw()
+        calls += 1
+    reps = max(5, calls)
+
+    def timed(fn):
+        t0 = perf_counter()
+        for _ in range(reps):
+            fn()
+        return (perf_counter() - t0) / reps
+
+    # Each round times the three variants forward then backward, so
+    # clock-speed drift within the round (turbo decay, a noisy
+    # neighbour) hits them symmetrically; the medians over rounds then
+    # drop the rounds a burst of noise landed on.  (A best-of estimate
+    # swings by +-10 % on a shared host: one variant catching a lucky
+    # fast block decides it.)
+    t_raw, t_disabled, t_enabled = [], [], []
+    for _ in range(7):
+        a, b, c = timed(raw), timed(disabled), timed(enabled)
+        t_enabled.append((c + timed(enabled)) / 2)
+        t_disabled.append((b + timed(disabled)) / 2)
+        t_raw.append((a + timed(raw)) / 2)
+    return {
+        "raw_s": median(t_raw),
+        "disabled_s": median(t_disabled),
+        "enabled_s": median(t_enabled),
+        "disabled_overhead": median(
+            d / r for d, r in zip(t_disabled, t_raw)) - 1.0,
+        "enabled_overhead": median(
+            e / r for e, r in zip(t_enabled, t_raw)) - 1.0,
+    }
+
+
 def test_flow_hot_path_disabled_recorder_under_5_percent():
-    # quick=False measures on mport:8x3 — the paper's flit topology.
-    m = measure_obs_overhead(quick=False)
+    m = measure_obs_overhead()
     print(f"\nflow max_load: raw={m['raw_s'] * 1e3:.3f}ms "
           f"noop={m['disabled_s'] * 1e3:.3f}ms "
           f"({m['disabled_overhead']:+.1%}) "
           f"enabled={m['enabled_s'] * 1e3:.3f}ms "
           f"({m['enabled_overhead']:+.1%})")
-    assert m["budget"] == OBS_OVERHEAD_BUDGET
-    assert m["within_budget"], (
+    assert m["disabled_overhead"] <= OBS_OVERHEAD_BUDGET, (
         f"disabled recorder costs {m['disabled_overhead']:.1%} on the flow "
         f"hot path (budget {OBS_OVERHEAD_BUDGET:.0%})"
     )

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import TrafficError
 from repro.flow.metrics import performance_ratio
+from repro.flow.simulator import check_engine
 from repro.routing.base import RoutingScheme
 from repro.topology.xgft import XGFT
 from repro.traffic.adversarial import theorem2_pattern
@@ -46,6 +47,7 @@ def worst_case_permutation(
     Both engines draw the identical permutation stream for a fixed
     ``seed``; ``"compiled"`` evaluates all MLOADs in one batched call.
     """
+    check_engine(engine)
     rng = as_generator(seed)
     n = xgft.n_procs
     perms = [random_permutation(n, rng) for _ in range(samples)]

@@ -4,17 +4,14 @@ Commands
 --------
 * ``info <xgft-spec>`` — describe a topology;
 * ``route <xgft-spec> <scheme> <src> <dst>`` — print a pair's route set;
-* ``figure4a..d | table1 | figure5 | theorems | resources`` — regenerate
-  a paper artifact (``--fidelity fast|normal|full``);
-* ``list`` — list registered experiments;
+* ``<experiment>`` — regenerate a paper artifact or run a study
+  (``figure4a``, ``table1``, ``fault-sweep``, ...;
+  ``--fidelity fast|normal|full``);
+* ``list`` — list every registered experiment and routing scheme;
 * ``report <path...>`` — aggregate ``--log-json`` JSONL run logs
   (files or directories) into a cross-run summary: per-phase
   p50/p95/p99 wall times, counter totals, span waterfalls
-  (``--format text|json|prometheus``);
-* ``bench`` — run the perf benchmarks (flow engine, flit sweep, obs
-  overhead, churn re-routing) and write ``BENCH_*.json`` snapshots;
-  ``--check`` compares against the committed baselines and fails on
-  regression (``--quick`` for the CI-sized protocol).
+  (``--format text|json|prometheus``).
 
 Every experiment subcommand also accepts the telemetry options
 (:mod:`repro.obs`): ``--seed N`` for a reproducible invocation,
@@ -45,14 +42,12 @@ Topology specs: ``mport:8x3`` (8-port 3-tree), ``kary:4x2`` (4-ary
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro import __version__
 from repro.errors import ReproError
 from repro.experiments.registry import EXPERIMENTS, run_instrumented
 from repro.obs import JsonlSink, Recorder, get_recorder, render_report, write_run
-from repro.obs.bench import DEFAULT_THRESHOLD
 from repro.routing.factory import available_schemes, make_scheme
 from repro.topology.variants import k_ary_n_tree, m_port_n_tree
 from repro.topology.xgft import XGFT
@@ -110,16 +105,6 @@ def _cmd_list(_args) -> int:
         print(f"{name:10s} {EXPERIMENTS[name].description}")
     print("\nschemes:", ", ".join(available_schemes()))
     return 0
-
-
-def _parse_csv(value, cast, flag: str):
-    """Parse a comma-separated option value; None passes through."""
-    if value is None:
-        return None
-    try:
-        return tuple(cast(part) for part in str(value).split(",") if part)
-    except ValueError as exc:
-        raise ReproError(f"bad {flag} value {value!r}: {exc}") from None
 
 
 # -- argparse type validators -----------------------------------------
@@ -193,42 +178,6 @@ def _cmd_report(args) -> int:
     else:
         print(render_cross_run_report(runs))
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.obs.bench import (SNAPSHOT_FILES, compare_snapshots,
-                                 run_benchmarks, write_snapshots)
-
-    names = _parse_csv(args.only, str, "--only")
-    snapshots = run_benchmarks(names, quick=args.quick)
-    for name, snap in snapshots.items():
-        failed = [k for k, ok in snap.checks.items() if not ok]
-        rows = ", ".join(
-            f"{m}={v['wall_s'] * 1e3:.1f}ms" for m, v in snap.metrics.items())
-        print(f"bench {name}: {rows}"
-              + (f"  [FAILED: {', '.join(failed)}]" if failed else ""))
-    if not args.no_write:
-        for path in write_snapshots(snapshots, args.out_dir):
-            print(f"wrote {path}")
-    if not args.check:
-        return 0
-    status = 0
-    for name, snap in snapshots.items():
-        baseline = os.path.join(args.baseline_dir, SNAPSHOT_FILES[name])
-        if not os.path.exists(baseline):
-            print(f"bench {name}: no baseline at {baseline}, skipping "
-                  f"comparison")
-            continue
-        comparison = compare_snapshots(baseline, snap,
-                                       threshold=args.threshold)
-        print(comparison.render())
-        if not comparison.ok:
-            status = 1
-    if status:
-        print("error: perf regression against committed baseline "
-              "(rerun `repro bench --quick` to refresh baselines if the "
-              "slowdown is intended)", file=sys.stderr)
-    return status
 
 
 def _cmd_experiment(args) -> int:
@@ -306,33 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="text summary (default), merged wide-row JSON, or Prometheus "
              "text exposition of the merged metrics")
     p_report.set_defaults(func=_cmd_report)
-
-    p_bench = sub.add_parser(
-        "bench", help="run perf benchmarks, write/check BENCH_*.json")
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized protocol (small topology/grids, seconds not minutes)")
-    p_bench.add_argument(
-        "--only", metavar="NAME[,NAME...]", default=None,
-        help="run a subset of benchmarks (flow, flit, obs, churn)")
-    p_bench.add_argument(
-        "--out-dir", metavar="DIR", default=".",
-        help="directory for the BENCH_*.json snapshots (default: .)")
-    p_bench.add_argument(
-        "--no-write", action="store_true",
-        help="measure and compare without writing snapshot files")
-    p_bench.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed baselines and exit 1 on "
-             "regression beyond --threshold")
-    p_bench.add_argument(
-        "--baseline-dir", metavar="DIR", default=".",
-        help="where the baseline BENCH_*.json files live (default: .)")
-    p_bench.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD, metavar="F",
-        help="relative wall-time growth that counts as a regression "
-             f"(default {DEFAULT_THRESHOLD})")
-    p_bench.set_defaults(func=_cmd_bench)
 
     # Telemetry/reproducibility options shared by every experiment
     # subcommand (they go after the subcommand name).

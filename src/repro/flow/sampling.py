@@ -40,7 +40,7 @@ import numpy as np
 from repro.analysis.ci import ConfidenceInterval, confidence_interval
 from repro.flow.engine import BatchFlowEngine
 from repro.flow.metrics import permutation_optimal_load
-from repro.flow.simulator import ENGINES, FlowSimulator
+from repro.flow.simulator import FlowSimulator, check_engine
 from repro.obs.recorder import get_recorder, use_recorder
 from repro.obs.trace import span
 from repro.routing.base import RoutingScheme
@@ -202,8 +202,7 @@ class PermutationStudy:
             raise ValueError("max_samples must be >= initial_samples")
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+        check_engine(engine)
         self.xgft = xgft
         self.sim = FlowSimulator(xgft)
         self.initial_samples = initial_samples

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import SimulationError
 from repro.flow.engine import BatchFlowEngine
 from repro.flow.loads import link_loads
 from repro.flow.metrics import max_link_load, optimal_load
@@ -35,6 +36,14 @@ from repro.topology.xgft import XGFT
 from repro.traffic.matrix import TrafficMatrix
 
 ENGINES = ("reference", "compiled")
+
+
+def check_engine(engine: str) -> None:
+    """Raise :class:`SimulationError` unless ``engine`` names a flow
+    engine (see :data:`ENGINES`)."""
+    if engine not in ENGINES:
+        raise SimulationError(
+            f"unknown flow engine {engine!r}; choose from {ENGINES}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +118,7 @@ class FlowSimulator:
     """
 
     def __init__(self, xgft: XGFT, *, engine: str = "reference"):
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+        check_engine(engine)
         self.xgft = xgft
         self.engine = engine
         # Per-boundary (up, down) link-id slices, precomputed once — the

@@ -17,10 +17,7 @@ CLI report through:
   ``--profile`` view;
 * :func:`to_prometheus` / :func:`to_wide_row` — metrics export
   (:mod:`repro.obs.export`), plus the cross-run aggregation behind the
-  ``repro report`` CLI;
-* :class:`BenchSnapshot` / :func:`compare_snapshots` — the
-  ``BENCH_*.json`` perf-snapshot schema and regression gate behind
-  ``repro bench`` (:mod:`repro.obs.bench`).
+  ``repro report`` CLI.
 
 Attach a recorder either explicitly (``PermutationStudy(...,
 recorder=rec)``) or ambiently::
@@ -33,7 +30,6 @@ recorder=rec)``) or ambiently::
     print(render_report(rec))
 """
 
-from repro.obs.bench import BenchSnapshot, compare_snapshots
 from repro.obs.events import JsonlSink, read_jsonl, write_run
 from repro.obs.export import to_prometheus, to_wide_row
 from repro.obs.manifest import RunManifest
@@ -74,6 +70,4 @@ __all__ = [
     "sparkline",
     "to_prometheus",
     "to_wide_row",
-    "BenchSnapshot",
-    "compare_snapshots",
 ]

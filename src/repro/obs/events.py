@@ -14,6 +14,8 @@ import json
 from pathlib import Path
 from typing import IO
 
+from repro.errors import ReproError
+
 
 def _jsonable(obj):
     """Fallback serializer: numpy scalars and other number-likes become
@@ -62,13 +64,32 @@ class JsonlSink:
 
 def read_jsonl(path: str | Path) -> list[dict]:
     """Parse a JSON Lines file back into a list of objects (blank lines
-    are skipped)."""
+    are skipped).
+
+    An unreadable file, or a line that is not one JSON object (such as
+    the torn last line an interrupted run leaves), raises
+    :class:`~repro.errors.ReproError` naming the file and the 1-based
+    line.
+    """
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ReproError(f"cannot read {path}: {exc.strerror}") from None
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ReproError(f"{path}:{lineno}: not valid JSON ({exc.msg})"
+                             ) from None
+        if not isinstance(obj, dict):
+            raise ReproError(f"{path}:{lineno}: expected a JSON object, "
+                             f"got {type(obj).__name__}")
+        out.append(obj)
     return out
 
 

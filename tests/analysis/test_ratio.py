@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.ratio import empirical_oblivious_ratio, worst_case_permutation
+from repro.errors import SimulationError
 from repro.routing.factory import make_scheme
 from repro.routing.heuristics import UMulti
 from repro.topology.variants import m_port_n_tree
@@ -22,6 +23,12 @@ class TestWorstCasePermutation:
             tree8x2, UMulti(tree8x2), samples=20, seed=0
         )
         assert ratio == pytest.approx(1.0)
+
+    def test_rejects_unknown_engine(self, tree8x2):
+        # "batched" is a flit engine; it must not run the reference
+        with pytest.raises(SimulationError, match="unknown flow engine"):
+            worst_case_permutation(tree8x2, UMulti(tree8x2), samples=4,
+                                   seed=0, engine="batched")
 
 
 class TestEmpiricalObliviousRatio:

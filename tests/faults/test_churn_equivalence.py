@@ -48,7 +48,15 @@ SCHEME_SPECS = (
 TOPOLOGIES = {
     "mport:8x2": m_port_n_tree(8, 2),   # 2-level, 32 hosts
     "mport:4x3": m_port_n_tree(4, 3),   # 3-level, 16 hosts
+    "mport:8x3": m_port_n_tree(8, 3),   # 3-level, 128 hosts
 }
+
+#: every scheme on the two small trees, plus one scheme on the paper's
+#: 8-port 3-tree, the size the flit experiments run at (~0.8 s a
+#: scheme there, so not the full sweep)
+CASES = [*((spec, topo) for spec in SCHEME_SPECS
+            for topo in ("mport:4x3", "mport:8x2")),
+         ("disjoint:4", "mport:8x3")]
 
 
 def _oracle(base, fabric_source: DegradedFabric) -> DegradedScheme:
@@ -88,10 +96,9 @@ def assert_bit_identical(inc, oracle, groups, context: str):
                         f"{context}")
 
 
-@pytest.mark.parametrize("topo_key", sorted(TOPOLOGIES))
-@pytest.mark.parametrize("spec", SCHEME_SPECS)
+@pytest.mark.parametrize("spec,topo_key", CASES)
 def test_incremental_equals_fresh_recompile_after_every_event(
-        topo_key, spec):
+        spec, topo_key):
     xgft = TOPOLOGIES[topo_key]
     base = make_scheme(xgft, spec)
     groups = _pairs_by_level(xgft)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.flow.engine import BatchFlowEngine
 from repro.flow.loads import link_loads
 from repro.flow.metrics import max_link_load, permutation_optimal_load
@@ -130,7 +131,7 @@ class TestFlowSimulatorEngines:
                                    atol=1e-9)
 
     def test_rejects_unknown_engine(self, tree8x2):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             FlowSimulator(tree8x2, engine="magic")
 
     def test_evaluate_accepts_precomputed_optimal(self, tree8x2):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.errors import ReproError
 from repro.obs import Recorder, use_recorder
 from repro.obs.events import JsonlSink, write_run
 from repro.obs.export import (
@@ -197,3 +198,16 @@ class TestCrossRunReport:
 
     def test_report_with_no_runs(self):
         assert "(no run logs found)" in render_cross_run_report([])
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read .*bad.jsonl"),
+        ('{"type": "manifest"}\n{"type": "ev', "bad.jsonl:2: not valid JSON"),
+        ('{"type": "manifest"}\nnot json\n{}\n', "bad.jsonl:2: not valid"),
+        ('[1, 2]\n', "bad.jsonl:1: expected a JSON object"),
+    ], ids=["missing", "torn", "malformed", "not-an-object"])
+    def test_bad_log_raises_typed_error(self, tmp_path, content, message):
+        log = tmp_path / "bad.jsonl"
+        if content is not None:
+            log.write_text(content)
+        with pytest.raises(ReproError, match=message):
+            aggregate_runs([log])

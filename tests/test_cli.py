@@ -86,6 +86,12 @@ class TestCommands:
         assert main(["resources", "--engine", "batched"]) == 2
         assert "does not support" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["figure4a", "fault-sweep", "ratios"])
+    def test_flit_engine_rejected_for_flow_experiments(self, name, capsys):
+        assert main([name, "--fidelity", "fast", "--engine", "batched",
+                     "--quiet"]) == 2
+        assert "unknown flow engine 'batched'" in capsys.readouterr().err
+
 
 class TestArgumentValidation:
     """Bad numeric flags die at parse time with a typed argparse error
@@ -239,26 +245,17 @@ class TestReportCommand:
         assert main(["report", str(tmp_path)]) == 2
         assert "no run logs" in capsys.readouterr().err
 
-
-class TestBenchCommand:
-    def test_quick_obs_bench_writes_and_self_checks(self, tmp_path, capsys):
-        assert main(["bench", "--quick", "--only", "obs",
-                     "--out-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "bench obs:" in out
-        assert (tmp_path / "BENCH_obs.json").exists()
-
-        # re-running against its own snapshot as baseline passes the gate
-        assert main(["bench", "--quick", "--only", "obs", "--no-write",
-                     "--check", "--baseline-dir", str(tmp_path),
-                     "--threshold", "4.0"]) == 0
-        assert "threshold +400%" in capsys.readouterr().out
-
-    def test_check_skips_missing_baseline(self, tmp_path, capsys):
-        assert main(["bench", "--quick", "--only", "obs", "--no-write",
-                     "--check", "--baseline-dir", str(tmp_path)]) == 0
-        assert "skipping comparison" in capsys.readouterr().out
-
-    def test_unknown_benchmark_is_an_error(self, capsys):
-        assert main(["bench", "--only", "nosuchbench"]) == 2
-        assert "unknown benchmark" in capsys.readouterr().err
+    @pytest.mark.parametrize("content,where", [
+        (None, "bad.jsonl"),
+        ('{"type": "manifest"}\n{"type": "ev', "bad.jsonl:2:"),
+        ('{"type": "manifest"}\nnot json\n', "bad.jsonl:2:"),
+        ('"just a string"\n', "bad.jsonl:1:"),
+    ], ids=["missing", "torn", "malformed", "not-an-object"])
+    def test_unreadable_log_is_an_error(self, tmp_path, capsys, content,
+                                        where):
+        log = tmp_path / "bad.jsonl"
+        if content is not None:
+            log.write_text(content)
+        assert main(["report", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
