@@ -201,8 +201,11 @@ def run_instrumented(
     for flit experiments) is forwarded only to engine-aware experiments;
     requesting a non-reference engine anywhere else is an error rather
     than a silent no-op.  With ``engine="batched"`` the manifest's
-    ``extra["flit_kernel"]`` records which phase-B path ran: ``"native"``
-    or ``"reference: <why the kernel is unavailable>"``.  The fault
+    ``extra["flit_kernel"]`` records which path the flit runs took:
+    ``"native"`` or ``"reference: <why>"``, joined by ``"; "`` when runs
+    differ.  With the recorder enabled that is what actually ran (see
+    :func:`repro.flit.batched.kernels_ran`); otherwise it is whether the
+    kernel is available.  The fault
     keywords (``fault_rate`` failure-rate grid, ``fault_links`` explicit
     cable ids, ``fault_seed``) mirror
     that contract: forwarded to fault-aware experiments, an error
@@ -273,10 +276,19 @@ def run_instrumented(
             else f"reference: {native.unavailable_reason()}")
     if seed is not None:
         kwargs["seed"] = seed
+    before = rec.timers
     t0 = perf_counter()
     with use_recorder(rec), rec.timer(f"experiment.{name}"):
         result = run_experiment(name, fidelity_name=fidelity_name, **kwargs)
     manifest.wall_time_s = perf_counter() - t0
+    if engine == "batched" and rec.enabled:
+        from repro.flit.batched import kernels_ran
+
+        ran = kernels_ran({
+            timer: (seconds, calls - before.get(timer, (0.0, 0))[1])
+            for timer, (seconds, calls) in rec.timers.items()})
+        if ran is not None:
+            manifest.extra["flit_kernel"] = ran
     for attr, field in (("samples_used", "samples_used"),
                         ("topology", "topology")):
         value = getattr(result, attr, None)

@@ -119,7 +119,7 @@ class FlitSimulator:
     """
 
     def __init__(self, xgft: XGFT, scheme: RoutingScheme, config: FlitConfig,
-                 *, compiled=None, degraded=None):
+                 *, degraded=None):
         if scheme.xgft != xgft:
             raise SimulationError("scheme was built for a different topology")
         self.xgft = xgft
@@ -135,13 +135,8 @@ class FlitSimulator:
             raise SimulationError(
                 "degraded fabric was built for a different topology")
         self.degraded = degraded
-        if compiled is not None and compiled.xgft != xgft:
-            raise SimulationError(
-                "compiled plan was built for a different topology")
         with get_recorder().timer("flit.build"):
-            # A compiled plan already holds every pair's link sequence.
-            self.routes = (compiled.route_table() if compiled is not None
-                           else compile_routes(xgft, scheme))
+            self.routes = compile_routes(xgft, scheme)
         if self.degraded is not None and not self.degraded.is_pristine:
             dead = ~self.degraded.link_ok[self.routes.links]
             if dead.any():

@@ -1,14 +1,29 @@
-/* Native phase-B kernel for the batched flit engine.
+/* Native kernel for the batched flit engine: one call is one whole run.
  *
  * Compiled on demand by repro.flit.native and loaded through ctypes;
  * when it cannot be built the batched engine runs the reference engine
- * (repro.flit.engine.FlitSimulator) instead.  Phase A
- * (repro.flit.batched.BatchedFlitSimulator._injection_plan) has already
- * drawn every random number, so the work here is pure integer event
- * processing that mirrors the reference event for event, for both
- * switch models: same (time, seq) order, same counters, same telemetry.
- * The differential suite tests/flit/test_batched_parity.py pins it to
- * the reference bit for bit.
+ * (repro.flit.engine.FlitSimulator) instead.  The differential suite
+ * tests/flit/test_batched_parity.py pins it to the reference bit for
+ * bit: same results, same counters, same telemetry.
+ *
+ * Phase A replays the arrival process.  Every random draw of the
+ * reference happens at an inject event, and the order of inject events
+ * does not depend on the network (each host's next arrival depends only
+ * on its own clock), so a heap over hosts keyed by (cycle, push id)
+ * visits them in the reference's order.  The random numbers continue
+ * the caller's random.Random state with CPython's own formulas:
+ *   - genrand_uint32 is MT19937;
+ *   - random() is res53 (two words);
+ *   - randrange(n) is getrandbits(bit_length(n)) with rejection, so
+ *     randrange(1) still consumes words;
+ *   - expovariate(rate) is -log(1.0 - random()) / rate.
+ * The result is a plan: the injection events in push order, the
+ * messages, and each packet's link range in the route table.  Traces
+ * arrive sorted stably by cycle and only choose paths.
+ *
+ * Phase B is pure integer event processing that mirrors the reference
+ * event for event, for both switch models, in the same (time, seq)
+ * order.
  *
  * Data layout notes:
  *  - Queues are intrusive singly-linked lists over dense id spaces, so
@@ -17,9 +32,11 @@
  *    output-queued model, an input buffer in the input-FIFO model), and
  *    an input buffer sits in at most one request queue (head_pending
  *    guards it), so one next-link array per id space suffices.
+ *  - A packet's current hop is an offset into `links`; its route ends
+ *    at `pkt_end`.
  *  - Calendar buckets are intrusive lists over an event-node arena whose
- *    capacity the caller passes in (see arena_capacity in native.py);
- *    every push is checked against it, and drained nodes are recycled
+ *    capacity is computed from the plan (arena_capacity below); every
+ *    push is checked against it, and drained nodes are recycled
  *    through a free list.  The bound: a push either creates an event
  *    or re-pushes the head-ready event being processed (a duplicate
  *    head-ready for a buffer served meanwhile), which reuses that
@@ -38,6 +55,7 @@
  *    reference checks before every event, but the time is constant
  *    within a bucket, so only its first event can fire a flush.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -47,33 +65,37 @@ enum {
     EV_HEADER = 0,     /* payload: packet id */
     EV_PORTCREDIT = 1, /* payload: channel | (holding+1) << cbits */
     EV_DELIVER = 2,    /* payload: packet id */
-    EV_INJECT = 3,     /* payload: injection-plan event id */
+    EV_INJECT = 3,     /* payload: plan event id */
     EV_HEAD_READY = 4  /* payload: buffer id (input-FIFO only) */
 };
 
 enum {
-    P_N_PLAN = 0,
-    P_N_INITIAL = 1,
-    P_N_MSGS = 2,
-    P_PPM = 3,
-    P_N_CHANNELS = 4,
-    P_N_VCS = 5,
-    P_PF = 6,
-    P_WIRE_PF = 7,
-    P_WIRE_RD = 8,
-    P_WARMUP = 9,
-    P_WINDOW_END = 10,
-    P_HORIZON = 11,
-    P_SLACK = 12,
-    P_CBITS = 13,
-    P_OVERFLOW_IN = 14,
-    P_N_PROCS = 15,
-    P_INPUT_FIFO = 16,
-    P_MESSAGE_FLITS = 17,
-    P_OBS_INTERVAL = 18, /* 0: telemetry off */
-    P_ARENA_CAP = 19,
-    P_COUNT = 20
+    P_N_PROCS = 0,
+    P_N_KEYS = 1,
+    P_N_CHANNELS = 2,
+    P_N_VCS = 3,
+    P_PPM = 4,
+    P_PF = 5,
+    P_WIRE_PF = 6,
+    P_WIRE_RD = 7,
+    P_SLACK = 8,
+    P_CBITS = 9,
+    P_WARMUP = 10,
+    P_WINDOW_END = 11,
+    P_HORIZON = 12,
+    P_INPUT_FIFO = 13,
+    P_MESSAGE_FLITS = 14,
+    P_OBS_INTERVAL = 15, /* 0: telemetry off */
+    P_SELECTION = 16,
+    P_MODEL = 17,
+    P_MODEL_LEN = 18, /* hot nodes or trace entries */
+    P_COUNT = 19
 };
+
+/* path selection and destination models */
+enum { SEL_PER_PACKET = 0, SEL_PER_MESSAGE = 1, SEL_ROUND_ROBIN = 2 };
+enum { MODEL_UNIFORM = 0, MODEL_PERMUTATION = 1, MODEL_HOTSPOT = 2,
+       MODEL_TRACE = 3 };
 
 enum {
     O_MESSAGES_COMPLETED = 0,
@@ -84,13 +106,344 @@ enum {
     O_OVERFLOW = 5,
     O_N_DELAYS = 6,
     O_N_ROWS = 7,
-    O_COUNT = 8
+    O_MESSAGES_MEASURED = 8,
+    O_CAPACITY = 9, /* event-arena nodes */
+    O_KEY = 10,     /* the pair key without a route (RC_NO_ROUTE) */
+    O_COUNT = 11
 };
 
-enum { RC_OK = 0, RC_NO_MEMORY = 1, RC_ARENA_FULL = 2 };
+enum { RC_OK = 0, RC_NO_MEMORY = 1, RC_ARENA_FULL = 2, RC_NO_ROUTE = 3 };
 
 /* Telemetry row layout: t, injected, delivered, credit_stalls, occupancy. */
 #define ROW 5
+
+/* ------------------------------------------------------------------ */
+/* random.Random, continued from its getstate() words                  */
+
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t mt[MT_N];
+    int index;
+} Rng;
+
+static uint32_t genrand_uint32(Rng *r)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    int kk;
+
+    if (r->index >= MT_N) {
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (r->mt[kk] & 0x80000000U) | (r->mt[kk + 1] & 0x7fffffffU);
+            r->mt[kk] = r->mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (r->mt[kk] & 0x80000000U) | (r->mt[kk + 1] & 0x7fffffffU);
+            r->mt[kk] = r->mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (r->mt[MT_N - 1] & 0x80000000U) | (r->mt[0] & 0x7fffffffU);
+        r->mt[MT_N - 1] = r->mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        r->index = 0;
+    }
+    y = r->mt[r->index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random() */
+static double rand_random(Rng *r)
+{
+    uint32_t a = genrand_uint32(r) >> 5, b = genrand_uint32(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* randrange(n) for 1 <= n < 2**32 (hosts, paths per pair and hot nodes
+ * all are): getrandbits(n.bit_length()) until the draw is below n. */
+static i64 rand_below(Rng *r, i64 n)
+{
+    int k = 0;
+    uint32_t v;
+    while ((n >> k) != 0)
+        k++;
+    do
+        v = genrand_uint32(r) >> (32 - k);
+    while (v >= (uint64_t)n);
+    return v;
+}
+
+/* The cycle of an arrival clock, int(clock) + 1; clocks too large for
+ * an i64 are past any horizon, so they are capped there. */
+static i64 arrival_cycle(double clock)
+{
+    return clock < 4e18 ? (i64)clock + 1 : (i64)4e18;
+}
+
+/* ------------------------------------------------------------------ */
+/* Phase A: the injection plan                                         */
+
+typedef struct {
+    i64 *at;
+    i64 n;
+    i64 cap;
+} Vec;
+
+static int put(Vec *v, i64 value)
+{
+    if (v->n == v->cap) {
+        i64 cap = v->cap ? 2 * v->cap : 1024;
+        i64 *at = realloc(v->at, cap * sizeof(i64));
+        if (!at)
+            return 0;
+        v->at = at;
+        v->cap = cap;
+    }
+    v->at[v->n++] = value;
+    return 1;
+}
+
+typedef struct {
+    i64 cycle;
+    i64 id; /* push id: the plan event id */
+    i64 host;
+} Arrival;
+
+typedef struct {
+    /* inputs */
+    const i64 *pair_ptr;
+    const i64 *path_ptr;
+    i64 n_procs;
+    i64 n_keys;
+    i64 ppm;
+    i64 warmup;
+    i64 window_end;
+    i64 horizon;
+    int selection;
+    int model;
+    const i64 *data; /* permutation, hot nodes or trace columns */
+    i64 n_data;      /* hot nodes or trace entries */
+    double rate;
+    double hot_fraction;
+    i64 *rr; /* round-robin start per pair key */
+    Rng rng;
+    /* injection events, in push order */
+    Vec ev_cycle;
+    Vec ev_msg;   /* message id, or -1 for a silent poll */
+    Vec ev_child; /* the host's next event id, or -1 */
+    i64 n_initial;
+    /* messages */
+    Vec msg_src;
+    Vec msg_created;
+    Vec msg_measured;
+    i64 n_measured;
+    /* packets: link offsets of the first hop and past the last */
+    Vec pkt_link;
+    Vec pkt_end;
+    i64 hops;
+    int overflow; /* an injection lands past the horizon */
+    i64 bad_key;
+} Plan;
+
+static void plan_free(Plan *pl)
+{
+    free(pl->rr);
+    free(pl->ev_cycle.at);
+    free(pl->ev_msg.at);
+    free(pl->ev_child.at);
+    free(pl->msg_src.at);
+    free(pl->msg_created.at);
+    free(pl->msg_measured.at);
+    free(pl->pkt_link.at);
+    free(pl->pkt_end.at);
+}
+
+static int put_event(Plan *pl, i64 cycle, i64 msg)
+{
+    return put(&pl->ev_cycle, cycle) && put(&pl->ev_msg, msg) &&
+           put(&pl->ev_child, -1);
+}
+
+/* A message from `src` to `dst` created at `cyc`, and its packets'
+ * paths, drawn as the reference draws them. */
+static long emit(Plan *pl, i64 src, i64 dst, i64 cyc)
+{
+    const i64 key = src * pl->n_procs + dst;
+    const int measured = pl->warmup <= cyc && cyc < pl->window_end;
+    i64 first, n_paths, base = 0, path = 0, j;
+
+    if (key < 0 || key >= pl->n_keys ||
+        pl->pair_ptr[key + 1] == pl->pair_ptr[key]) {
+        pl->bad_key = key; /* as the reference's table lookup */
+        return RC_NO_ROUTE;
+    }
+    if (!put(&pl->msg_src, src) || !put(&pl->msg_created, cyc) ||
+        !put(&pl->msg_measured, measured))
+        return RC_NO_MEMORY;
+    pl->n_measured += measured;
+    first = pl->pair_ptr[key];
+    n_paths = pl->pair_ptr[key + 1] - first;
+    if (pl->selection == SEL_ROUND_ROBIN) {
+        base = pl->rr[key];
+        pl->rr[key] = (base + pl->ppm) % n_paths;
+    } else if (pl->selection == SEL_PER_MESSAGE) {
+        path = first + rand_below(&pl->rng, n_paths);
+    }
+    for (j = 0; j < pl->ppm; j++) {
+        if (pl->selection == SEL_PER_PACKET)
+            path = first + rand_below(&pl->rng, n_paths);
+        else if (pl->selection == SEL_ROUND_ROBIN)
+            path = first + (base + j) % n_paths;
+        if (!put(&pl->pkt_link, pl->path_ptr[path]) ||
+            !put(&pl->pkt_end, pl->path_ptr[path + 1]))
+            return RC_NO_MEMORY;
+        pl->hops += pl->path_ptr[path + 1] - pl->path_ptr[path];
+    }
+    return RC_OK;
+}
+
+/* The workload's pick_destination: -1 is a silent poll. */
+static i64 pick_destination(Plan *pl, i64 src)
+{
+    const i64 *data = pl->data;
+    i64 d, j, skip = -1, k = pl->n_data;
+    if (pl->model == MODEL_PERMUTATION) {
+        d = data[src];
+        return d == src ? -1 : d;
+    }
+    if (pl->model == MODEL_HOTSPOT &&
+        rand_random(&pl->rng) < pl->hot_fraction) {
+        /* choice() over the hot nodes other than src (sorted, unique) */
+        for (j = 0; j < pl->n_data; j++) {
+            if (data[j] == src) {
+                skip = j;
+                k--;
+                break;
+            }
+        }
+        if (k > 0) {
+            j = rand_below(&pl->rng, k);
+            return data[skip >= 0 && j >= skip ? j + 1 : j];
+        }
+    }
+    d = rand_below(&pl->rng, pl->n_procs - 1);
+    return d >= src ? d + 1 : d;
+}
+
+/* The reference heap's (time, seq) order. */
+static int earlier(const Arrival *a, const Arrival *b)
+{
+    return a->cycle < b->cycle || (a->cycle == b->cycle && a->id < b->id);
+}
+
+static void sift_down(Arrival *heap, i64 n, i64 i)
+{
+    Arrival top = heap[i];
+    i64 c;
+    for (;;) {
+        c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && earlier(&heap[c + 1], &heap[c]))
+            c++;
+        if (earlier(&top, &heap[c]))
+            break;
+        heap[i] = heap[c];
+        i = c;
+    }
+    heap[i] = top;
+}
+
+/* Poisson arrivals at every host, walked in the reference's order. */
+static long plan_arrivals(Plan *pl)
+{
+    const i64 n = pl->n_procs;
+    double *clock = malloc((n ? n : 1) * sizeof(double));
+    Arrival *heap = malloc((n ? n : 1) * sizeof(Arrival));
+    Arrival top;
+    i64 host, e, dst, nxt, size = n;
+    long rc = RC_NO_MEMORY;
+
+    if (!clock || !heap)
+        goto done;
+    for (host = 0; host < n; host++) {
+        clock[host] = -log(1.0 - rand_random(&pl->rng)) / pl->rate;
+        heap[host].cycle = arrival_cycle(clock[host]);
+        heap[host].id = host;
+        heap[host].host = host;
+        if (!put_event(pl, heap[host].cycle, -1))
+            goto done;
+    }
+    pl->n_initial = n;
+    for (e = n / 2 - 1; e >= 0; e--)
+        sift_down(heap, size, e);
+    rc = RC_OK;
+    while (size > 0) {
+        top = heap[0];
+        if (top.cycle > pl->horizon) {
+            pl->overflow = 1;
+            break;
+        }
+        host = top.host;
+        dst = pick_destination(pl, host);
+        if (dst >= 0) {
+            pl->ev_msg.at[top.id] = pl->msg_src.n;
+            rc = emit(pl, host, dst, top.cycle);
+            if (rc != RC_OK)
+                goto done;
+        }
+        clock[host] += -log(1.0 - rand_random(&pl->rng)) / pl->rate;
+        nxt = arrival_cycle(clock[host]);
+        if (nxt < pl->window_end) {
+            heap[0].cycle = nxt;
+            heap[0].id = pl->ev_cycle.n;
+            pl->ev_child.at[top.id] = heap[0].id;
+            if (!put_event(pl, nxt, -1)) {
+                rc = RC_NO_MEMORY;
+                goto done;
+            }
+        } else {
+            heap[0] = heap[--size];
+        }
+        sift_down(heap, size, 0);
+    }
+done:
+    free(clock);
+    free(heap);
+    return rc;
+}
+
+/* Trace entries (cycles, then sources, then destinations), sorted
+ * stably by cycle: the reference's (cycle, push id) pop order. */
+static long plan_trace(Plan *pl)
+{
+    const i64 *cycle = pl->data, *src = cycle + pl->n_data;
+    const i64 *dst = src + pl->n_data;
+    i64 i;
+    long rc;
+
+    for (i = 0; i < pl->n_data; i++) {
+        if (cycle[i] > pl->horizon) {
+            pl->overflow = 1;
+            break;
+        }
+        if (!put_event(pl, cycle[i], dst[i] >= 0 ? pl->msg_src.n : -1))
+            return RC_NO_MEMORY;
+        if (dst[i] >= 0) {
+            rc = emit(pl, src[i], dst[i], cycle[i]);
+            if (rc != RC_OK)
+                return rc;
+        }
+    }
+    pl->n_initial = pl->ev_cycle.n;
+    return RC_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* Phase B: the event kernel                                           */
 
 typedef struct {
     /* network + packet state */
@@ -99,10 +452,10 @@ typedef struct {
     i64 *q_head; /* per output: request queue of packets or buffers */
     i64 *q_tail;
     i64 *next_pkt;
-    i64 *pkt_hop;
+    i64 *pkt_link; /* offset of the packet's current hop in links */
+    const i64 *pkt_end;
     i64 *pkt_holding;
-    const i64 *pkt_off;
-    const i64 *pkt_path;
+    const i64 *links;
     /* input-FIFO state (buffer ids: sub-channels, then host queues) */
     i64 *buf_head;
     i64 *buf_tail;
@@ -189,7 +542,7 @@ static void transmit(Ctx *x, i64 p, i64 c, i64 sub, i64 t)
     push(x, t + x->pf,
          EV_PORTCREDIT | ((c | (x->pkt_holding[p] + 1) << x->cbits) << 3));
     x->pkt_holding[p] = sub;
-    if (x->pkt_hop[p] == x->pkt_off[p + 1] - x->pkt_off[p] - 1)
+    if (x->pkt_link[p] == x->pkt_end[p] - 1)
         push(x, t + x->wire_pf, EV_DELIVER | p << 3);
     else
         push(x, t + x->wire_rd, EV_HEADER | p << 3);
@@ -227,7 +580,7 @@ static void serve(Ctx *x, i64 c, i64 t)
  * buffer's read port is free (retry then if it is still streaming). */
 static void request_head(Ctx *x, i64 b, i64 t)
 {
-    i64 p, c;
+    i64 c;
     if (x->head_pending[b] || x->buf_head[b] < 0)
         return;
     if (x->read_free[b] > t) {
@@ -235,8 +588,7 @@ static void request_head(Ctx *x, i64 b, i64 t)
         return;
     }
     x->head_pending[b] = 1;
-    p = x->buf_head[b];
-    c = x->pkt_path[x->pkt_off[p] + x->pkt_hop[p]];
+    c = x->links[x->pkt_link[x->buf_head[b]]];
     enqueue(x->q_head, x->q_tail, x->next_buf, c, b);
     serve(x, c, t);
 }
@@ -251,7 +603,7 @@ static void forward(Ctx *x, i64 p, i64 b, i64 t)
         x->occupancy++;
         request_head(x, b, t);
     } else {
-        c = x->pkt_path[x->pkt_off[p] + x->pkt_hop[p]];
+        c = x->links[x->pkt_link[p]];
         enqueue(x->q_head, x->q_tail, x->next_pkt, c, p);
         serve(x, c, t);
     }
@@ -266,15 +618,23 @@ static i64 *alloc_fill(i64 n, i64 value)
     return a;
 }
 
-long run_kernel(const i64 *params,
-                const i64 *ev_cycle, const i64 *ev_msg, const i64 *ev_child,
-                const i64 *msg_src, const i64 *msg_created,
-                const uint8_t *msg_measured,
-                const i64 *pkt_off, const i64 *pkt_path,
-                i64 *credits, i64 *delays, i64 *telemetry, i64 *out)
+/* Event-node arena size: the push bound derived above, one push per
+ * plan event plus 2 per route hop output-queued or 4 input-FIFO. */
+static i64 arena_capacity(const Plan *pl, int input_fifo)
 {
-    const i64 n_initial = params[P_N_INITIAL];
-    const i64 n_msgs = params[P_N_MSGS];
+    return pl->ev_cycle.n + (input_fifo ? 4 : 2) * pl->hops + 8;
+}
+
+static long simulate(Plan *pl, const i64 *params, const i64 *links,
+                     i64 *credits, i64 *delays, i64 *telemetry, i64 *out)
+{
+    const i64 *ev_cycle = pl->ev_cycle.at;
+    const i64 *ev_msg = pl->ev_msg.at;
+    const i64 *ev_child = pl->ev_child.at;
+    const i64 *msg_src = pl->msg_src.at;
+    const i64 *msg_created = pl->msg_created.at;
+    const i64 *msg_measured = pl->msg_measured.at;
+    const i64 n_msgs = pl->msg_src.n;
     const i64 ppm = params[P_PPM];
     const i64 n_channels = params[P_N_CHANNELS];
     const i64 warmup = params[P_WARMUP];
@@ -304,17 +664,18 @@ long run_kernel(const i64 *params,
     x.wire_pf = params[P_WIRE_PF];
     x.wire_rd = params[P_WIRE_RD];
     x.cbits = cbits;
-    x.cap = params[P_ARENA_CAP];
+    x.cap = arena_capacity(pl, x.input_fifo);
     x.free_head = -1;
-    x.pkt_off = pkt_off;
-    x.pkt_path = pkt_path;
+    x.pkt_link = pl->pkt_link.at;
+    x.pkt_end = pl->pkt_end.at;
+    x.links = links;
     x.credits = credits;
+    out[O_CAPACITY] = x.cap;
 
     x.busy_until = alloc_fill(n_channels, 0);
     x.q_head = alloc_fill(n_channels, -1);
     x.q_tail = alloc_fill(n_channels, -1);
     x.next_pkt = alloc_fill(n_pkts, -1);
-    x.pkt_hop = alloc_fill(n_pkts, 0);
     x.pkt_holding = alloc_fill(n_pkts, -1);
     x.buf_head = alloc_fill(n_buffers, -1);
     x.buf_tail = alloc_fill(n_buffers, -1);
@@ -327,15 +688,15 @@ long run_kernel(const i64 *params,
     x.bucket_head = alloc_fill(n_buckets, -1);
     x.bucket_tail = alloc_fill(n_buckets, -1);
     if (!x.busy_until || !x.q_head || !x.q_tail || !x.next_pkt ||
-        !x.pkt_hop || !x.pkt_holding || !x.buf_head || !x.buf_tail ||
-        !x.next_buf || !x.read_free || !x.head_pending || !msg_remaining ||
-        !x.node_ev || !x.node_next || !x.bucket_head || !x.bucket_tail)
+        !x.pkt_holding || !x.buf_head || !x.buf_tail || !x.next_buf ||
+        !x.read_free || !x.head_pending || !msg_remaining || !x.node_ev ||
+        !x.node_next || !x.bucket_head || !x.bucket_tail)
         goto done;
     rc = RC_ARENA_FULL;
 
     /* Initial inject events in plan (= reference push) order; initial
      * arrival cycles are the only unbounded times, hence the guard. */
-    for (e = 0; e < n_initial; e++) {
+    for (e = 0; e < pl->n_initial; e++) {
         if (ev_cycle[e] <= horizon)
             push(&x, ev_cycle[e], EV_INJECT | e << 3);
     }
@@ -348,7 +709,7 @@ long run_kernel(const i64 *params,
     n_rows = 0;
     messages_completed = 0;
     flits_delivered = 0;
-    overflow = params[P_OVERFLOW_IN];
+    overflow = pl->overflow;
     next_mark = obs_interval ? obs_interval : horizon + 1;
     interval_injected = 0;
     interval_delivered = 0;
@@ -390,7 +751,7 @@ long run_kernel(const i64 *params,
                 }
             } else if (kind == EV_HEADER) {
                 p = ev >> 3;
-                x.pkt_hop[p]++;
+                x.pkt_link[p]++;
                 /* input-FIFO: the input buffer of the channel crossed */
                 forward(&x, p, x.pkt_holding[p], t);
             } else if (kind == EV_DELIVER) {
@@ -452,7 +813,6 @@ done:
     free(x.q_head);
     free(x.q_tail);
     free(x.next_pkt);
-    free(x.pkt_hop);
     free(x.pkt_holding);
     free(x.buf_head);
     free(x.buf_tail);
@@ -465,4 +825,63 @@ done:
     free(x.bucket_head);
     free(x.bucket_tail);
     return rc;
+}
+
+/* One batched run.  `mt` is random.Random.getstate()'s internal state
+ * (624 words, then the index); `rates` is the arrival rate and the hot
+ * fraction; `model` holds the permutation, the hot nodes or the trace
+ * columns.  On RC_OK, *delays holds out[O_N_DELAYS] message delays;
+ * the caller frees it with release(). */
+long run_batched(const i64 *params, const double *rates, const uint32_t *mt,
+                 const i64 *pair_ptr, const i64 *path_ptr, const i64 *links,
+                 const i64 *model, i64 *credits, i64 *telemetry, i64 *out,
+                 i64 **delays)
+{
+    Plan pl = {0};
+    long rc = RC_NO_MEMORY;
+    int i;
+
+    *delays = NULL;
+    for (i = 0; i < MT_N; i++)
+        pl.rng.mt[i] = mt[i];
+    pl.rng.index = (int)mt[MT_N];
+    pl.pair_ptr = pair_ptr;
+    pl.path_ptr = path_ptr;
+    pl.n_procs = params[P_N_PROCS];
+    pl.n_keys = params[P_N_KEYS];
+    pl.ppm = params[P_PPM];
+    pl.warmup = params[P_WARMUP];
+    pl.window_end = params[P_WINDOW_END];
+    pl.horizon = params[P_HORIZON];
+    pl.selection = (int)params[P_SELECTION];
+    pl.model = (int)params[P_MODEL];
+    pl.data = model;
+    pl.n_data = params[P_MODEL_LEN];
+    pl.rate = rates[0];
+    pl.hot_fraction = rates[1];
+    if (pl.selection == SEL_ROUND_ROBIN) {
+        pl.rr = calloc(pl.n_keys ? pl.n_keys : 1, sizeof(i64));
+        if (!pl.rr)
+            goto done;
+    }
+
+    rc = pl.model == MODEL_TRACE ? plan_trace(&pl) : plan_arrivals(&pl);
+    if (rc == RC_NO_ROUTE)
+        out[O_KEY] = pl.bad_key;
+    if (rc != RC_OK)
+        goto done;
+
+    out[O_MESSAGES_MEASURED] = pl.n_measured;
+    *delays = malloc((pl.n_measured ? pl.n_measured : 1) * sizeof(i64));
+    rc = *delays ? simulate(&pl, params, links, credits, *delays, telemetry,
+                            out)
+                 : RC_NO_MEMORY;
+done:
+    plan_free(&pl);
+    return rc;
+}
+
+void release(i64 *delays)
+{
+    free(delays);
 }

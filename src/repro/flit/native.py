@@ -1,13 +1,14 @@
-"""On-demand compiled phase-B kernel for the batched flit engine.
+"""On-demand compiled kernel for the batched flit engine.
 
-:mod:`repro.flit.batched` splits a run into an injection plan (phase A,
-where every random draw happens) and pure integer event processing
-(phase B).  Phase B has no python left in its contract — flat arrays in,
-flat arrays out — so this module compiles ``kernel.c`` (shipped
-alongside; it mirrors :meth:`repro.flit.engine.FlitSimulator.run` event
-for event, for both switch models and with telemetry) into a shared
-library once per machine, caches it under ``~/.cache/repro-flit`` keyed
-by source hash, and loads it with ctypes.
+One call of ``kernel.c`` runs a whole batched flit run, from the
+``random.Random`` state to the statistics: phase A replays the arrival
+process (destinations, path choices, arrival clocks) with CPython's own
+random-number formulas, and phase B processes the events, mirroring
+:meth:`repro.flit.engine.FlitSimulator.run` event for event, for both
+switch models and with telemetry.  This module compiles ``kernel.c``
+(shipped alongside) into a shared library once per machine, caches it
+under ``~/.cache/repro-flit`` keyed by source hash, and loads it with
+ctypes.
 
 When the kernel cannot be built or loaded, :func:`available` is false,
 :func:`unavailable_reason` says why ("no C compiler", "build failed:
@@ -28,16 +29,31 @@ import tempfile
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.flit.workload import (
+    FixedPermutation,
+    HotspotWorkload,
+    UniformRandom,
+    Workload,
+)
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "kernel.c")
 
 # params[] layout — must match the P_* enum in kernel.c.
-_P_COUNT = 20
+_P_COUNT = 19
 # out[] layout — must match the O_* enum in kernel.c.
-_O_COUNT = 8
+_O_COUNT = 11
+_O_MESSAGES_MEASURED = 8
+_O_CAPACITY = 9
+_O_KEY = 10
 # Return codes — must match the RC_* enum in kernel.c.
 _RC_NO_MEMORY = 1
 _RC_ARENA_FULL = 2
+_RC_NO_ROUTE = 3
+# Path selection, as the SEL_* enum in kernel.c.
+_SELECTIONS = {"per-packet": 0, "per-message": 1, "round-robin": 2}
+
+# Destination models, as the MODEL_* enum in kernel.c.
+_UNIFORM, _PERMUTATION, _HOTSPOT, _TRACE = range(4)
 # Telemetry row width: t, injected, delivered, credit_stalls, occupancy.
 _ROW = 5
 
@@ -66,7 +82,7 @@ def _build(so_path: str) -> str | None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SOURCE],
+            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SOURCE, "-lm"],
             capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             lines = proc.stderr.strip().splitlines()
@@ -97,12 +113,16 @@ def _load() -> str | None:
             return reason
     try:
         lib = ctypes.CDLL(so_path)
-        fn = lib.run_kernel
+        fn, release = lib.run_batched, lib.release
     except (OSError, AttributeError) as exc:
         return f"load failed: {exc}"
     i64p = ctypes.POINTER(ctypes.c_int64)
     fn.restype = ctypes.c_long
-    fn.argtypes = [i64p] * 6 + [ctypes.POINTER(ctypes.c_uint8)] + [i64p] * 6
+    fn.argtypes = ([i64p, ctypes.POINTER(ctypes.c_double),
+                    ctypes.POINTER(ctypes.c_uint32)] + [i64p] * 7
+                   + [ctypes.POINTER(i64p)])
+    release.restype = None
+    release.argtypes = [i64p]
     _lib = lib
     return None
 
@@ -121,81 +141,113 @@ def unavailable_reason() -> str | None:
     return None if available() else _reason
 
 
-def arena_capacity(n_plan: int, hops: int, input_fifo: bool) -> int:
-    """Event-node arena size: the push bound derived in ``kernel.c``
-    (one push per plan event, plus 2 per route hop output-queued or 4
-    input-FIFO)."""
-    return n_plan + (4 if input_fifo else 2) * hops + 8
+def _ptr(a: np.ndarray, ctype=ctypes.c_int64):
+    return a.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-def _i64(values) -> np.ndarray:
-    a = np.ascontiguousarray(values, dtype=np.int64)
-    return a if a.size else np.zeros(1, dtype=np.int64)
+def _i64(values):
+    """An int64 pointer to ``values`` (copied only if not already a
+    contiguous int64 array)."""
+    return _ptr(np.ascontiguousarray(values, dtype=np.int64))
 
 
-def _ptr(a: np.ndarray):
-    return a.ctypes.data_as(
-        ctypes.POINTER(ctypes.c_uint8) if a.dtype == np.uint8
-        else ctypes.POINTER(ctypes.c_int64))
+def arrivals(workload: Workload | None, trace, n_procs: int,
+             message_flits: int) -> tuple | None:
+    """The kernel's arrival source for a run, as :func:`run` takes it:
+    ``(model, rate, hot_fraction, data)``, where ``data`` is the
+    permutation, the sorted hot nodes, or the trace's cycle, source and
+    destination columns sorted stably by cycle.  None when only the
+    reference can run it.  Models are matched by exact type, since a
+    subclass may override ``pick_destination``."""
+    if trace is not None:
+        entries = np.array([(e.cycle, e.src, e.dst) for e in trace],
+                           dtype=np.int64).reshape(-1, 3)
+        if entries.size and (entries[:, 0].min() < 0
+                             or entries[:, 1].min() < 0
+                             or entries[:, 1].max() >= n_procs):
+            return None  # a cycle before 0 or a source outside the hosts
+        entries = entries[np.argsort(entries[:, 0], kind="stable")]
+        return _TRACE, 0.0, 0.0, entries.T.copy()
+    kind = type(workload)
+    hot_fraction = 0.0
+    if kind is FixedPermutation and workload.perm.size == n_procs:
+        model, data = _PERMUTATION, workload.perm
+    elif kind is UniformRandom and n_procs > 1:
+        model, data = _UNIFORM, np.zeros(0, dtype=np.int64)
+    elif kind is HotspotWorkload and n_procs > 1:
+        model = _HOTSPOT
+        data = np.array(workload.hot_nodes, dtype=np.int64)
+        hot_fraction = float(workload.hot_fraction)
+    else:
+        # also a wrong-length permutation and randrange(0): the reference
+        # raises those at the first arrival inside the horizon
+        return None
+    rate = 1.0 / workload.mean_interarrival(message_flits)
+    return model, rate, hot_fraction, data
 
 
-def run(plan, routes, cfg, n_channels: int, n_procs: int,
-        initial_credits: list, record: bool) -> tuple[tuple, list]:
-    """Run phase B natively.
+def run(state: tuple, source: tuple, routes, cfg, n_channels: int,
+        n_procs: int, initial_credits: list, record: bool) -> tuple[tuple, list]:
+    """Run one batched flit run natively.
 
-    ``plan`` is phase A's output, whose packets name path ids in the
-    :class:`~repro.routing.vectorized.RouteTable` ``routes``.  Returns
-    ``(stats, rows)``: ``stats`` is the positional tail of
+    ``state`` is :meth:`random.Random.getstate` of the run's generator,
+    which the kernel continues draw for draw; ``source`` is what
+    :func:`arrivals` returns, and ``routes`` the
+    :class:`~repro.routing.vectorized.RouteTable`.
+
+    Returns ``(stats, rows)``: ``stats`` is the positional tail of
     :meth:`~repro.flit.engine.FlitSimulator._finish` (delays through
     ``sim_cycles``) and ``rows`` the per-interval telemetry as
     ``[t, injected, delivered, credit_stalls, occupancy]`` lists, empty
-    unless ``record``.
+    unless ``record``.  A message whose pair has no route raises
+    ``KeyError(key)``, as the reference's table lookup does.
     """
-    (ev_cycle, ev_msg, ev_child, n_initial, msg_src, msg_created,
-     msg_measured, pkt_path, overflow) = plan
-    n_msgs = len(msg_created)
-    input_fifo = cfg.switch_model == "input-fifo"
+    model, rate, hot_fraction, data = source
     horizon = cfg.horizon
-    pkt_off, hop_links = routes.gather(np.asarray(pkt_path, dtype=np.int64))
-    hops = int(pkt_off[-1])
     obs_interval = (cfg.obs_interval or max(1, cfg.measure_cycles // 20)
                     if record else 0)
-    capacity = arena_capacity(len(ev_cycle), hops, input_fifo)
-
     params = np.array([
-        len(ev_cycle), n_initial, n_msgs, cfg.packets_per_message,
-        n_channels, cfg.virtual_channels, cfg.packet_flits,
+        n_procs, routes.pair_ptr.size - 1, n_channels, cfg.virtual_channels,
+        cfg.packets_per_message, cfg.packet_flits,
         cfg.wire_delay + cfg.packet_flits,
         cfg.wire_delay + cfg.routing_delay,
-        cfg.warmup_cycles, cfg.end_of_window, horizon,
         cfg.wire_delay + cfg.packet_flits + cfg.routing_delay,  # slack
-        n_channels.bit_length(), 1 if overflow else 0, n_procs,
-        1 if input_fifo else 0, cfg.message_flits, obs_interval, capacity,
+        n_channels.bit_length(), cfg.warmup_cycles, cfg.end_of_window,
+        horizon, 1 if cfg.switch_model == "input-fifo" else 0,
+        cfg.message_flits, obs_interval, _SELECTIONS[cfg.path_selection],
+        model, data.size // 3 if model == _TRACE else data.size,
     ], dtype=np.int64)
     assert params.size == _P_COUNT
 
-    delays = np.zeros(max(n_msgs, 1), dtype=np.int64)
     # at most one row per obs_interval cycles up to the horizon
     telemetry = np.zeros(
         _ROW * (horizon // obs_interval + 1 if obs_interval else 1),
         dtype=np.int64)
     out = np.zeros(_O_COUNT, dtype=np.int64)
-    arrays = (params, _i64(ev_cycle), _i64(ev_msg), _i64(ev_child),
-              _i64(msg_src), _i64(msg_created),
-              np.frombuffer(bytes(msg_measured), dtype=np.uint8)
-              if n_msgs else np.zeros(1, dtype=np.uint8),
-              pkt_off, _i64(hop_links), _i64(initial_credits), delays,
-              telemetry, out)
-    rc = _lib.run_kernel(*map(_ptr, arrays))
-    if rc == _RC_ARENA_FULL:
-        raise SimulationError(
-            f"native flit kernel overflowed its {capacity}-node event "
-            f"arena; the push bound in kernel.c does not hold")
-    if rc == _RC_NO_MEMORY:
-        raise MemoryError("native flit kernel allocation failed")
+    delays = ctypes.POINTER(ctypes.c_int64)()
+    rc = _lib.run_batched(
+        _ptr(params), _ptr(np.array([rate, hot_fraction]), ctypes.c_double),
+        _ptr(np.array(state[1], dtype=np.uint32), ctypes.c_uint32),
+        _i64(routes.pair_ptr), _i64(routes.path_ptr), _i64(routes.links),
+        _i64(data), _i64(initial_credits), _ptr(telemetry), _ptr(out),
+        ctypes.byref(delays))
+    try:
+        if rc == _RC_NO_ROUTE:
+            raise KeyError(int(out[_O_KEY]))
+        if rc == _RC_ARENA_FULL:
+            raise SimulationError(
+                f"native flit kernel overflowed its {out[_O_CAPACITY]}-node "
+                f"event arena; the push bound in kernel.c does not hold")
+        if rc == _RC_NO_MEMORY:
+            raise MemoryError("native flit kernel allocation failed")
+        n_delays = int(out[6])
+        delay_list = (np.ctypeslib.as_array(delays, (n_delays,)).tolist()
+                      if n_delays else [])
+    finally:
+        _lib.release(delays)
 
-    messages_measured = sum(msg_measured)
-    stats = (delays[:out[6]].tolist(), messages_measured,
+    messages_measured = int(out[_O_MESSAGES_MEASURED])
+    stats = (delay_list, messages_measured,
              int(out[0]), messages_measured * cfg.message_flits,
              int(out[1]), int(out[2]), int(out[3]),
              horizon if out[5] else int(out[4]))

@@ -75,8 +75,8 @@ class RouteTable(Mapping):
       ``path_ptr[p]:path_ptr[p + 1]``;
     * ``links``: directed link (channel) ids in traversal order.
 
-    The batched flit engine works on path ids and gathers links with
-    numpy.  Read as a :class:`~collections.abc.Mapping` — the reference
+    The batched flit engine's kernel reads the three arrays directly.
+    Read as a :class:`~collections.abc.Mapping` — the reference
     engine's view — ``table[key]`` is the pair's list of link-id tuples,
     and the keys are the pairs that have at least one path.
 
@@ -146,15 +146,6 @@ class RouteTable(Mapping):
         links = np.fromiter(chain.from_iterable(paths), dtype=np.int64,
                             count=int(path_ptr[-1]))
         return cls(_offsets(counts), path_ptr, links)
-
-    def gather(self, path_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The links of ``path_ids`` back to back, as ``(ptr, links)``:
-        the ``i``-th path's links are ``links[ptr[i]:ptr[i + 1]]``."""
-        starts = self.path_ptr[path_ids]
-        lengths = self.path_ptr[path_ids + 1] - starts
-        ptr = _offsets(lengths)
-        return ptr, self.links[np.repeat(starts - ptr[:-1], lengths)
-                               + np.arange(ptr[-1])]
 
     # -- Mapping view ----------------------------------------------------
     def __getitem__(self, key) -> list[tuple[int, ...]]:

@@ -95,8 +95,10 @@ def test_path_selection_parity(kernel, selection):
     cfg = FlitConfig(warmup_cycles=150, measure_cycles=500,
                      drain_cycles=700, path_selection=selection, seed=77)
     ref, bat = both(xgft, "disjoint:2", cfg)
-    workload = UniformRandom(0.6)
-    assert_bit_identical(ref.run(workload), bat.run(workload))
+    # hosts 4 and 6 are fixed points of the permutation: they stay silent
+    for workload in (UniformRandom(0.6),
+                     FixedPermutation(0.6, [3, 2, 1, 0, 4, 7, 6, 5])):
+        assert_bit_identical(ref.run(workload), bat.run(workload))
 
 
 @pytest.mark.parametrize("ppm", [3, 5])
@@ -122,8 +124,9 @@ def test_missing_route_raises_key_error(kernel, engine, src, dst):
     lookup) instead of reading another pair's paths."""
     cfg = FlitConfig(warmup_cycles=0, measure_cycles=100, drain_cycles=100)
     sim = flit_engine_class(engine).from_tables(2, 1, {1: [(0,)]}, cfg)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as err:
         sim.run_trace([TraceEntry(5, 0, 1), TraceEntry(9, src, dst)])
+    assert err.value.args == (src * 2 + dst,)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -151,8 +154,14 @@ def test_trace_parity(kernel, model):
                      drain_cycles=600, switch_model=model, seed=5)
     trace = synthesize_trace(UniformRandom(0.5), xgft.n_procs,
                              cfg.message_flits, cfg.end_of_window, seed=9)
-    ref, bat = both(xgft, "d-mod-k", cfg)
-    assert_bit_identical(ref.run_trace(trace), bat.run_trace(trace))
+    ref, bat = both(xgft, "random:2", cfg)
+    # entries past the horizon are never injected, but they pin
+    # sim_cycles to the horizon once the network has drained
+    late = [TraceEntry(cfg.horizon + 1, 0, 1), TraceEntry(cfg.horizon + 9, 2, 3)]
+    for entries in (trace, late + trace):
+        assert_bit_identical(ref.run_trace(entries), bat.run_trace(entries))
+    assert ref.run_trace(late + trace).sim_cycles == cfg.horizon
+    assert ref.run_trace(trace).sim_cycles < cfg.horizon
 
 
 def test_zero_delay_parity(kernel):
@@ -218,14 +227,32 @@ def test_saturation_parity(kernel, model):
     assert a.throughput < a.injected_load  # saturated
 
 
+class NearbyHost(UniformRandom):
+    """Overrides ``pick_destination``, so the kernel has no model for it."""
+
+    def pick_destination(self, src, n_procs, rng):
+        return (src + 1 + rng.randrange(2)) % n_procs
+
+
 def test_workload_family_parity(kernel):
     xgft = m_port_n_tree(4, 2)
     cfg = FlitConfig(warmup_cycles=100, measure_cycles=400,
                      drain_cycles=600, seed=31)
+    ref, bat = both(xgft, "random:2", cfg)
     for workload in (HotspotWorkload(0.5, (0, 1), hot_fraction=0.2),
-                     FixedPermutation(0.5, [(i + 5) % 8 for i in range(8)])):
-        ref, bat = both(xgft, "d-mod-k", cfg)
+                     # host 3 is the only hot node: it has no hot choice
+                     HotspotWorkload(0.5, (3,), hot_fraction=0.5),
+                     HotspotWorkload(0.5, (2, 6), hot_fraction=1.0),
+                     FixedPermutation(0.5, [(i + 5) % 8 for i in range(8)]),
+                     NearbyHost(0.5)):
         assert_bit_identical(ref.run(workload), bat.run(workload))
+    short = FixedPermutation(0.5, [1, 2, 3, 0])  # the tree has 8 hosts
+    errors = []
+    for sim in (ref, bat):
+        with pytest.raises(SimulationError, match="over 4 nodes") as err:
+            sim.run(short)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
 
 
 def test_empty_trace_and_tiny_load(kernel):

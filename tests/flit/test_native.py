@@ -4,12 +4,14 @@ run records it, and that an arena overflow is a typed error."""
 from __future__ import annotations
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.experiments.registry import run_instrumented
 from repro.flit import BatchedFlitSimulator, FlitConfig, UniformRandom, native
+from repro.flit import batched
 from repro.obs.recorder import Recorder, use_recorder
 from repro.obs.report import render_report
 from repro.routing import make_scheme
@@ -20,11 +22,59 @@ TINY = dict(topology=m_port_n_tree(4, 2), loads=(0.3,), curves=("d-mod-k",),
                               drain_cycles=200, seed=1))
 
 
+def ran(run) -> dict:
+    """Calls per innermost timer name of an instrumented run."""
+    return {name.rpartition("/")[2]: calls
+            for name, (_, calls) in run.recorder.timers.items()
+            if name.rpartition("/")[2].startswith(("flit.kernel",
+                                                   "flit.fallback."))}
+
+
 def test_no_compiler_reason_and_manifest(no_compiler):
     assert native.unavailable_reason() == "no C compiler"
     run = run_instrumented("figure5", fidelity_name="fast", engine="batched",
                            recorder=Recorder(), **TINY)
     assert run.manifest.extra["flit_kernel"] == "reference: no C compiler"
+    assert ran(run) == {"flit.fallback.no_kernel": 1}
+
+
+def test_long_horizon_fallback_says_why(monkeypatch):
+    """A horizon above the dense-calendar limit runs the reference, and
+    the run's manifest and timers say so."""
+    monkeypatch.setattr(batched, "_DENSE_HORIZON_LIMIT", 100)
+    run = run_instrumented("figure5", fidelity_name="fast", engine="batched",
+                           recorder=Recorder(), **TINY)
+    assert run.manifest.extra["flit_kernel"] == (
+        "reference: horizon above the dense-calendar limit")
+    assert ran(run) == {"flit.fallback.horizon": 1}
+
+
+def test_workload_without_native_model_says_why():
+    """A ``UniformRandom`` subclass may override ``pick_destination``, so
+    it runs the reference; the fallback is timed under its reason."""
+
+    class NextHost(UniformRandom):
+        def pick_destination(self, src, n_procs, rng):
+            return (src + 1) % n_procs
+
+    xgft = m_port_n_tree(4, 2)
+    sim = BatchedFlitSimulator(xgft, make_scheme(xgft, "d-mod-k"),
+                               TINY["config"])
+    rec = Recorder()
+    sim.run(NextHost(0.3), recorder=rec)
+    sim.run(UniformRandom(0.3), recorder=rec)
+    assert {name: calls for name, (_, calls) in rec.timers.items()} == {
+        "flit.fallback.workload": 1, "flit.kernel": 1}
+    assert batched.kernels_ran(rec.timers) == (
+        "native; reference: workload without a native model")
+
+
+def test_kernels_ran_reads_nested_timers():
+    assert batched.kernels_ran({}) is None
+    assert batched.kernels_ran({"experiment.table1/flit.kernel": (1.0, 0)}) is None
+    assert batched.kernels_ran({
+        "experiment.table1/flit.load_point/flit.kernel": (1.0, 4),
+        "flit.build": (0.5, 2)}) == "native"
 
 
 def test_native_manifest():
@@ -62,21 +112,31 @@ def test_load_failure_reason(fresh_kernel_load, monkeypatch):
 
 @pytest.mark.parametrize("model", ["output-queued", "input-fifo"])
 def test_arena_overflow_is_typed(monkeypatch, model):
-    if not native.available():
-        pytest.skip(f"native kernel unavailable: {native.unavailable_reason()}")
-    monkeypatch.setattr(native, "arena_capacity", lambda *args: 16)
+    """The kernel sizes its event arena from the planned hops and checks
+    every push; if that bound ever failed, its return code surfaces as a
+    typed error naming the capacity, and the delays buffer is released."""
+    released = []
+
+    def overflowing(*args):
+        args[9][native._O_CAPACITY] = 16  # out[]
+        return native._RC_ARENA_FULL
+
+    monkeypatch.setattr(native, "_lib", SimpleNamespace(
+        run_batched=overflowing, release=released.append))
+    monkeypatch.setattr(native, "_load_attempted", True)
     xgft = m_port_n_tree(4, 2)
     cfg = FlitConfig(warmup_cycles=50, measure_cycles=200, drain_cycles=200,
                      switch_model=model, seed=1)
     sim = BatchedFlitSimulator(xgft, make_scheme(xgft, "d-mod-k"), cfg)
-    with pytest.raises(SimulationError, match="event arena"):
+    with pytest.raises(SimulationError, match="16-node event arena"):
         sim.run(UniformRandom(0.5))
+    assert len(released) == 1
 
 
 def test_profiled_run_records_phase_timers():
-    """Build, phase A and phase B each show up as their own timer (and
-    nothing else: counters and events are parity-checked against the
-    reference, which has no phases)."""
+    """The route-table build and each native run show up as their own
+    timer (and nothing else: counters and events are parity-checked
+    against the reference, which has no phases)."""
     if not native.available():
         pytest.skip(f"native kernel unavailable: {native.unavailable_reason()}")
     xgft = m_port_n_tree(4, 2)
@@ -87,8 +147,7 @@ def test_profiled_run_records_phase_timers():
         sim = BatchedFlitSimulator(xgft, make_scheme(xgft, "disjoint:2"), cfg)
         sim.run(UniformRandom(0.3))
         sim.run(UniformRandom(0.3))
-    phases = ("flit.build", "flit.plan", "flit.kernel")
-    assert {name: rec.timers[name][1] for name in phases} == {
-        "flit.build": 1, "flit.plan": 2, "flit.kernel": 2}
+    assert {name: calls for name, (_, calls) in rec.timers.items()
+            if name.startswith("flit.")} == {"flit.build": 1, "flit.kernel": 2}
     report = render_report(rec)
-    assert all(name in report for name in phases)
+    assert all(name in report for name in ("flit.build", "flit.kernel"))

@@ -83,14 +83,6 @@ def test_from_blocks_compacts_any_keep_mask():
     assert dict(table) == {1: [(6, 7), (10, 11)], 3: [(2, 3), (4, 5)]}
 
 
-def test_gather_concatenates_paths_in_request_order():
-    table = RouteTable.from_mapping({0: [(4, 5, 6)], 2: [(7,), (8, 9)]},
-                                    n_keys=4)
-    ptr, links = table.gather(np.array([2, 0, 2, 1], dtype=np.int64))
-    assert ptr.tolist() == [0, 2, 5, 7, 8]
-    assert links.tolist() == [8, 9, 4, 5, 6, 8, 9, 7]
-
-
 class TestMasked:
     def test_drops_weight_zero_padding(self, tree4x3, degraded):
         n = tree4x3.n_procs
