@@ -17,23 +17,29 @@ Every experiment subcommand also accepts the telemetry options
 (:mod:`repro.obs`): ``--seed N`` for a reproducible invocation,
 ``--log-json PATH`` to write a JSONL run log (manifest line, event
 stream, metrics line), ``--profile`` to print a timer/counter report,
-and ``--quiet`` to suppress the rendered result.  Engine-aware
-experiments accept ``--engine``: flow-level permutation studies take
-``compiled`` (compile routes once, batch-evaluate rounds) and flit-level
-sweeps (``table1``, ``figure5``) take ``batched`` (the calendar-queue
-flit kernel, bit-identical to the reference engine but several times
-faster); ``reference`` is the default everywhere.
-Fault-aware experiments (``fault-sweep``) accept ``--fault-rate R[,R...]``
-(link failure rate grid), ``--fault-links ID[,ID...]`` (explicit failed
-cables) and ``--fault-seed N`` (fault sampler seed).  Churn-aware
-experiments (``churn-sweep``) accept ``--churn-events N`` (fail/repair
-stream length) and ``--churn-seed N`` (trace seed, independent of the
-traffic ``--seed``).  Flit-level sweep
-experiments (``table1``, ``figure5``) accept ``--jobs N`` (parallel grid
-fan-out over a process pool, bit-identical to serial), ``--cache`` /
-``--no-cache`` (replay completed sweep points from the on-disk result
-cache, making interrupted runs resumable) and ``--cache-dir DIR``
-(cache location, default ``.repro-cache/``).
+and ``--quiet`` to suppress the rendered result.  The remaining
+options reach an experiment only when its runner takes them (see
+:data:`repro.experiments.registry.OPTIONS`); anywhere else they are an
+error (exit 2), except the do-nothing ``--engine reference``,
+``--jobs 1`` and ``--no-cache``:
+
+* ``--engine``: flow-level permutation studies take ``compiled``
+  (compile routes once, batch-evaluate rounds) and flit-level sweeps
+  (``table1``, ``figure5``) take ``batched`` (the native flit kernel,
+  bit-identical to the reference engine but several times faster);
+  ``reference`` is the default everywhere;
+* ``--fault-rate R[,R...]`` (link failure rate grid), ``--fault-links
+  ID[,ID...]`` (explicit failed cables, instead of a rate grid) and
+  ``--fault-seed N`` (fault sampler seed): ``fault-sweep``;
+* ``--churn-events N`` (fail/repair stream length) and ``--churn-seed
+  N`` (trace seed, independent of the traffic ``--seed``):
+  ``churn-sweep``;
+* ``--jobs N`` (fan the flit grid out over a process pool,
+  bit-identical to an inline run): ``table1``, ``figure5``;
+* ``--cache`` / ``--no-cache`` (replay completed points from the
+  on-disk result cache, making interrupted runs resumable) and
+  ``--cache-dir DIR`` (cache location, default ``.repro-cache/``):
+  ``table1``, ``figure5``, ``churn-sweep``.
 
 Topology specs: ``mport:8x3`` (8-port 3-tree), ``kary:4x2`` (4-ary
 2-tree), or an explicit ``xgft:3;4,4,8;1,4,4``.

@@ -124,19 +124,15 @@ def run(
     n_events: int | None = None,
     churn_seed: int = 0,
     seed: int = 2012,
-    n_jobs: int = 1,
     cache=None,
 ) -> ChurnSweepResult:
     """Run the churn sweep.
 
     ``n_events`` defaults to the fidelity preset
     (:data:`EVENTS_BY_FIDELITY`); ``churn_seed`` seeds the event stream
-    independently of the traffic ``seed``.  ``n_jobs`` is accepted for
-    CLI uniformity but replay is inherently serial (each event's state
-    depends on the previous one), so it is ignored.  ``cache`` replays
+    independently of the traffic ``seed``.  ``cache`` replays
     completed per-step MLOAD evaluations (see the module docstring).
     """
-    del n_jobs  # replay is serial by construction
     fid = fidelity(fidelity_name)
     xgft = topology if topology is not None else m_port_n_tree(8, 3)
     rec = get_recorder()

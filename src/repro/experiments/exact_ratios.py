@@ -36,7 +36,6 @@ def run(
     *,
     topology: XGFT | None = None,
     ks: tuple[int, ...] = (2, 3, 4),
-    **_ignored,
 ) -> ExactRatiosResult:
     """Tabulate exact ratios on one (small) topology."""
     xgft = topology if topology is not None else m_port_n_tree(8, 2)

@@ -123,25 +123,30 @@ def run(
     *,
     fidelity_name: str | Fidelity = "normal",
     topology: XGFT | None = None,
-    rates: tuple[float, ...] = DEFAULT_RATES,
+    rates: tuple[float, ...] | None = None,
     curves: tuple[str, ...] = CURVES,
     seed: int = 2012,
     fault_seed: int = 0,
     fault_links: tuple[int, ...] = (),
-    n_jobs: int = 1,
     engine: str = "reference",
 ) -> FaultSweepResult:
     """Run the fault sweep.
 
     ``rates`` are link failure rates (fraction of non-critical cables
-    failed); ``fault_seed`` seeds the fault sampler independently of the
-    traffic ``seed``.  ``fault_links`` overrides the random sweep with
-    one explicit degraded point (the named cables fail, x-value is the
-    resulting failed-cable fraction) — the CLI's ``--fault-links``.
+    failed; default :data:`DEFAULT_RATES`); ``fault_seed`` seeds the
+    fault sampler independently of the traffic ``seed``.
+    ``fault_links`` replaces the random sweep with one explicit degraded
+    point (the named cables fail, x-value is the resulting failed-cable
+    fraction) — the CLI's ``--fault-links``; giving ``rates`` as well
+    is a :class:`~repro.errors.FaultError`.
     ``engine`` selects the permutation evaluator exactly as in Figure 4;
     both engines consume the identical permutation stream, so their
     curves agree to float tolerance.
     """
+    if fault_links and rates is not None:
+        raise FaultError(
+            "give failure rates or explicit fault links, not both "
+            "(--fault-rate/--fault-links)")
     fid = fidelity(fidelity_name)
     xgft = topology if topology is not None else m_port_n_tree(8, 3)
     rec = get_recorder()
@@ -152,7 +157,6 @@ def run(
         max_samples=fid.max_samples,
         rel_precision=fid.rel_precision,
         seed=seed,
-        n_jobs=n_jobs,
         engine=engine,
     )
 
@@ -169,7 +173,7 @@ def run(
         fabrics = [(effective, fabric)]
     else:
         fabrics = []
-        for rate in rates:
+        for rate in rates if rates is not None else DEFAULT_RATES:
             if rate == 0.0:
                 fabrics.append((0.0, DegradedFabric(xgft)))
             else:

@@ -79,7 +79,6 @@ def run_panel(
     seed: int = 2012,
     dense_k: bool = False,
     random_seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    n_jobs: int = 1,
     engine: str = "reference",
 ) -> Figure4Result:
     """Regenerate one Figure 4 panel.
@@ -102,7 +101,6 @@ def run_panel(
         max_samples=fid.max_samples,
         rel_precision=fid.rel_precision,
         seed=seed,
-        n_jobs=n_jobs,
         engine=engine,
     )
     ks = k_grid(xgft.max_paths, dense=dense_k)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.experiments.common import Fidelity, fidelity
 from repro.flit.config import FlitConfig
-from repro.flit.sweep import SweepResult, load_sweep
+from repro.flit.sweep import SweepResult
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
 from repro.topology.xgft import XGFT
@@ -90,13 +90,16 @@ def run(
     """Regenerate Figure 5's delay curves.
 
     ``seed`` overrides the workload RNG seed (ignored when an explicit
-    ``config`` already carries one).  ``n_jobs > 1`` fans the whole
-    (curve x load x repeat) grid out over one process pool and ``cache``
-    (a :class:`~repro.runner.cache.ResultCache`) replays completed
-    points from disk; both return results bit-identical to the serial
-    run for a fixed seed.  ``engine`` selects the flit backend
-    (``reference`` or the bit-identical, faster ``batched``).
+    ``config`` already carries one).  The whole (curve x load x repeat)
+    grid is one :func:`~repro.runner.sweep.run_sweeps` call:
+    ``n_jobs > 1`` fans it out over one process pool and ``cache`` (a
+    :class:`~repro.runner.cache.ResultCache`) replays completed points
+    from disk; both return results bit-identical to an inline run for a
+    fixed seed.  ``engine`` selects the flit backend (``reference`` or
+    the bit-identical, faster ``batched``).
     """
+    from repro.runner import sweep
+
     fid = fidelity(fidelity_name)
     xgft = topology if topology is not None else m_port_n_tree(8, 3)
     cfg = config if config is not None else FlitConfig(
@@ -105,22 +108,8 @@ def run(
         drain_cycles=fid.drain_cycles,
         seed=seed if seed is not None else 0,
     )
-    if n_jobs > 1 or cache is not None:
-        # One grid, one pool: every curve's points share the workers and
-        # the shipped route tables (lazy import keeps the serial path
-        # free of the runner stack).
-        from repro.flit.batched import make_flit_simulator
-        from repro.runner.sweep import run_sweeps
-
-        sims = {spec: make_flit_simulator(
-                    engine, xgft, make_scheme(xgft, spec), cfg)
-                for spec in curves}
-        sweeps = run_sweeps(sims, loads=loads, repeats=fid.flit_repeats,
-                            n_jobs=n_jobs, cache=cache)
-    else:
-        sweeps = {}
-        for spec in curves:
-            scheme = make_scheme(xgft, spec)
-            sweeps[spec] = load_sweep(xgft, scheme, cfg, loads=loads,
-                                      repeats=fid.flit_repeats, engine=engine)
+    sweeps = sweep.run_sweeps(
+        xgft, {spec: make_scheme(xgft, spec) for spec in curves}, cfg,
+        loads=loads, repeats=fid.flit_repeats, engine=engine,
+        n_jobs=n_jobs, cache=cache)
     return Figure5Result(repr(xgft), tuple(loads), sweeps)

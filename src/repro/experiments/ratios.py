@@ -46,7 +46,6 @@ def run(
     permutation_samples: int = 60,
     seed: int = 11,
     engine: str = "reference",
-    **_ignored,
 ) -> RatiosResult:
     """Tabulate ratio lower bounds per scheme on one topology."""
     xgft = topology if topology is not None else m_port_n_tree(8, 2)

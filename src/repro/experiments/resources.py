@@ -42,7 +42,7 @@ class ResourcesResult:
         return budget + "\n\n" + diversity
 
 
-def run(*, ks: tuple[int, ...] = (1, 2, 4, 8, 16, 64, 144), **_ignored) -> ResourcesResult:
+def run(*, ks: tuple[int, ...] = (1, 2, 4, 8, 16, 64, 144)) -> ResourcesResult:
     reports = []
     for m, n in ((8, 3), (16, 3), (24, 3)):
         xgft = m_port_n_tree(m, n)

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.experiments.common import Fidelity, fidelity
 from repro.flit.config import FlitConfig
-from repro.flit.sweep import load_sweep
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
 from repro.topology.xgft import XGFT
@@ -68,13 +67,16 @@ def run(
     (the paper uses five; two keep the default run affordable — pass more
     for the full protocol).  ``seed`` overrides the workload RNG seed
     (ignored when an explicit ``config`` already carries one).
-    ``n_jobs > 1`` fans every (scheme x K x load x repeat) cell out over
-    one process pool and ``cache`` (a
+    All (scheme x K x load x repeat) cells form one
+    :func:`~repro.runner.sweep.run_sweeps` grid: ``n_jobs > 1`` fans it
+    out over one process pool and ``cache`` (a
     :class:`~repro.runner.cache.ResultCache`) replays completed points
-    from disk; the table is bit-identical to the serial run either way.
-    ``engine`` selects the flit backend (``reference`` or the
-    bit-identical, faster ``batched``).
+    from disk; the table is bit-identical either way.  ``engine``
+    selects the flit backend (``reference`` or the bit-identical,
+    faster ``batched``).
     """
+    from repro.runner import sweep
+
     fid = fidelity(fidelity_name)
     xgft = topology if topology is not None else m_port_n_tree(8, 3)
     cfg = config if config is not None else FlitConfig(
@@ -84,50 +86,27 @@ def run(
         seed=seed if seed is not None else 0,
     )
 
-    if n_jobs > 1 or cache is not None:
-        # Build the entire cell grid up front and sweep it through one
-        # pool.  Keys disambiguate random(K)'s routing seeds ("@s" —
-        # the scheme label repeats across seeds, the key must not).
-        from repro.flit.batched import make_flit_simulator
-        from repro.runner.sweep import run_sweeps
+    def seeds(h: str) -> tuple[int, ...]:
+        return random_seeds if h == "random" else (0,)
 
-        def sim_for(spec: str, seed: int = 0):
-            return make_flit_simulator(
-                engine, xgft, make_scheme(xgft, spec, seed=seed), cfg)
+    def key(h: str, k: int, s: int) -> str:
+        # random(K)'s label repeats across routing seeds; its key must not
+        return f"{h}:{k}@{s}" if h == "random" else f"{h}:{k}"
 
-        sims = {"d-mod-k": sim_for("d-mod-k")}
-        for k in ks:
-            for h in HEURISTICS:
-                if h == "random":
-                    for s in random_seeds:
-                        sims[f"random:{k}@{s}"] = sim_for(f"random:{k}", seed=s)
-                else:
-                    sims[f"{h}:{k}"] = sim_for(f"{h}:{k}")
-        sweeps = run_sweeps(sims, loads=loads, repeats=fid.flit_repeats,
-                            n_jobs=n_jobs, cache=cache)
-
-        def max_thr(spec: str, seed: int = 0) -> float:
-            key = f"{spec}@{seed}" if spec.startswith("random:") else spec
-            return sweeps[key].max_throughput
-    else:
-        def max_thr(spec: str, seed: int = 0) -> float:
-            scheme = make_scheme(xgft, spec, seed=seed)
-            sweep = load_sweep(xgft, scheme, cfg, loads=loads,
-                               repeats=fid.flit_repeats, engine=engine)
-            return sweep.max_throughput
-
-    dmodk = max_thr("d-mod-k")
-    cells: dict[str, list[float]] = {h: [] for h in HEURISTICS}
+    schemes = {"d-mod-k": make_scheme(xgft, "d-mod-k")}
     for k in ks:
         for h in HEURISTICS:
-            if h == "random":
-                vals = [max_thr(f"random:{k}", seed=s) for s in random_seeds]
-                cells[h].append(float(np.mean(vals)))
-            else:
-                cells[h].append(max_thr(f"{h}:{k}"))
+            for s in seeds(h):
+                schemes[key(h, k, s)] = make_scheme(xgft, f"{h}:{k}", seed=s)
+    sweeps = sweep.run_sweeps(
+        xgft, schemes, cfg, loads=loads, repeats=fid.flit_repeats,
+        engine=engine, n_jobs=n_jobs, cache=cache)
     return Table1Result(
         topology=repr(xgft),
         ks=ks,
-        dmodk=dmodk,
-        cells={h: tuple(v) for h, v in cells.items()},
+        dmodk=sweeps["d-mod-k"].max_throughput,
+        cells={h: tuple(float(np.mean([sweeps[key(h, k, s)].max_throughput
+                                       for s in seeds(h)]))
+                        for k in ks)
+               for h in HEURISTICS},
     )

@@ -38,7 +38,7 @@ class TheoremsResult:
         return "\n".join(lines)
 
 
-def run(*, seed: int = 7, samples: int = 5, **_ignored) -> TheoremsResult:
+def run(*, seed: int = 7, samples: int = 5) -> TheoremsResult:
     """Validate the paper's lemma and theorems on several topologies and
     traffic matrices."""
     reports: list[TheoremReport] = []

@@ -157,8 +157,10 @@ class FlitSimulator:
     ) -> "FlitSimulator":
         """Build a simulator from precompiled routes on an arbitrary
         channel graph, such as hand-made test tables.  The result has
-        no topology or scheme, so :func:`repro.runner.sweep.run_sweeps`
-        rejects it; call :meth:`run` or :meth:`run_trace` directly.
+        no topology or scheme, so it cannot take part in a
+        :func:`repro.runner.sweep.run_sweeps` grid (which builds its
+        simulators from schemes); call :meth:`run` or :meth:`run_trace`
+        directly.
 
         ``routes`` maps pair keys ``src * n_hosts + dst`` to non-empty
         lists of channel-id paths; every ordered host pair that the

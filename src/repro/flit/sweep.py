@@ -12,11 +12,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.flit.batched import make_flit_simulator
 from repro.flit.config import FlitConfig
 from repro.flit.stats import FlitRunResult
 from repro.flit.workload import UniformRandom, Workload
-from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
 from repro.topology.xgft import XGFT
 
@@ -69,60 +67,26 @@ def load_sweep(
     loads: Sequence[float] | None = None,
     workload_factory: Callable[[float], Workload] = UniformRandom,
     repeats: int = 1,
-    n_jobs: int = 1,
-    pool=None,
-    cache=None,
     engine: str = "reference",
 ) -> SweepResult:
     """Run ``scheme`` at each offered load with fresh Poisson workloads.
 
     ``repeats > 1`` averages several seeds per load point (results keep
     the mean of each statistic).  Routes are compiled once and shared by
-    all runs.
+    all runs.  ``engine`` selects the flit backend (:data:`repro.flit.
+    batched.ENGINES`); the batched engine is bit-identical to the
+    reference, so it changes only wall-clock time.
 
-    ``n_jobs > 1`` fans the (load, repeat) grid out over a process pool
-    (:mod:`repro.runner`); ``pool`` reuses an externally owned
-    :class:`~repro.runner.pool.PersistentPool` and ``cache`` replays
-    completed points from an on-disk
-    :class:`~repro.runner.cache.ResultCache`.  Per-point seeds are
-    identical to the serial path (``config.seed + 1000 * repeat``), so
-    every execution mode returns bit-identical results.
-
-    ``engine`` selects the flit backend (:data:`repro.flit.batched.
-    ENGINES`); the batched engine is bit-identical to the reference, so
-    it changes only wall-clock time — in every execution mode.
+    This is the one-scheme call of :func:`repro.runner.sweep.run_sweeps`,
+    which also takes worker processes and a result cache.
     """
-    rec = get_recorder()
-    sim = make_flit_simulator(engine, xgft, scheme, config)
-    if n_jobs > 1 or pool is not None or cache is not None:
-        # Lazy import: repro.runner.sweep imports this module.
-        from repro.runner.sweep import run_sweeps
+    # Lazy import: repro.runner.sweep imports this module.
+    from repro.runner.sweep import run_sweeps
 
-        return run_sweeps(
-            {scheme.label: sim}, loads=loads, repeats=repeats,
-            workload_factory=workload_factory, n_jobs=n_jobs, pool=pool,
-            cache=cache,
-        )[scheme.label]
-    results = []
-    for load in (loads if loads is not None else default_loads()):
-        with rec.timer("flit.load_point"):
-            runs = [
-                sim.run(workload_factory(load), seed=config.seed + 1000 * rep)
-                for rep in range(repeats)
-            ]
-        merged = _merge_runs(runs)
-        if rec.enabled:
-            rec.event(
-                "flit_load_point",
-                scheme=scheme.label,
-                offered_load=merged.offered_load,
-                throughput=merged.throughput,
-                mean_delay=merged.mean_delay,
-                completion_ratio=merged.completion_ratio,
-                saturated=merged.saturated,
-            )
-        results.append(merged)
-    return SweepResult(scheme.label, tuple(results))
+    return run_sweeps(
+        xgft, {scheme.label: scheme}, config, loads=loads, repeats=repeats,
+        workload_factory=workload_factory, engine=engine,
+    )[scheme.label]
 
 
 def _merge_runs(runs: list[FlitRunResult]) -> FlitRunResult:

@@ -1,17 +1,15 @@
 """Persistent process pools with one-shot context shipping.
 
-Every parallel layer in this codebase fans the same few kilobytes-to-
-megabytes of immutable state — a compiled routing plan, a route table, a
-dict of flit simulators — out to worker processes, then streams many
-small tasks against it.  Rebuilding a ``ProcessPoolExecutor`` per
-adaptive round (the pre-runner behaviour of
-:class:`repro.flow.sampling.PermutationStudy`) pays process start-up per
-round; shipping the state inside every task argument pays its pickle
+A parallel flit sweep fans a few kilobytes-to-megabytes of immutable
+state — a dict of flit simulators with their route tables — out to
+worker processes, then streams many small tasks against it.  Rebuilding
+a ``ProcessPoolExecutor`` per batch of tasks pays process start-up each
+time; shipping the state inside every task argument pays its pickle
 cost per task.  :class:`PersistentPool` removes both:
 
 * the executor is created once (lazily, at the first submit) and reused
-  for as many rounds, schemes, seeds and load points as the owner keeps
-  the pool alive;
+  for as many schemes, seeds and load points as the owner keeps the
+  pool alive;
 * large payloads are registered once with :meth:`PersistentPool.
   put_context`, which spills a pickle to a private temp directory and
   returns a small string *token*.  Tasks carry the token; a worker
@@ -110,10 +108,9 @@ class PersistentPool:
     may be reused — the next submit starts a fresh generation with its
     own context directory.
 
-    Owners that hand the pool to several consumers (a study's seed
-    family, a multi-scheme sweep) keep one set of worker processes alive
-    across all of them; each consumer registers its own context and the
-    workers cache every context they have seen.
+    An owner that hands the pool to several consumers keeps one set of
+    worker processes alive across all of them; each consumer registers
+    its own context and the workers cache every context they have seen.
     """
 
     def __init__(self, n_jobs: int):

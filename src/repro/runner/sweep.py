@@ -1,69 +1,76 @@
-"""Parallel, resumable offered-load sweeps over (scheme x load x repeat).
+"""Offered-load sweeps over (scheme x load x repeat), resumable.
 
 The paper's flit-level artifacts — Figure 5's delay curves and Table 1's
 maximum-throughput cells — are grids of *independent* simulator runs:
-one per (scheme, offered load, repeat) point.  :func:`run_sweeps` fans
-that grid out:
+one per (scheme, offered load, repeat) point.  :func:`run_sweeps` is the
+one path every such grid takes:
 
-* **determinism** — every point's seed comes from :func:`point_seed`,
-  the exact formula the serial :func:`repro.flit.sweep.load_sweep` uses
+* **determinism** — every point's seed comes from :func:`point_seed`
   (``config.seed + 1000 * repeat``), and the flit engine is a pure
-  function of ``(workload, seed)``; parallel and serial runs therefore
-  produce bit-identical :class:`~repro.flit.sweep.SweepResult` values;
-* **pool lifecycle** — one :class:`~repro.runner.pool.PersistentPool`
-  serves every point of every scheme: the simulators (with their
-  compiled route tables) ship to each worker once as a pool context,
-  not once per task;
+  function of ``(workload, seed)``; inline, pooled and cached runs
+  therefore produce bit-identical :class:`~repro.flit.sweep.SweepResult`
+  values;
+* **one simulator at a time** — a simulator (with its route table) is
+  built only for a scheme that still has uncached points.  Inline
+  (``n_jobs == 1``) each is built, run and dropped before the next, so
+  a grid never holds more than one route table; with ``n_jobs > 1`` the
+  pending ones ship to one :class:`~repro.runner.pool.PersistentPool`
+  once, as a pool context, not once per task;
 * **resumability** — with a :class:`~repro.runner.cache.ResultCache`,
-  each point is probed before it is scheduled and stored after it is
-  computed, so re-running an interrupted sweep replays the completed
+  each point is probed before it is scheduled and stored as soon as it
+  is computed, so re-running an interrupted sweep replays the completed
   points from disk and only simulates the remainder.  A fully warm
-  cache performs zero simulator runs.
+  cache builds no simulator and performs zero runs.
 
 Telemetry: ``runner.points_total`` / ``runner.points_computed``
 counters, plus the pool and cache counters of the underlying layers;
-each merged load point emits the same ``flit_load_point`` event as the
-serial sweep.
+each merged load point emits a ``flit_load_point`` event.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import as_completed
 from dataclasses import asdict
+from itertools import groupby
 from typing import Mapping, Sequence
 
 from repro.errors import RunnerError
+from repro.flit.batched import flit_engine_class, make_flit_simulator
+from repro.flit.config import FlitConfig
 from repro.flit.engine import FlitSimulator
 from repro.flit.stats import FlitRunResult
 from repro.flit.sweep import SweepResult, _merge_runs, default_loads
 from repro.flit.workload import UniformRandom, Workload
 from repro.obs.recorder import get_recorder
 from repro.obs.trace import span
+from repro.routing.base import RoutingScheme
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.pool import PersistentPool, load_context
+from repro.topology.xgft import XGFT
 
 
 def point_seed(config, rep: int) -> int:
-    """The serial sweep's per-repeat workload seed (shared here so
-    parallel and cached replays reproduce serial runs bit for bit)."""
+    """The workload seed of repeat ``rep`` (shared by every execution
+    mode so pooled and cached replays reproduce inline runs bit for
+    bit)."""
     return config.seed + 1000 * rep
 
 
-def point_key(sim: FlitSimulator, load: float, rep: int,
-              workload_factory=UniformRandom) -> str:
+def point_key(xgft: XGFT, scheme: RoutingScheme, config: FlitConfig,
+              load: float, rep: int, workload_factory=UniformRandom) -> str:
     """Cache key for one (scheme, load, repeat) grid point."""
-    scheme = sim.scheme
     return cache_key({
         "kind": "flit_run",
         "code_version": _version(),
-        "topology": repr(sim.xgft),
+        "topology": repr(xgft),
         "scheme": scheme.label,
         "scheme_repr": repr(scheme),
         "scheme_seed": getattr(scheme, "seed", None),
-        "config": asdict(sim.config),
+        "config": asdict(config),
         "workload": getattr(workload_factory, "__qualname__",
                             repr(workload_factory)),
         "load": load,
-        "seed": point_seed(sim.config, rep),
+        "seed": point_seed(config, rep),
     })
 
 
@@ -92,127 +99,120 @@ def _flit_point_task(token: str, label: str, load: float, seed: int):
 
 
 def run_sweeps(
-    sims: Mapping[str, FlitSimulator],
+    xgft: XGFT,
+    schemes: Mapping[str, RoutingScheme],
+    config: FlitConfig,
     *,
     loads: Sequence[float] | None = None,
     repeats: int = 1,
     workload_factory=UniformRandom,
+    engine: str = "reference",
     n_jobs: int = 1,
-    pool: PersistentPool | None = None,
     cache: ResultCache | None = None,
 ) -> dict[str, SweepResult]:
-    """Sweep every simulator in ``sims`` across ``loads``.
+    """Sweep every scheme in ``schemes`` across ``loads`` on ``xgft``.
 
     Parameters
     ----------
-    sims:
-        Mapping of a caller-chosen key to a ready
-        :class:`FlitSimulator` bound to a topology and scheme.  Keys
-        only need to be unique within the call (e.g.
-        ``"random:2@seed1"``); each returned :class:`SweepResult`
-        carries the scheme's own label.  A :meth:`~repro.flit.engine.
-        FlitSimulator.from_tables` simulator has no scheme to key its
-        cached points by, and is rejected.
+    schemes:
+        Mapping of a caller-chosen key to a routing scheme built for
+        ``xgft``.  Keys only need to be unique within the call (e.g.
+        ``"random:2@1"``); each returned :class:`SweepResult` carries
+        the scheme's own label.
+    config:
+        The flit configuration every simulator runs with.
     loads, repeats, workload_factory:
-        As in :func:`repro.flit.sweep.load_sweep`; ``repeats > 1``
-        averages per-load statistics over per-repeat seeds.
+        Offered loads (default :func:`~repro.flit.sweep.default_loads`),
+        seeds per load, and the load -> workload factory;
+        ``repeats > 1`` averages per-load statistics over per-repeat
+        seeds.
+    engine:
+        The flit backend (:data:`repro.flit.batched.ENGINES`); the
+        batched engine is bit-identical to the reference.
     n_jobs:
-        Worker processes.  1 runs inline; results are identical either
-        way for a fixed seed.
-    pool:
-        Optional externally owned :class:`PersistentPool` (kept open —
-        the caller closes it).  When ``None`` and ``n_jobs > 1`` a
-        private pool is created for this call and closed afterwards.
+        Worker processes.  1 runs inline, one simulator at a time;
+        results are identical either way for a fixed seed.
     cache:
         Optional :class:`ResultCache`; hit points skip simulation
-        entirely and computed points are stored for future runs.
+        entirely and each computed point is stored as soon as it is
+        computed.
 
     Returns the per-key :class:`SweepResult` dict (insertion order of
-    ``sims``).
+    ``schemes``).
     """
     if repeats < 1:
         raise RunnerError(f"repeats must be >= 1, got {repeats}")
     if n_jobs < 1:
         raise RunnerError(f"n_jobs must be >= 1, got {n_jobs}")
-    for label, sim in sims.items():
-        if sim.scheme is None:
-            raise RunnerError(
-                f"simulator {label!r} has no routing scheme (built by "
-                f"from_tables); sweeps key and label points by scheme")
+    flit_engine_class(engine)  # an unknown engine fails even when all is cached
     rec = get_recorder()
     load_list = tuple(loads) if loads is not None else default_loads()
-    labels = list(sims)
 
     # 1. Plan the grid and replay cached points.
-    points = [(label, load, rep)
-              for label in labels for load in load_list
-              for rep in range(repeats)]
-    rec.count("runner.points_total", len(points))
+    rec.count("runner.points_total",
+              len(schemes) * len(load_list) * repeats)
     results: dict[tuple, FlitRunResult] = {}
     keys: dict[tuple, str] = {}
-    pending: list[tuple] = []
-    for point in points:
-        label, load, rep = point
-        if cache is not None:
-            key = point_key(sims[label], load, rep, workload_factory)
-            keys[point] = key
-            hit = cache.get(key)
-            if hit is not None:
-                results[point] = hit
-                continue
-        pending.append(point)
-
-    # 2. Compute the misses.
-    if pending:
-        if pool is not None or n_jobs > 1:
-            owned = None
-            use = pool
-            if use is None:
-                use = owned = PersistentPool(n_jobs)
-            try:
-                with span("runner.run_sweeps", points=len(pending),
-                          schemes=len(labels)):
-                    token = use.put_context({
-                        "sims": dict(sims),
-                        "workload_factory": workload_factory,
-                    })
-                    futures = [
-                        (point, use.submit_task(
-                            _flit_point_task, token, point[0], point[1],
-                            point_seed(sims[point[0]].config, point[2])))
-                        for point in pending
-                    ]
-                    for point, future in futures:
-                        result, snapshot = future.result()
-                        results[point] = result
-                        if snapshot is not None:
-                            rec.merge(snapshot)
-            finally:
-                if owned is not None:
-                    owned.close()
-        else:
-            for label in labels:
-                sim = sims[label]
-                for load in load_list:
-                    todo = [p for p in pending
-                            if p[0] == label and p[1] == load]
-                    if not todo:
+    pending: dict[str, list[tuple]] = {}
+    for label, scheme in schemes.items():
+        for load in load_list:
+            for rep in range(repeats):
+                point = (label, load, rep)
+                if cache is not None:
+                    keys[point] = point_key(xgft, scheme, config, load, rep,
+                                            workload_factory)
+                    hit = cache.get(keys[point])
+                    if hit is not None:
+                        results[point] = hit
                         continue
-                    with rec.timer("flit.load_point"):
-                        for point in todo:
-                            results[point] = sim.run(
-                                workload_factory(load),
-                                seed=point_seed(sim.config, point[2]))
-        rec.count("runner.points_computed", len(pending))
-        if cache is not None:
-            for point in pending:
-                cache.put(keys[point], results[point])
+                pending.setdefault(label, []).append(point)
 
-    # 3. Merge repeats and assemble per-key sweeps (serial semantics).
+    def store(point: tuple, result: FlitRunResult) -> None:
+        results[point] = result
+        if cache is not None:
+            cache.put(keys[point], result)
+
+    # 2. Compute the misses, building simulators only for their schemes.
+    n_pending = sum(len(todo) for todo in pending.values())
+    if n_jobs == 1:
+        for label, todo in pending.items():
+            sim = make_flit_simulator(engine, xgft, schemes[label], config)
+            for load, group in groupby(todo, key=lambda point: point[1]):
+                with rec.timer("flit.load_point"):
+                    for point in group:
+                        store(point, sim.run(
+                            workload_factory(load),
+                            seed=point_seed(config, point[2])))
+            del sim  # drop this route table before building the next
+    elif pending:
+        with PersistentPool(n_jobs) as pool, span(
+                "runner.run_sweeps", points=n_pending, schemes=len(pending)):
+            token = pool.put_context({
+                "sims": {label: make_flit_simulator(
+                             engine, xgft, schemes[label], config)
+                         for label in pending},
+                "workload_factory": workload_factory,
+            })
+            futures = {
+                pool.submit_task(_flit_point_task, token, label, load,
+                                 point_seed(config, rep)): (label, load, rep)
+                for todo in pending.values() for label, load, rep in todo
+            }
+            snapshots = {}
+            for future in as_completed(futures):
+                point = futures[future]
+                result, snapshots[point] = future.result()
+                store(point, result)
+        # Merge in submission order so the event stream is deterministic.
+        for point in futures.values():
+            if snapshots[point] is not None:
+                rec.merge(snapshots[point])
+    if n_pending:
+        rec.count("runner.points_computed", n_pending)
+
+    # 3. Merge repeats and assemble per-key sweeps.
     out: dict[str, SweepResult] = {}
-    for label in labels:
-        sim = sims[label]
-        scheme_label = sim.scheme.label
+    for label, scheme in schemes.items():
         merged_runs = []
         for load in load_list:
             merged = _merge_runs(
@@ -220,7 +220,7 @@ def run_sweeps(
             if rec.enabled:
                 rec.event(
                     "flit_load_point",
-                    scheme=scheme_label,
+                    scheme=scheme.label,
                     offered_load=merged.offered_load,
                     throughput=merged.throughput,
                     mean_delay=merged.mean_delay,
@@ -228,5 +228,5 @@ def run_sweeps(
                     saturated=merged.saturated,
                 )
             merged_runs.append(merged)
-        out[label] = SweepResult(scheme_label, tuple(merged_runs))
+        out[label] = SweepResult(scheme.label, tuple(merged_runs))
     return out

@@ -68,10 +68,9 @@ def test_compiled_plan_serves_identical_tables(xgft, rate):
     assert compile_routes(xgft, scheme) == plan.route_table()
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_parallel_study_streams_are_engine_invariant(n_jobs):
+def test_study_streams_are_engine_invariant():
     """Both engines draw the identical permutation stream — sample for
-    sample — including when each round fans out to pool workers."""
+    sample."""
     xgft = m_port_n_tree(8, 2)
     fabric = _connected_fabric(xgft, 0.2)
     scheme = DegradedScheme(make_scheme(xgft, "disjoint:2"), fabric)
@@ -79,16 +78,13 @@ def test_parallel_study_streams_are_engine_invariant(n_jobs):
     def study(engine):
         return PermutationStudy(
             xgft, initial_samples=16, max_samples=16, rel_precision=0.5,
-            seed=99, n_jobs=n_jobs, engine=engine,
+            seed=99, engine=engine,
         ).run(scheme)
 
     ref = study("reference")
     fast = study("compiled")
     assert len(ref.samples) == len(fast.samples) == 16
-    np.testing.assert_allclose(np.sort(ref.samples), np.sort(fast.samples),
-                               atol=1e-12)
-    if n_jobs == 1:
-        np.testing.assert_allclose(ref.samples, fast.samples, atol=1e-12)
+    np.testing.assert_allclose(ref.samples, fast.samples, atol=1e-12)
 
 
 def test_fault_sweep_experiment_engine_parity():

@@ -1,4 +1,4 @@
-"""Adaptive permutation study: stopping rule, reproducibility, pooling."""
+"""Adaptive permutation study: stopping rule, reproducibility, seed families."""
 
 import numpy as np
 import pytest
@@ -66,155 +66,12 @@ class TestSeedFamily:
         assert res.scheme_label == "random(2)"
 
 
-class TestParallel:
-    def test_parallel_matches_statistics(self, tree8x2):
-        """Parallel sampling draws from the same distribution (means
-        agree within the CI) and is reproducible per (seed, n_jobs)."""
-        kwargs = dict(initial_samples=24, max_samples=24, rel_precision=1.0,
-                      seed=7)
-        serial = PermutationStudy(tree8x2, **kwargs).run(
-            make_scheme(tree8x2, "d-mod-k"))
-        par_a = PermutationStudy(tree8x2, n_jobs=2, **kwargs).run(
-            make_scheme(tree8x2, "d-mod-k"))
-        par_b = PermutationStudy(tree8x2, n_jobs=2, **kwargs).run(
-            make_scheme(tree8x2, "d-mod-k"))
-        assert np.array_equal(par_a.samples, par_b.samples)
-        assert abs(par_a.mean - serial.mean) < 3 * serial.interval.half_width \
-            or abs(par_a.mean - serial.mean) < 0.5
-
-    def test_more_jobs_than_samples(self, tree8x2):
-        study = PermutationStudy(tree8x2, initial_samples=2, max_samples=2,
-                                 rel_precision=1.0, seed=1, n_jobs=8)
-        assert study.run(make_scheme(tree8x2, "d-mod-k")).interval.n_samples == 2
-
-    def test_parallel_reproducible_per_seed_and_jobs(self, tree8x2):
-        """A fixed (seed, n_jobs) pair reproduces exactly — both engines."""
-        for engine in ("reference", "compiled"):
-            kwargs = dict(initial_samples=12, max_samples=12,
-                          rel_precision=1.0, seed=21, n_jobs=3, engine=engine)
-            a = PermutationStudy(tree8x2, **kwargs).run(
-                make_scheme(tree8x2, "disjoint:2"))
-            b = PermutationStudy(tree8x2, **kwargs).run(
-                make_scheme(tree8x2, "disjoint:2"))
-            assert np.array_equal(a.samples, b.samples), engine
-
-    def test_parallel_shape_matches_serial(self, tree8x2):
-        """n_jobs=2 returns the same number of samples as n_jobs=1 and the
-        same per-worker streams across engines (same child seeds)."""
-        kwargs = dict(initial_samples=10, max_samples=10, rel_precision=1.0,
-                      seed=13)
-        serial = PermutationStudy(tree8x2, **kwargs).run(
-            make_scheme(tree8x2, "d-mod-k"))
-        for engine in ("reference", "compiled"):
-            par = PermutationStudy(tree8x2, n_jobs=2, engine=engine,
-                                   **kwargs).run(
-                make_scheme(tree8x2, "d-mod-k"))
-            assert par.samples.shape == serial.samples.shape
-
-    def test_parallel_cross_engine_samples_agree(self, tree8x2):
-        """Reference and compiled pool workers draw identical permutation
-        streams, so parallel samples agree to float tolerance."""
-        kwargs = dict(initial_samples=12, max_samples=12, rel_precision=1.0,
-                      seed=17, n_jobs=3)
-        ref = PermutationStudy(tree8x2, engine="reference", **kwargs).run(
-            make_scheme(tree8x2, "disjoint:2"))
-        comp = PermutationStudy(tree8x2, engine="compiled", **kwargs).run(
-            make_scheme(tree8x2, "disjoint:2"))
-        np.testing.assert_allclose(comp.samples, ref.samples, atol=1e-9)
-
-
-class TestPoolLifecycle:
-    """The pool-churn fix: one pool per run (or per scoped run group),
-    not one per adaptive round."""
-
-    def test_one_pool_across_adaptive_rounds(self, tree8x2):
-        from repro.obs import Recorder
-
-        rec = Recorder()
-        # rel_precision=-1 forces the full doubling ladder: 4 -> 8 -> 16
-        # samples = 3 rounds, which used to mean 3 executors.
-        study = PermutationStudy(tree8x2, initial_samples=4, max_samples=16,
-                                 rel_precision=-1.0, seed=5, n_jobs=2,
-                                 recorder=rec)
-        study.run(make_scheme(tree8x2, "d-mod-k"))
-        assert rec.timers["flow.sampling.round"][1] == 3
-        assert rec.counters["runner.pool_created"] == 1
-        assert rec.counters["runner.context_spilled"] == 1
-
-    def test_one_pool_across_seed_family(self, tree8x2):
-        from repro.obs import Recorder
-
-        rec = Recorder()
-        study = PermutationStudy(tree8x2, initial_samples=4, max_samples=4,
-                                 rel_precision=1.0, seed=1, n_jobs=2,
-                                 recorder=rec)
-        study.run_seed_family(
-            lambda seed: RandomMultipath(tree8x2, 2, seed=seed),
-            seeds=(0, 1, 2))
-        assert rec.counters["runner.pool_created"] == 1
-        # ...but each seed's scheme ships as its own context.
-        assert rec.counters["runner.context_spilled"] == 3
-        assert study._owned_pool is None  # released with the family
-
-    def test_owned_pool_released_after_run(self, tree8x2):
-        study = PermutationStudy(tree8x2, initial_samples=4, max_samples=4,
-                                 rel_precision=1.0, seed=1, n_jobs=2)
-        study.run(make_scheme(tree8x2, "d-mod-k"))
-        assert study._owned_pool is None
-
-    def test_context_manager_keeps_pool_warm_across_runs(self, tree8x2):
-        from repro.obs import Recorder
-
-        rec = Recorder()
-        study = PermutationStudy(tree8x2, initial_samples=4, max_samples=4,
-                                 rel_precision=1.0, seed=1, n_jobs=2,
-                                 recorder=rec)
-        with study:
-            study.run(make_scheme(tree8x2, "d-mod-k"))
-            pool = study._owned_pool
-            assert pool is not None and pool.running
-            study.run(make_scheme(tree8x2, "disjoint:2"))
-            assert study._owned_pool is pool
-        assert study._owned_pool is None
-        assert rec.counters["runner.pool_created"] == 1
-
-    def test_external_pool_shared_and_never_closed(self, tree8x2):
-        from repro.obs import Recorder
-        from repro.runner.pool import PersistentPool
-
-        rec = Recorder()
-        with PersistentPool(2) as pool:
-            for seed in (1, 2):
-                study = PermutationStudy(
-                    tree8x2, initial_samples=4, max_samples=4,
-                    rel_precision=1.0, seed=seed, n_jobs=2, recorder=rec,
-                    pool=pool)
-                study.run(make_scheme(tree8x2, "d-mod-k"))
-                assert study._owned_pool is None
-            assert pool.running  # studies never close an external pool
-        assert rec.counters["runner.pool_created"] == 1
-
-    def test_persistent_pool_preserves_sample_stream(self, tree8x2):
-        """The pool-churn fix must not change the drawn samples: a scoped
-        multi-round run reproduces an unscoped one exactly."""
-        kwargs = dict(initial_samples=4, max_samples=16, rel_precision=-1.0,
-                      seed=5, n_jobs=2)
-        plain = PermutationStudy(tree8x2, **kwargs).run(
-            make_scheme(tree8x2, "d-mod-k"))
-        scoped_study = PermutationStudy(tree8x2, **kwargs)
-        with scoped_study:
-            scoped = scoped_study.run(make_scheme(tree8x2, "d-mod-k"))
-        assert np.array_equal(plain.samples, scoped.samples)
-
-
 class TestValidation:
     def test_bad_parameters(self, tree8x2):
         with pytest.raises(ValueError):
             PermutationStudy(tree8x2, initial_samples=1)
         with pytest.raises(ValueError):
             PermutationStudy(tree8x2, initial_samples=8, max_samples=4)
-        with pytest.raises(ValueError):
-            PermutationStudy(tree8x2, n_jobs=0)
 
 
 class TestTelemetry:
@@ -237,39 +94,6 @@ class TestTelemetry:
         assert "flow.sampling.round" in rec.timers
         assert rec.timers["flow.sampling.round"][1] == 3
 
-    def test_cross_process_merge(self, tree8x2):
-        """Pool workers run under their own recorder; the parent merges
-        their counters/timers back, so totals match the serial path."""
-        from repro.obs import Recorder
-
-        rec = Recorder()
-        study = PermutationStudy(tree8x2, initial_samples=12, max_samples=12,
-                                 rel_precision=1.0, seed=7, n_jobs=3,
-                                 recorder=rec)
-        res = study.run(make_scheme(tree8x2, "d-mod-k"))
-        assert res.interval.n_samples == 12
-        assert rec.counters["flow.samples"] == 12
-        # Worker-side spans arrive via snapshot merge.
-        assert rec.timers["flow.sampling.worker"][1] == 3
-        per_sample = [name for name in rec.timers if "flow.max_load" in name]
-        assert sum(rec.timers[n][1] for n in per_sample) == 12
-
-    def test_compiled_parallel_merges_snapshots(self, tree8x2):
-        """Compiled-engine pool workers merge recorder snapshots exactly
-        like the reference ones (same span name, same sample counter)."""
-        from repro.obs import Recorder
-
-        rec = Recorder()
-        study = PermutationStudy(tree8x2, initial_samples=12, max_samples=12,
-                                 rel_precision=1.0, seed=7, n_jobs=3,
-                                 engine="compiled", recorder=rec)
-        res = study.run(make_scheme(tree8x2, "d-mod-k"))
-        assert res.interval.n_samples == 12
-        assert rec.counters["flow.samples"] == 12
-        assert rec.timers["flow.sampling.worker"][1] == 3
-        # Compile happened once, in the parent, before the fan-out.
-        assert rec.counters["routing.schemes_compiled"] == 1
-
     def test_compiled_serial_batch_telemetry(self, tree8x2):
         from repro.obs import Recorder
 
@@ -283,13 +107,3 @@ class TestTelemetry:
         # Nested under the sampling-round span.
         assert any("flow.batch_eval" in name for name in rec.timers)
         assert rec.events_of("compile_stats")
-
-    def test_parallel_disabled_recorder_ships_no_snapshots(self, tree8x2):
-        from repro.obs import NULL_RECORDER
-
-        study = PermutationStudy(tree8x2, initial_samples=4, max_samples=4,
-                                 rel_precision=1.0, seed=7, n_jobs=2,
-                                 recorder=NULL_RECORDER)
-        res = study.run(make_scheme(tree8x2, "d-mod-k"))
-        assert res.interval.n_samples == 4
-        assert NULL_RECORDER.counters == {}

@@ -1,9 +1,11 @@
 """Parallel/cached flit sweeps: bit-parity with serial, cache replay."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 
+import repro
 from repro.errors import ReproError, RunnerError
 from repro.experiments import figure5, table1
 from repro.experiments.registry import run_instrumented
@@ -12,8 +14,7 @@ from repro.flit.engine import FlitSimulator
 from repro.flit.sweep import load_sweep
 from repro.obs.recorder import Recorder, use_recorder
 from repro.routing.factory import make_scheme
-from repro.runner.cache import ResultCache
-from repro.runner.pool import PersistentPool
+from repro.runner.cache import ResultCache, cache_key
 from repro.runner.sweep import point_key, point_seed, run_sweeps
 from repro.topology.variants import m_port_n_tree
 
@@ -43,7 +44,8 @@ class TestParity:
     def test_parallel_bit_identical_to_serial(self, tree):
         scheme = make_scheme(tree, "d-mod-k")
         serial = load_sweep(tree, scheme, CFG, loads=LOADS, repeats=2)
-        par = load_sweep(tree, scheme, CFG, loads=LOADS, repeats=2, n_jobs=2)
+        par = run_sweeps(tree, {"d": scheme}, CFG, loads=LOADS, repeats=2,
+                         n_jobs=2)["d"]
         assert _runs_equal(serial, par)
 
     def test_point_seed_matches_serial_formula(self):
@@ -51,11 +53,11 @@ class TestParity:
         assert point_seed(CFG, 3) == CFG.seed + 3000
 
     def test_multi_scheme_grid_matches_per_scheme_serial(self, tree):
-        sims = {spec: FlitSimulator(tree, make_scheme(tree, spec), CFG)
-                for spec in ("d-mod-k", "shift-1:2")}
-        grid = run_sweeps(sims, loads=LOADS, n_jobs=2)
-        for spec, sim in sims.items():
-            serial = load_sweep(tree, sim.scheme, CFG, loads=LOADS)
+        schemes = {spec: make_scheme(tree, spec)
+                   for spec in ("d-mod-k", "shift-1:2")}
+        grid = run_sweeps(tree, schemes, CFG, loads=LOADS, n_jobs=2)
+        for spec, scheme in schemes.items():
+            serial = load_sweep(tree, scheme, CFG, loads=LOADS)
             assert _runs_equal(grid[spec], serial)
 
 
@@ -65,8 +67,8 @@ class TestCacheReplay:
         serial = load_sweep(tree, scheme, CFG, loads=LOADS, repeats=2)
         cold_rec = Recorder()
         with use_recorder(cold_rec):
-            cold = load_sweep(tree, scheme, CFG, loads=LOADS, repeats=2,
-                              cache=ResultCache(tmp_path))
+            cold = run_sweeps(tree, {"d": scheme}, CFG, loads=LOADS,
+                              repeats=2, cache=ResultCache(tmp_path))["d"]
         n_points = len(LOADS) * 2
         assert cold_rec.counters["runner.cache_miss"] == n_points
         assert cold_rec.counters["runner.cache_store"] == n_points
@@ -74,71 +76,103 @@ class TestCacheReplay:
 
         warm_rec = Recorder()
         with use_recorder(warm_rec):
-            warm = load_sweep(tree, scheme, CFG, loads=LOADS, repeats=2,
-                              cache=ResultCache(tmp_path))
+            warm = run_sweeps(tree, {"d": scheme}, CFG, loads=LOADS,
+                              repeats=2, cache=ResultCache(tmp_path),
+                              n_jobs=2)["d"]
         assert warm_rec.counters["runner.cache_hit"] == n_points
         assert "runner.points_computed" not in warm_rec.counters
         assert "runner.pool_created" not in warm_rec.counters
+        assert "flit.build" not in warm_rec.timers  # no route table built
         assert _runs_equal(warm, serial) and _runs_equal(cold, serial)
 
     def test_partial_cache_computes_only_missing_points(self, tree, tmp_path):
         scheme = make_scheme(tree, "d-mod-k")
-        load_sweep(tree, scheme, CFG, loads=LOADS[:1],
-                   cache=ResultCache(tmp_path))
+        cache = ResultCache(tmp_path)
+        run_sweeps(tree, {"d": scheme}, CFG, loads=LOADS[:1], cache=cache)
         rec = Recorder()
         with use_recorder(rec):
-            resumed = load_sweep(tree, scheme, CFG, loads=LOADS,
-                                 cache=ResultCache(tmp_path))
+            resumed = run_sweeps(tree, {"d": scheme}, CFG, loads=LOADS,
+                                 cache=ResultCache(tmp_path))["d"]
         assert rec.counters["runner.cache_hit"] == 1
         assert rec.counters["runner.points_computed"] == 1
         serial = load_sweep(tree, scheme, CFG, loads=LOADS)
         assert _runs_equal(resumed, serial)
 
+    def test_interrupted_sweep_keeps_finished_points(self, tree, tmp_path,
+                                                     monkeypatch):
+        """Kill a cached sweep mid-grid: the points it finished are on
+        disk, and the rerun computes only the rest."""
+        kwargs = dict(fidelity_name="fast", topology=tree,
+                      loads=(0.2, 0.4, 0.6, 0.8), config=CFG,
+                      curves=("d-mod-k",))
+        serial = figure5.run(**kwargs).sweeps["d-mod-k"]
+        real_run, finished = FlitSimulator.run, []
+
+        def interrupted_at_third_load(self, workload, **run_kwargs):
+            if len(finished) == 2:
+                raise KeyboardInterrupt
+            finished.append(real_run(self, workload, **run_kwargs))
+            return finished[-1]
+
+        monkeypatch.setattr(FlitSimulator, "run", interrupted_at_third_load)
+        with pytest.raises(KeyboardInterrupt):
+            figure5.run(cache=ResultCache(tmp_path), **kwargs)
+        monkeypatch.undo()
+        assert len(ResultCache(tmp_path)) == 2
+        rec = Recorder()
+        with use_recorder(rec):
+            resumed = figure5.run(cache=ResultCache(tmp_path), **kwargs)
+        assert rec.counters["runner.cache_hit"] == 2
+        assert rec.counters["runner.points_computed"] == 2
+        assert _runs_equal(resumed.sweeps["d-mod-k"], serial)
+
     def test_point_key_distinguishes_inputs(self, tree):
-        sim = FlitSimulator(tree, make_scheme(tree, "d-mod-k"), CFG)
-        base = point_key(sim, 0.2, 0)
-        assert point_key(sim, 0.4, 0) != base
-        assert point_key(sim, 0.2, 1) != base
-        other = FlitSimulator(tree, make_scheme(tree, "shift-1:2"), CFG)
-        assert point_key(other, 0.2, 0) != base
+        scheme = make_scheme(tree, "d-mod-k")
+        base = point_key(tree, scheme, CFG, 0.2, 0)
+        assert point_key(tree, scheme, CFG, 0.4, 0) != base
+        assert point_key(tree, scheme, CFG, 0.2, 1) != base
+        other = make_scheme(tree, "shift-1:2")
+        assert point_key(tree, other, CFG, 0.2, 0) != base
 
     def test_point_key_distinguishes_routing_seeds(self, tree):
-        a = FlitSimulator(tree, make_scheme(tree, "random:2", seed=0), CFG)
-        b = FlitSimulator(tree, make_scheme(tree, "random:2", seed=1), CFG)
-        assert point_key(a, 0.2, 0) != point_key(b, 0.2, 0)
+        a = make_scheme(tree, "random:2", seed=0)
+        b = make_scheme(tree, "random:2", seed=1)
+        assert point_key(tree, a, CFG, 0.2, 0) != point_key(tree, b, CFG, 0.2, 0)
+
+    def test_point_key_hashes_the_documented_parts(self, tree):
+        """The key table in docs/performance.md, part for part: a cache
+        written by an earlier version of the sweep code stays warm."""
+        scheme = make_scheme(tree, "random:2", seed=3)
+        assert point_key(tree, scheme, CFG, 0.6, 2) == cache_key({
+            "kind": "flit_run",
+            "code_version": repro.__version__,
+            "topology": repr(tree),
+            "scheme": "random(2)",
+            "scheme_repr": repr(scheme),
+            "scheme_seed": 3,
+            "config": asdict(CFG),
+            "workload": "UniformRandom",
+            "load": 0.6,
+            "seed": CFG.seed + 2000,
+        })
 
 
 class TestPoolSharing:
-    def test_external_pool_spans_schemes_and_survives(self, tree):
-        sims = {spec: FlitSimulator(tree, make_scheme(tree, spec), CFG)
-                for spec in ("d-mod-k", "shift-1:2")}
-        rec = Recorder()
-        with use_recorder(rec), PersistentPool(2) as pool:
-            run_sweeps(sims, loads=LOADS, n_jobs=2, pool=pool)
-            run_sweeps(sims, loads=LOADS[:1], n_jobs=2, pool=pool)
-            assert pool.running  # run_sweeps never closes external pools
-        assert rec.counters["runner.pool_created"] == 1
-
     def test_owned_pool_closed_after_call(self, tree):
-        sims = {"d-mod-k": FlitSimulator(tree, make_scheme(tree, "d-mod-k"),
-                                         CFG)}
         rec = Recorder()
         with use_recorder(rec):
-            run_sweeps(sims, loads=LOADS[:1], n_jobs=2)
+            run_sweeps(tree, {"d-mod-k": make_scheme(tree, "d-mod-k")}, CFG,
+                       loads=LOADS[:1], n_jobs=2)
         assert rec.counters["runner.pool_created"] == 1
 
     def test_validation(self, tree):
-        sims = {"d-mod-k": FlitSimulator(tree, make_scheme(tree, "d-mod-k"),
-                                         CFG)}
+        schemes = {"d-mod-k": make_scheme(tree, "d-mod-k")}
         with pytest.raises(RunnerError, match="repeats"):
-            run_sweeps(sims, repeats=0)
+            run_sweeps(tree, schemes, CFG, repeats=0)
         with pytest.raises(RunnerError, match="n_jobs"):
-            run_sweeps(sims, n_jobs=0)
-        # A from_tables simulator has no scheme to key cached points by.
-        tables = {"t": FlitSimulator.from_tables(
-            2, 2, {1: [(0,)], 2: [(1,)]}, CFG)}
-        with pytest.raises(RunnerError, match="no routing scheme"):
-            run_sweeps(tables, loads=LOADS[:1])
+            run_sweeps(tree, schemes, CFG, n_jobs=0)
+        with pytest.raises(ReproError, match="unknown flit engine"):
+            run_sweeps(tree, schemes, CFG, engine="turbo")
 
 
 class TestExperiments:

@@ -7,8 +7,6 @@ import math
 import pytest
 
 from repro.flit.config import FlitConfig
-from repro.flit.engine import FlitSimulator
-from repro.flow.sampling import PermutationStudy
 from repro.obs.recorder import Recorder, use_recorder
 from repro.obs.trace import span, spans_of
 from repro.routing.factory import make_scheme
@@ -131,11 +129,11 @@ class TestPoolTaskTelemetry:
 
 class TestParallelSweepTelemetry:
     def _sweep(self, tree, **kwargs):
-        sims = {spec: FlitSimulator(tree, make_scheme(tree, spec), CFG)
-                for spec in ("d-mod-k", "shift-1:2")}
+        schemes = {spec: make_scheme(tree, spec)
+                   for spec in ("d-mod-k", "shift-1:2")}
         rec = Recorder()
         with use_recorder(rec):
-            out = run_sweeps(sims, loads=LOADS, **kwargs)
+            out = run_sweeps(tree, schemes, CFG, loads=LOADS, **kwargs)
         return out, rec
 
     def test_parallel_merges_worker_counters_matching_serial(self, tree):
@@ -183,16 +181,3 @@ class TestParallelSweepTelemetry:
             if s["name"] == "runner.task":
                 assert s["parent_id"] == sweep_span["span_id"]
 
-
-class TestFlowStudyTelemetry:
-    def test_parallel_study_merges_worker_samples_and_timers(self, tree):
-        rec = Recorder()
-        study = PermutationStudy(tree, initial_samples=8, max_samples=16,
-                                 seed=5, n_jobs=2)
-        with use_recorder(rec):
-            result = study.run(make_scheme(tree, "d-mod-k"))
-        assert rec.counters["flow.samples"] == len(result.samples)
-        total, calls = rec.timers["flow.sampling.worker"]
-        assert calls >= 2 and total > 0
-        names = {s["name"] for s in spans_of(rec)}
-        assert {"flow.study", "flow.sample_chunk", "runner.task"} <= names

@@ -74,9 +74,21 @@ class TestCommands:
 
     def test_churn_flags_rejected_for_unaware_experiment(self, capsys):
         assert main(["table1", "--churn-events", "2"]) == 2
-        assert "does not support churn" in capsys.readouterr().err
+        assert "does not support --churn-events" in capsys.readouterr().err
         assert main(["fault-sweep", "--churn-seed", "1"]) == 2
-        assert "does not support churn" in capsys.readouterr().err
+        assert "does not support --churn-seed" in capsys.readouterr().err
+
+    def test_jobs_rejected_for_churn_sweep(self, capsys):
+        # the churn replay is serial; --jobs 2 must not be a silent no-op
+        assert main(["churn-sweep", "--fidelity", "fast", "--jobs", "2",
+                     "--quiet"]) == 2
+        assert "does not support --jobs" in capsys.readouterr().err
+
+    def test_fault_rate_and_fault_links_together_rejected(self, capsys):
+        # the explicit cables would silently replace the rate grid
+        assert main(["fault-sweep", "--fidelity", "fast", "--fault-rate",
+                     "0.05,0.1", "--fault-links", "256", "--quiet"]) == 2
+        assert "not both" in capsys.readouterr().err
 
     def test_batched_engine_accepted_for_flit_experiments(self, capsys):
         assert main(["table1", "--fidelity", "fast",
