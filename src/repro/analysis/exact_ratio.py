@@ -48,18 +48,14 @@ class ExactRatioResult:
 
 def _pair_fractions(xgft: XGFT, scheme: RoutingScheme) -> tuple[np.ndarray, ...]:
     """phi as a dense (n_pairs, n_links) matrix plus the pair index
-    arrays.  Built by evaluating unit traffic for all pairs at once per
-    NCA group via the existing vectorized kernel — one row per pair."""
+    arrays: one batched evaluation of unit traffic on each pair alone,
+    one row per pair."""
     n = xgft.n_procs
     pairs_s, pairs_d = np.divmod(np.arange(n * n, dtype=np.int64), n)
     keep = pairs_s != pairs_d
     pairs_s, pairs_d = pairs_s[keep], pairs_d[keep]
-    n_pairs = len(pairs_s)
-    phi = np.zeros((n_pairs, xgft.n_links))
-    for row in range(n_pairs):
-        tm = TrafficMatrix(n, [pairs_s[row]], [pairs_d[row]], [1.0])
-        phi[row] = link_loads(xgft, scheme, tm)
-    return phi, pairs_s, pairs_d
+    unit = (TrafficMatrix(n, [s], [d]) for s, d in zip(pairs_s, pairs_d))
+    return link_loads(xgft, scheme, unit), pairs_s, pairs_d
 
 
 def _boundary_constraints(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TrafficError
-from repro.flow.metrics import performance_ratio
-from repro.flow.simulator import check_engine
+from repro.flow.metrics import optimal_load, performance_ratio
+from repro.flow.simulator import FlowSimulator
 from repro.routing.base import RoutingScheme
 from repro.topology.xgft import XGFT
 from repro.traffic.adversarial import theorem2_pattern
@@ -45,35 +45,21 @@ def worst_case_permutation(
     returns ``(ratio, permutation)``.
 
     Both engines draw the identical permutation stream for a fixed
-    ``seed``; ``"compiled"`` evaluates all MLOADs in one batched call.
+    ``seed`` and evaluate all MLOADs in one batched call.
     """
-    check_engine(engine)
     rng = as_generator(seed)
     n = xgft.n_procs
+    sim = FlowSimulator(xgft, engine=engine)
     perms = [random_permutation(n, rng) for _ in range(samples)]
     if not perms:
         return 0.0, np.arange(n)
-    if engine == "compiled":
-        # Local imports: repro.flow imports this module's package peers.
-        from repro.flow.engine import BatchFlowEngine
-        from repro.flow.metrics import max_link_load, optimal_load
-        from repro.routing.compiled import compile_scheme
-
-        mloads = BatchFlowEngine(compile_scheme(xgft, scheme)) \
-            .permutation_mloads(np.stack(perms))
-        ratios = np.empty(len(perms))
-        for i, perm in enumerate(perms):
-            opt = optimal_load(xgft, permutation_matrix(perm))
-            ratios[i] = mloads[i] / opt if opt > 0 else 1.0
-        best = int(np.argmax(ratios))
-        return float(ratios[best]), perms[best]
-    best = 0.0
-    best_perm = np.arange(n)
-    for perm in perms:
-        ratio = performance_ratio(xgft, scheme, permutation_matrix(perm))
-        if ratio > best:
-            best, best_perm = ratio, perm
-    return best, best_perm
+    mloads = sim.permutation_mloads(scheme, np.stack(perms))
+    ratios = np.empty(len(perms))
+    for i, perm in enumerate(perms):
+        opt = optimal_load(xgft, permutation_matrix(perm))
+        ratios[i] = mloads[i] / opt if opt > 0 else 1.0
+    best = int(np.argmax(ratios))
+    return float(ratios[best]), perms[best]
 
 
 def empirical_oblivious_ratio(

@@ -24,10 +24,10 @@ error (exit 2), except the do-nothing ``--engine reference``,
 ``--jobs 1`` and ``--no-cache``:
 
 * ``--engine``: flow-level permutation studies take ``compiled``
-  (compile routes once, batch-evaluate rounds) and flit-level sweeps
-  (``table1``, ``figure5``) take ``batched`` (the native flit kernel,
-  bit-identical to the reference engine but several times faster);
-  ``reference`` is the default everywhere;
+  (compile routes once, evaluate each round over the plan) and
+  flit-level sweeps (``table1``, ``figure5``) take ``batched`` (the
+  native flit kernel, bit-identical to the reference engine but several
+  times faster); ``reference`` is the default everywhere;
 * ``--fault-rate R[,R...]`` (link failure rate grid), ``--fault-links
   ID[,ID...]`` (explicit failed cables, instead of a rate grid) and
   ``--fault-seed N`` (fault sampler seed): ``fault-sweep``;
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("reference", "compiled", "batched"),
         default=None,
         help="simulation backend: flow experiments take 'compiled' "
-             "(compile routes once, batch-evaluate rounds), flit "
+             "(compile routes once, evaluate rounds over the plan), flit "
              "experiments (table1, figure5) take 'batched' (calendar-"
              "queue kernel, bit-identical to the reference); 'reference' "
              "is the default everywhere")

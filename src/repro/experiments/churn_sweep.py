@@ -38,7 +38,6 @@ from repro.faults.churn import (
     generate_trace,
 )
 from repro.flow.loads import link_loads
-from repro.flow.metrics import max_link_load
 from repro.obs.recorder import get_recorder
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
@@ -171,8 +170,7 @@ def run(
             record = cache.get_record(key)
             if record is not None:
                 return float(record["mload"])
-        loads = [max_link_load(link_loads(xgft, scheme, tm))
-                 for tm in matrices]
+        loads = link_loads(xgft, scheme, matrices).max(axis=1).tolist()
         samples_used += len(loads)
         value = float(sum(loads) / len(loads))
         if cache is not None:

@@ -277,8 +277,7 @@ class DegradedFabric:
         self, s: np.ndarray, d: np.ndarray, idx: np.ndarray, k: int
     ) -> np.ndarray:
         """Which of the paths in the ``(n, P)`` index matrix ``idx``
-        survive: True iff every link of the path is alive."""
-        if k == 0:
-            return np.ones_like(np.asarray(idx), dtype=bool)
+        survive: True iff every link of the path is alive (a level-0
+        path has none)."""
         links = path_link_matrix(self.xgft, s, d, idx, k)
         return self.link_ok[links].all(axis=2)

@@ -1,7 +1,7 @@
 """Batched flow-level evaluation over compiled routing plans.
 
 The reference evaluator (:func:`repro.flow.loads.link_loads`) recomputes
-the routing decision for every traffic matrix.  :class:`BatchFlowEngine`
+the routing decision per batch of matrices.  :class:`BatchFlowEngine`
 consumes a :class:`~repro.routing.compiled.CompiledScheme` instead:
 evaluating a traffic matrix is one CSR row-gather plus one
 ``np.bincount``, and a *batch* of B permutations is evaluated in a

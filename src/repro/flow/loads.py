@@ -2,87 +2,94 @@
 
 For every SD pair and every path the routing scheme assigns it, the pair's
 traffic times the path's fraction is added to each directed link on the
-path.  Everything is closed-form arithmetic on path indices (see
-DESIGN.md Section 6), so the whole evaluation is a handful of NumPy
-expressions per tree level — no per-pair Python loops.
+path.  Link ids are closed-form (see DESIGN.md Section 6), so a whole
+batch of traffic matrices is one scheme query per tree level and one
+weighted ``np.bincount`` — no per-pair or per-matrix Python loops.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.routing.base import RoutingScheme
-from repro.routing.enumeration import path_codec
+from repro.routing.vectorized import path_link_matrix
 from repro.topology.xgft import XGFT
 from repro.traffic.matrix import TrafficMatrix
 
-
-def _accumulate_group(
-    xgft: XGFT,
-    scheme: RoutingScheme,
-    k: int,
-    s: np.ndarray,
-    d: np.ndarray,
-    amount: np.ndarray,
-    ids_out: list[np.ndarray],
-    weights_out: list[np.ndarray],
-) -> None:
-    """Emit (link id, weight) arrays for pairs whose NCA level is ``k``."""
-    idx = scheme.path_index_matrix(s, d, k)  # (n, P)
-    # Fault-aware schemes carry per-pair fractions (renormalized around
-    # failed paths, 0 on padding entries); pristine schemes share one
-    # per-level fraction vector.
-    frac_matrix = scheme.path_weight_matrix(s, d, k)
-    if frac_matrix is None:
-        frac_matrix = scheme.fractions(k)[None, :]
-    weights = (amount[:, None] * frac_matrix).ravel()
-    codec = path_codec(xgft, k)
-
-    # Accumulated low digits sum_{j<l} p_j W(j), per (pair, path).
-    low = np.zeros_like(idx)
-    for l in range(k):
-        port = (idx // codec.strides[l]) % xgft.w[l]
-        up_node = low + xgft.W(l) * (s // xgft.M(l))[:, None]
-        up_ids = xgft.up_link_id(l, up_node, port)
-        low = low + port * xgft.W(l)
-        down_parent = low + xgft.W(l + 1) * (d // xgft.M(l + 1))[:, None]
-        child_digit = ((d // xgft.M(l)) % xgft.m[l])[:, None]
-        down_ids = xgft.down_link_id(l, down_parent,
-                                     np.broadcast_to(child_digit, down_parent.shape))
-        ids_out.append(up_ids.ravel())
-        weights_out.append(weights)
-        ids_out.append(down_ids.ravel())
-        weights_out.append(weights)
+#: cap on the widest array one chunk of matrices builds, in entries: its
+#: pairs times ``W(h) * 2h`` (a degraded scheme's candidate-link matrix
+#: and the random heuristic's score matrix are that wide)
+CHUNK_ENTRIES = 1 << 22
 
 
-def link_loads(xgft: XGFT, scheme: RoutingScheme, tm: TrafficMatrix) -> np.ndarray:
-    """Directed-link load vector (length ``xgft.n_links``) produced by
-    routing ``tm`` with ``scheme``.
+def _chunk_loads(xgft: XGFT, scheme: RoutingScheme, pairs: list) -> np.ndarray:
+    """``(len(pairs), n_links)`` loads of each matrix's network pairs,
+    grouped by NCA level with each matrix's in its own order and matrix
+    ``b``'s link ids offset by ``b * n_links``.  A link lies in one
+    (level, direction) column, so it receives its contributions in the
+    same order as when its matrix is evaluated alone."""
+    n_links = xgft.n_links
+    s_all, d_all, amount = map(np.concatenate, zip(*pairs))
+    offset = np.repeat(np.arange(len(pairs)) * n_links,
+                       [len(s) for s, _, _ in pairs])
+    k_arr = xgft.nca_level(s_all, d_all)
+    groups = []
+    for k in range(1, xgft.h + 1):
+        rows = np.flatnonzero(k_arr == k)
+        if rows.size:
+            s, d = s_all[rows], d_all[rows]
+            idx = scheme.path_index_matrix(s, d, k)  # (n, P)
+            # Fault-aware schemes carry per-pair fractions (renormalized
+            # around failed paths, 0 on padding entries); pristine schemes
+            # share one per-level fraction vector.
+            frac = scheme.path_weight_matrix(s, d, k)
+            if frac is None:
+                frac = scheme.fractions(k)[None, :]
+            groups.append((k, rows, idx, amount[rows][:, None] * frac))
+    size = sum(idx.size * 2 * k for k, _, idx, _ in groups)
+    ids, weights = np.empty(size, dtype=np.int64), np.empty(size)
+    start = 0
+    for k, rows, idx, weight in groups:
+        stop, shape = start + idx.size * 2 * k, (*idx.shape, 2 * k)
+        path_link_matrix(xgft, s_all[rows], d_all[rows], idx, k,
+                         offset=offset[rows], out=ids[start:stop].reshape(shape))
+        weights[start:stop].reshape(shape)[...] = weight[:, :, None]
+        start = stop
+    loads = np.bincount(ids, weights=weights, minlength=len(pairs) * n_links)
+    return loads.reshape(len(pairs), n_links)
 
-    Self-pairs carry no network traffic and are ignored.  Pairs are
-    grouped by NCA level so each group shares a path codec and a path
-    count, keeping the computation fully vectorized.
+
+def link_loads(
+    xgft: XGFT, scheme: RoutingScheme,
+    tm: TrafficMatrix | Iterable[TrafficMatrix],
+) -> np.ndarray:
+    """Directed-link loads produced by routing traffic with ``scheme``.
+
+    One traffic matrix gives a vector of length ``xgft.n_links``; a
+    sequence (any iterable) of ``B`` matrices gives a ``(B, n_links)``
+    matrix whose row ``b`` equals the one-matrix call on ``tm[b]`` bit
+    for bit.  Self-pairs carry no network traffic and are ignored.
+    Matrices are evaluated in chunks of whole matrices that stay within
+    :data:`CHUNK_ENTRIES` unless one matrix alone exceeds it.
     """
-    if tm.n_procs != xgft.n_procs:
-        raise ValueError(
-            f"traffic matrix is over {tm.n_procs} nodes but topology has "
-            f"{xgft.n_procs}"
-        )
-    s, d, amount = tm.network_pairs()
-    ids_out: list[np.ndarray] = []
-    weights_out: list[np.ndarray] = []
-    if len(s):
-        k_arr = xgft.nca_level(s, d)
-        for k in range(1, xgft.h + 1):
-            mask = k_arr == k
-            if not mask.any():
-                continue
-            _accumulate_group(
-                xgft, scheme, k, s[mask], d[mask], amount[mask],
-                ids_out, weights_out,
+    matrices = [tm] if isinstance(tm, TrafficMatrix) else list(tm)
+    for m in matrices:
+        if m.n_procs != xgft.n_procs:
+            raise ValueError(
+                f"traffic matrix is over {m.n_procs} nodes but topology has "
+                f"{xgft.n_procs}"
             )
-    if not ids_out:
-        return np.zeros(xgft.n_links)
-    all_ids = np.concatenate(ids_out)
-    all_weights = np.concatenate(weights_out)
-    return np.bincount(all_ids, weights=all_weights, minlength=xgft.n_links)
+    pairs = [m.network_pairs() for m in matrices]
+    sizes = [len(s) * xgft.max_paths * 2 * xgft.h for s, _, _ in pairs]
+    loads = np.empty((len(pairs), xgft.n_links))
+    start = 0
+    while start < len(pairs):
+        stop, entries = start + 1, sizes[start]
+        while stop < len(pairs) and entries + sizes[stop] <= CHUNK_ENTRIES:
+            entries += sizes[stop]
+            stop += 1
+        loads[start:stop] = _chunk_loads(xgft, scheme, pairs[start:stop])
+        start = stop
+    return loads[0] if isinstance(tm, TrafficMatrix) else loads

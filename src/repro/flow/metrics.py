@@ -21,7 +21,9 @@ from repro.traffic.matrix import TrafficMatrix
 
 
 def max_link_load(loads: np.ndarray) -> float:
-    """``MLOAD``: the largest entry of a link-load vector (0 if empty)."""
+    """``MLOAD``: the largest entry of a 1-D link-load vector (0 if empty)."""
+    if np.ndim(loads) != 1:
+        raise ValueError(f"expected 1-D link loads, got shape {np.shape(loads)}")
     return float(loads.max()) if len(loads) else 0.0
 
 

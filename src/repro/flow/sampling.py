@@ -9,18 +9,19 @@ seeds".
 
 Engines
 -------
-With ``engine="compiled"`` the scheme is compiled once per study run
-(:func:`repro.routing.compiled.compile_scheme`) and each adaptive round
-is evaluated as one batched call
-(:meth:`repro.flow.engine.BatchFlowEngine.permutation_mloads`).  Both
-engines consume the identical permutation stream for a fixed seed, so
-their samples agree to float tolerance.  Sampling is serial: a study's
-sample stream is a function of its seed alone.
+Each adaptive round is one batched call: by default
+:meth:`repro.flow.simulator.FlowSimulator.permutation_mloads`; with
+``engine="compiled"`` the scheme is compiled once per study run and the
+round goes to :meth:`repro.flow.engine.BatchFlowEngine.permutation_mloads`.
+Both engines consume the identical permutation stream for a fixed seed,
+so their samples agree to float tolerance.  Sampling is serial: a
+study's sample stream is a function of its seed alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.obs.trace import span
 from repro.routing.base import RoutingScheme
 from repro.routing.compiled import CompiledScheme, compile_scheme
 from repro.topology.xgft import XGFT
-from repro.traffic.permutations import permutation_matrix, random_permutation
+from repro.traffic.permutations import random_permutation
 from repro.util.rng import as_generator
 
 
@@ -81,10 +82,10 @@ class PermutationStudy:
         Hard cap so studies terminate on noisy configurations; the result
         reports ``converged=False`` when the cap bites.
     engine:
-        ``"reference"`` evaluates one permutation at a time through
-        :class:`FlowSimulator`; ``"compiled"`` compiles the scheme once
-        per :meth:`run` and evaluates whole rounds as single batched
-        calls.
+        ``"reference"`` evaluates each round with one closed-form call
+        through :class:`FlowSimulator`; ``"compiled"`` compiles the
+        scheme once per :meth:`run` and evaluates each round over the
+        compiled plan.
     recorder:
         Optional :class:`repro.obs.Recorder`.  ``None`` (default) uses
         the ambient recorder (:func:`repro.obs.get_recorder`) at run
@@ -129,20 +130,14 @@ class PermutationStudy:
             self._perm_optimal = permutation_optimal_load(self.xgft)
         return self._perm_optimal
 
-    def _mload_samples(self, scheme: RoutingScheme, count: int, rng,
-                       rec, batch: BatchFlowEngine | None) -> list[float]:
+    def _mload_samples(self, evaluate, count: int, rng, rec) -> list[float]:
         if count <= 0:
             return []
         # Both engines consume the identical permutation stream.
-        perms = [random_permutation(self.xgft.n_procs, rng)
-                 for _ in range(count)]
-        if batch is not None:
-            out = batch.permutation_mloads(np.stack(perms)).tolist()
-        else:
-            out = [self.sim.max_load(scheme, permutation_matrix(p))
-                   for p in perms]
+        out = evaluate(np.stack([random_permutation(self.xgft.n_procs, rng)
+                                 for _ in range(count)]))
         rec.count("flow.samples", count)
-        return out
+        return out.tolist()
 
     def run(self, scheme: RoutingScheme | CompiledScheme) -> PermutationStudyResult:
         """Average max permutation load of ``scheme`` under the adaptive
@@ -153,15 +148,16 @@ class PermutationStudy:
         target = self.initial_samples
         round_index = 0
         with use_recorder(rec), span("flow.study", scheme=scheme.label):
-            batch = None
+            evaluate = partial(self.sim.permutation_mloads, scheme)
             if self.engine == "compiled" or isinstance(scheme, CompiledScheme):
                 # Compile once; every round reuses the plan.
-                batch = BatchFlowEngine(compile_scheme(self.xgft, scheme))
+                evaluate = BatchFlowEngine(
+                    compile_scheme(self.xgft, scheme)).permutation_mloads
             optimal = self.permutation_optimal
             while True:
                 with rec.timer("flow.sampling.round"):
                     samples.extend(self._mload_samples(
-                        scheme, target - len(samples), rng, rec, batch))
+                        evaluate, target - len(samples), rng, rec))
                 interval = confidence_interval(samples, self.confidence)
                 if rec.enabled:
                     rec.event(

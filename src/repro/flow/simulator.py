@@ -6,14 +6,14 @@ experiments and the CLI.
 
 Two evaluation engines are available (see ``docs/architecture.md``):
 
-* ``"reference"`` — the original closed-form evaluator
+* ``"reference"`` — the closed-form evaluator
   (:func:`repro.flow.loads.link_loads`), which re-derives the routing
-  decision per traffic matrix.  Simple, memory-light, the spec.
+  decision per batch of traffic matrices.  Memory-light, the spec.
 * ``"compiled"`` — routes are compiled once per scheme
   (:func:`repro.routing.compiled.compile_scheme`) and every evaluation
   is a gather + bincount over the cached incidence
-  (:class:`repro.flow.engine.BatchFlowEngine`).  Much faster when the
-  same scheme is evaluated against many traffic matrices.
+  (:class:`repro.flow.engine.BatchFlowEngine`).  Pays off when one
+  scheme meets many more permutations than the tree has pairs.
 
 Both agree to 1e-9 on every scheme family; the parity suite in
 ``tests/flow/test_engine.py`` enforces it.
@@ -34,6 +34,7 @@ from repro.routing.base import RoutingScheme
 from repro.routing.compiled import CompiledScheme, compile_scheme
 from repro.topology.xgft import XGFT
 from repro.traffic.matrix import TrafficMatrix
+from repro.traffic.permutations import permutation_matrix
 
 ENGINES = ("reference", "compiled")
 
@@ -173,7 +174,7 @@ class FlowSimulator:
         return FlowResult(loads, mload, opt, ratio, tuple(per_level))
 
     def max_load(self, scheme, tm: TrafficMatrix) -> float:
-        """Just ``MLOAD`` — the cheap path used by the sampling loops."""
+        """Just ``MLOAD`` of one matrix (a batch: :meth:`permutation_mloads`)."""
         rec = get_recorder()
         if not rec.enabled:
             return max_link_load(self._link_loads(scheme, tm))
@@ -185,16 +186,17 @@ class FlowSimulator:
     def permutation_mloads(self, scheme, perms: np.ndarray) -> np.ndarray:
         """MLOAD of a ``(B, n_procs)`` batch of permutations.
 
-        Under the compiled engine this is one stacked evaluation; the
-        reference engine falls back to a scalar loop (kept as the
-        comparison baseline for the parity tests and benchmarks).
+        Either engine evaluates the batch as one stacked call, timed as
+        ``flow.batch_eval``; the reference's is one
+        :func:`~repro.flow.loads.link_loads` call.
         """
         if self.engine == "compiled":
             return self.batch_engine(scheme).permutation_mloads(perms)
-        from repro.traffic.permutations import permutation_matrix
-
         perms = np.atleast_2d(np.asarray(perms, dtype=np.int64))
-        return np.array([
-            max_link_load(link_loads(self.xgft, scheme, permutation_matrix(p)))
-            for p in perms
-        ])
+        rec = get_recorder()
+        with rec.timer("flow.batch_eval"):
+            loads = link_loads(self.xgft, scheme, map(permutation_matrix, perms))
+        if rec.enabled:
+            rec.count("flow.batch_permutations", len(perms))
+            rec.count("flow.batch_eval_calls")
+        return loads.max(axis=1, initial=0.0)

@@ -87,8 +87,9 @@ def _transpose_incidence(
     sharing a link — collapse to a single entry.
     """
     span = n_procs * n_procs
-    combo = np.unique(entry_links.astype(np.int64) * span
-                      + entry_keys.astype(np.int64))
+    combo = np.sort(entry_links.astype(np.int64) * span
+                    + entry_keys.astype(np.int64))
+    combo = combo[np.diff(combo, prepend=-1) > 0]  # entries are >= 0
     links, keys = np.divmod(combo, span)
     indptr = np.zeros(n_links + 1, dtype=np.int64)
     np.cumsum(np.bincount(links, minlength=n_links), out=indptr[1:])
@@ -117,8 +118,8 @@ def candidate_link_index(xgft: XGFT) -> LinkPairIndex:
     keys_all = np.arange(n * n, dtype=np.int64)
     s_all, d_all = np.divmod(keys_all, n)
     k_arr = xgft.nca_level(s_all, d_all)
-    entry_links: list[np.ndarray] = []
-    entry_keys: list[np.ndarray] = []
+    entry_links = [np.empty(0, dtype=np.int64)]
+    entry_keys = [np.empty(0, dtype=np.int64)]
     for k in range(1, xgft.h + 1):
         mask = k_arr == k
         if not mask.any():
@@ -129,14 +130,8 @@ def candidate_link_index(xgft: XGFT) -> LinkPairIndex:
         links = path_link_matrix(xgft, s, d, idx, k)
         entry_links.append(links.reshape(-1))
         entry_keys.append(np.repeat(keys, x * 2 * k))
-    if entry_links:
-        index = _transpose_incidence(
-            xgft.n_links, n, np.concatenate(entry_links),
-            np.concatenate(entry_keys))
-    else:
-        index = LinkPairIndex(xgft.n_links,
-                              np.zeros(xgft.n_links + 1, dtype=np.int64),
-                              np.empty(0, dtype=np.int64))
+    index = _transpose_incidence(xgft.n_links, n, np.concatenate(entry_links),
+                                 np.concatenate(entry_keys))
     _CANDIDATE_INDEX_CACHE[xgft] = index
     return index
 

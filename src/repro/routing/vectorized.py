@@ -1,15 +1,16 @@
 """Batch path-to-link computation and the flit route table.
 
-Converts matrices of path indices into matrices of directed link ids in a
-few NumPy expressions per tree level, mirroring the closed forms used by
+Converts matrices of path indices into matrices of directed link ids with
+one gather and one add, mirroring the closed forms used by
 :func:`repro.routing.path.build_path` (which remains the readable scalar
-reference; tests assert both agree).  Used by the flit simulator's route
-table compiler and by the InfiniBand table builder.
+reference; tests assert both agree).  Used by the flow evaluator, the
+route compilers, the fault masks and the InfiniBand table builder.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -19,8 +20,28 @@ from repro.routing.enumeration import path_codec
 from repro.topology.xgft import XGFT
 
 
+@lru_cache(maxsize=512)
+def _path_link_table(xgft: XGFT, k: int) -> np.ndarray:
+    """Read-only ``(W(k), 2k)`` path part of each level-``k`` path's link
+    ids: with up ports ``p_l`` and ``low_l = sum_{j<l} p_j W(j)``, its
+    level-``l`` up link gets ``low_l w_l + p_l`` and its down link
+    ``m_l low_{l+1}``; the rest of each id depends on the pair alone."""
+    codec = path_codec(xgft, k)
+    t = np.arange(codec.num_paths, dtype=np.int64)
+    table = np.empty((t.size, 2 * k), dtype=np.int64)
+    low = np.zeros_like(t)
+    for l in range(k):
+        port = codec.port_array(t, l)
+        table[:, l] = low * xgft.w[l] + port
+        low = low + port * xgft.W(l)
+        table[:, 2 * k - 1 - l] = xgft.m[l] * low  # down-links run top-down
+    table.setflags(write=False)
+    return table
+
+
 def path_link_matrix(
-    xgft: XGFT, s: np.ndarray, d: np.ndarray, idx: np.ndarray, k: int
+    xgft: XGFT, s: np.ndarray, d: np.ndarray, idx: np.ndarray, k: int,
+    *, offset=0, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Link ids of every path in ``idx``.
 
@@ -30,6 +51,9 @@ def path_link_matrix(
         1-D arrays (length n) of processing-node ids with NCA level ``k``.
     idx:
         ``(n, P)`` path-index matrix.
+    offset, out:
+        Added to every id of a pair (a scalar or length n); an optional
+        C-contiguous ``(n, P, 2k)`` int64 array to fill.
 
     Returns
     -------
@@ -38,22 +62,17 @@ def path_link_matrix(
     """
     s = np.asarray(s, dtype=np.int64)
     d = np.asarray(d, dtype=np.int64)
-    idx = np.asarray(idx, dtype=np.int64)
-    n, p = idx.shape
-    codec = path_codec(xgft, k)
-    out = np.empty((n, p, 2 * k), dtype=np.int64)
-    low = np.zeros_like(idx)
+    pair = np.empty((s.size, 2 * k), dtype=np.int64)
     for l in range(k):
-        port = (idx // codec.strides[l]) % xgft.w[l]
-        up_node = low + xgft.W(l) * (s // xgft.M(l))[:, None]
-        out[:, :, l] = xgft.up_link_id(l, up_node, port)
-        low = low + port * xgft.W(l)
-        down_parent = low + xgft.W(l + 1) * (d // xgft.M(l + 1))[:, None]
-        child_digit = ((d // xgft.M(l)) % xgft.m[l])[:, None]
-        # Down-links are traversed top-down: level l is position 2k-1-l.
-        out[:, :, 2 * k - 1 - l] = xgft.down_link_id(
-            l, down_parent, np.broadcast_to(child_digit, down_parent.shape)
-        )
+        pair[:, l] = xgft.up_link_id(l, xgft.W(l) * (s // xgft.M(l)), 0)
+        pair[:, 2 * k - 1 - l] = xgft.down_link_id(
+            l, xgft.W(l + 1) * (d // xgft.M(l + 1)),
+            (d // xgft.M(l)) % xgft.m[l])
+    pair += np.reshape(offset, (-1, 1))
+    # mode "raise" would fill ``out`` through a buffer; "wrap" does not
+    out = np.take(_path_link_table(xgft, k), idx, axis=0, out=out,
+                  mode="wrap")
+    out += pair[:, None, :]
     return out
 
 

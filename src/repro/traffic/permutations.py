@@ -46,7 +46,7 @@ def permutation_matrix(perm: np.ndarray, amount: float = 1.0) -> TrafficMatrix:
     to ``perm[i]``."""
     perm = np.asarray(perm, dtype=np.int64)
     n = len(perm)
-    if sorted(perm.tolist()) != list(range(n)):
+    if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(n)):
         raise TrafficError("input is not a permutation")
     return TrafficMatrix(n, np.arange(n), perm, np.full(n, amount))
 

@@ -116,3 +116,10 @@ class TestPerformanceRatio:
 
 def test_max_link_load_empty_vector():
     assert max_link_load(np.array([])) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 4), ()])
+def test_max_link_load_rejects_non_vectors(shape):
+    # a batch's (B, n_links) matrix has one MLOAD per row, not one overall
+    with pytest.raises(ValueError, match="1-D"):
+        max_link_load(np.ones(shape))

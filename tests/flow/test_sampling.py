@@ -94,6 +94,20 @@ class TestTelemetry:
         assert "flow.sampling.round" in rec.timers
         assert rec.timers["flow.sampling.round"][1] == 3
 
+    def test_reference_round_batch_telemetry(self, tree8x2):
+        from repro.obs import Recorder
+
+        rec = Recorder()
+        study = PermutationStudy(tree8x2, initial_samples=4, max_samples=8,
+                                 rel_precision=-1.0, seed=7, recorder=rec)
+        study.run(make_scheme(tree8x2, "disjoint:2"))
+        # one batched evaluation per round (4 then 4 more samples)
+        assert rec.counters["flow.batch_permutations"] == 8
+        assert rec.counters["flow.batch_eval_calls"] == 2
+        # nested under the sampling-round timer
+        assert rec.timers["flow.sampling.round/flow.batch_eval"][1] == 2
+        assert "flow.max_load" not in rec.timers
+
     def test_compiled_serial_batch_telemetry(self, tree8x2):
         from repro.obs import Recorder
 

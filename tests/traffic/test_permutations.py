@@ -55,6 +55,21 @@ class TestPermutationMatrix:
         with pytest.raises(TrafficError):
             permutation_matrix(np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize("perm", [
+        [0, 2, 2, 1],           # duplicate (and a missing id)
+        [1, 2, 3, 4],           # out of range above
+        [-1, 0, 1, 2],          # out of range below
+        [[0, 1], [1, 0]],       # 2-D
+        [[1, 0]],               # 2-D with one row
+    ], ids=["duplicate", "above", "below", "2-D", "2-D-one-row"])
+    def test_rejects_every_non_permutation(self, perm):
+        with pytest.raises(TrafficError, match="not a permutation"):
+            permutation_matrix(np.array(perm))
+
+    def test_accepts_the_empty_and_identity_permutations(self):
+        assert permutation_matrix(np.array([], dtype=np.int64)).n_procs == 0
+        assert permutation_matrix(np.arange(5)).n_pairs == 5
+
 
 class TestSamplePermutations:
     def test_count_and_independence(self):
