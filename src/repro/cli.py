@@ -24,7 +24,8 @@ error (exit 2), except the do-nothing ``--engine reference``,
 ``--jobs 1`` and ``--no-cache``:
 
 * ``--engine``: flow-level permutation studies take ``compiled``
-  (compile routes once, evaluate each round over the plan) and
+  (select each scheme's paths once, then evaluate every round over
+  that cached plan, bit-identical to the reference) and
   flit-level sweeps (``table1``, ``figure5``) take ``batched`` (the
   native flit kernel, bit-identical to the reference engine but several
   times faster); ``reference`` is the default everywhere;
@@ -281,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("reference", "compiled", "batched"),
         default=None,
         help="simulation backend: flow experiments take 'compiled' "
-             "(compile routes once, evaluate rounds over the plan), flit "
+             "(select paths once per scheme, then evaluate every round "
+             "over that plan, bit-identical to the reference), flit "
              "experiments (table1, figure5) take 'batched' (calendar-"
              "queue kernel, bit-identical to the reference); 'reference' "
              "is the default everywhere")

@@ -141,7 +141,7 @@ def run(
     is a :class:`~repro.errors.FaultError`.
     ``engine`` selects the permutation evaluator exactly as in Figure 4;
     both engines consume the identical permutation stream, so their
-    curves agree to float tolerance.
+    curves are bit-identical.
     """
     if fault_links and rates is not None:
         raise FaultError(

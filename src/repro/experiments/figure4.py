@@ -86,8 +86,8 @@ def run_panel(
     ``topology`` overrides the panel's default (used by tests to run the
     same protocol on small trees); ``random_seeds`` controls how many
     routing seeds the random heuristic is averaged over (paper: five);
-    ``engine`` selects the permutation evaluator (``"compiled"`` batches
-    each adaptive round — see ``docs/architecture.md``).
+    ``engine`` selects the permutation evaluator (``"compiled"`` selects
+    each scheme's paths once per study — see ``docs/architecture.md``).
     """
     fid = fidelity(fidelity_name)
     if topology is None:

@@ -1,10 +1,12 @@
-"""Vectorized per-link load accumulation.
+"""Vectorized per-link load accumulation: the one flow evaluator.
 
 For every SD pair and every path the routing scheme assigns it, the pair's
 traffic times the path's fraction is added to each directed link on the
 path.  Link ids are closed-form (see DESIGN.md Section 6), so a whole
 batch of traffic matrices is one scheme query per tree level and one
-weighted ``np.bincount`` — no per-pair or per-matrix Python loops.
+weighted ``np.bincount`` — no per-pair or per-matrix Python loops.  A
+compiled plan (:func:`repro.routing.compiled.compile_scheme`) is read
+like any scheme, so both flow engines evaluate here.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
 from repro.routing.vectorized import path_link_matrix
 from repro.topology.xgft import XGFT
 from repro.traffic.matrix import TrafficMatrix
+from repro.traffic.permutations import permutation_matrix
 
 #: cap on the widest array one chunk of matrices builds, in entries: its
 #: pairs times ``W(h) * 2h`` (a degraded scheme's candidate-link matrix
@@ -93,3 +97,27 @@ def link_loads(
         loads[start:stop] = _chunk_loads(xgft, scheme, pairs[start:stop])
         start = stop
     return loads[0] if isinstance(tm, TrafficMatrix) else loads
+
+
+def permutation_mloads(
+    xgft: XGFT, scheme: RoutingScheme, perms: np.ndarray,
+) -> np.ndarray:
+    """MLOAD of each unit-traffic permutation in ``perms``.
+
+    ``perms`` is a ``(B, n_procs)`` int array (one permutation also
+    works); fixed points carry no traffic.  The batch is one
+    :func:`link_loads` call, timed as ``flow.batch_eval``.
+    """
+    perms = np.atleast_2d(np.asarray(perms, dtype=np.int64))
+    if perms.shape[1] != xgft.n_procs:
+        raise ValueError(
+            f"permutations are over {perms.shape[1]} nodes but topology has "
+            f"{xgft.n_procs}"
+        )
+    rec = get_recorder()
+    with rec.timer("flow.batch_eval"):
+        loads = link_loads(xgft, scheme, map(permutation_matrix, perms))
+    if rec.enabled:
+        rec.count("flow.batch_permutations", len(perms))
+        rec.count("flow.batch_eval_calls")
+    return loads.max(axis=1, initial=0.0)

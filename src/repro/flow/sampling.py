@@ -9,13 +9,15 @@ seeds".
 
 Engines
 -------
-Each adaptive round is one batched call: by default
+Each adaptive round is one batched
+:func:`~repro.flow.loads.link_loads` call: by default through
 :meth:`repro.flow.simulator.FlowSimulator.permutation_mloads`; with
 ``engine="compiled"`` the scheme is compiled once per study run and the
-round goes to :meth:`repro.flow.engine.BatchFlowEngine.permutation_mloads`.
-Both engines consume the identical permutation stream for a fixed seed,
-so their samples agree to float tolerance.  Sampling is serial: a
-study's sample stream is a function of its seed alone.
+round goes to :meth:`repro.flow.engine.BatchFlowEngine.permutation_mloads`,
+which reads the plan in place of the scheme.  Both engines consume the
+identical permutation stream for a fixed seed, so their samples are
+bit-identical.  Sampling is serial: a study's sample stream is a
+function of its seed alone.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class PermutationStudy:
     engine:
         ``"reference"`` evaluates each round with one closed-form call
         through :class:`FlowSimulator`; ``"compiled"`` compiles the
-        scheme once per :meth:`run` and evaluates each round over the
-        compiled plan.
+        scheme once per :meth:`run` and evaluates each round with the
+        same call over the compiled plan.
     recorder:
         Optional :class:`repro.obs.Recorder`.  ``None`` (default) uses
         the ambient recorder (:func:`repro.obs.get_recorder`) at run
@@ -149,7 +151,7 @@ class PermutationStudy:
         round_index = 0
         with use_recorder(rec), span("flow.study", scheme=scheme.label):
             evaluate = partial(self.sim.permutation_mloads, scheme)
-            if self.engine == "compiled" or isinstance(scheme, CompiledScheme):
+            if self.engine == "compiled":
                 # Compile once; every round reuses the plan.
                 evaluate = BatchFlowEngine(
                     compile_scheme(self.xgft, scheme)).permutation_mloads

@@ -4,19 +4,19 @@ Bundles the link-load evaluation and metrics into one object with a
 result type that carries per-level breakdowns — convenient for examples,
 experiments and the CLI.
 
-Two evaluation engines are available (see ``docs/architecture.md``):
+Both engines evaluate with the one closed-form evaluator,
+:func:`repro.flow.loads.link_loads` (see ``docs/architecture.md``); they
+differ only in when path selection runs:
 
-* ``"reference"`` — the closed-form evaluator
-  (:func:`repro.flow.loads.link_loads`), which re-derives the routing
-  decision per batch of traffic matrices.  Memory-light, the spec.
-* ``"compiled"`` — routes are compiled once per scheme
-  (:func:`repro.routing.compiled.compile_scheme`) and every evaluation
-  is a gather + bincount over the cached incidence
-  (:class:`repro.flow.engine.BatchFlowEngine`).  Pays off when one
-  scheme meets many more permutations than the tree has pairs.
+* ``"reference"`` — the scheme selects paths on every call.  The spec.
+* ``"compiled"`` — the scheme is compiled once
+  (:func:`repro.routing.compiled.compile_scheme`) into a cached plan,
+  and every call reads the plan in place of the scheme.  Pays off when
+  one scheme meets many batches and its selection is costly.
 
-Both agree to 1e-9 on every scheme family; the parity suite in
-``tests/flow/test_engine.py`` enforces it.
+They agree bit for bit on every scheme family, pristine or degraded;
+the parity suites in ``tests/flow/test_engine.py`` and
+``tests/faults/test_engine_parity.py`` enforce it.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.faults.churn import IncrementalDegradedScheme
+from repro.faults.scheme import DegradedScheme
 from repro.flow.engine import BatchFlowEngine
-from repro.flow.loads import link_loads
+from repro.flow.loads import link_loads, permutation_mloads
 from repro.flow.metrics import max_link_load, optimal_load
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
 from repro.routing.compiled import CompiledScheme, compile_scheme
 from repro.topology.xgft import XGFT
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.permutations import permutation_matrix
 
 ENGINES = ("reference", "compiled")
 
@@ -45,6 +46,17 @@ def check_engine(engine: str) -> None:
     if engine not in ENGINES:
         raise SimulationError(
             f"unknown flow engine {engine!r}; choose from {ENGINES}")
+
+
+def _fabric_version(scheme) -> int | None:
+    """Mutation counter of the fabric a fault-aware scheme routes around
+    (``None`` for any other scheme).  A plan compiled at one version is
+    stale at the next: an in-place fail/repair event moved the routes."""
+    if isinstance(scheme, DegradedScheme):
+        return scheme.degraded.version
+    if isinstance(scheme, IncrementalDegradedScheme):
+        return scheme.fabric.version
+    return None
 
 
 @dataclass(frozen=True)
@@ -103,9 +115,10 @@ class FlowSimulator:
     xgft:
         Topology under test.
     engine:
-        ``"reference"`` (default) re-derives routes per evaluation;
-        ``"compiled"`` compiles each scheme once on first use and serves
-        every subsequent evaluation from the cached incidence.
+        ``"reference"`` (default) re-selects paths per evaluation;
+        ``"compiled"`` compiles each scheme on first use and evaluates
+        its cached plan, recompiling a fault-aware scheme after an
+        in-place fail/repair event on its fabric.
 
     >>> from repro.topology import m_port_n_tree
     >>> from repro.routing import make_scheme
@@ -128,23 +141,29 @@ class FlowSimulator:
         self._boundary_slices = tuple(
             xgft.boundary_link_slices(l) for l in range(xgft.h)
         )
-        self._batch_engines: dict[RoutingScheme, BatchFlowEngine] = {}
+        self._batch_engines: dict[
+            RoutingScheme, tuple[int | None, BatchFlowEngine]] = {}
 
     def batch_engine(self, scheme: RoutingScheme | CompiledScheme) -> BatchFlowEngine:
         """The cached :class:`BatchFlowEngine` for ``scheme``, compiling
-        the plan on first use."""
-        eng = self._batch_engines.get(scheme)
-        if eng is None:
-            plan = scheme if isinstance(scheme, CompiledScheme) \
-                else compile_scheme(self.xgft, scheme)
-            eng = BatchFlowEngine(plan)
-            self._batch_engines[scheme] = eng
-        return eng
+        the plan on first use and again once the fabric a fault-aware
+        scheme routes around has changed."""
+        version = _fabric_version(scheme)
+        cached = self._batch_engines.get(scheme)
+        if cached is None or cached[0] != version:
+            cached = version, BatchFlowEngine(compile_scheme(self.xgft, scheme))
+            self._batch_engines[scheme] = cached
+        return cached[1]
+
+    def _routes(self, scheme):
+        """What the evaluator reads for ``scheme``: under the compiled
+        engine, its cached plan."""
+        if self.engine == "compiled":
+            return self.batch_engine(scheme).plan
+        return scheme
 
     def _link_loads(self, scheme, tm: TrafficMatrix) -> np.ndarray:
-        if self.engine == "compiled":
-            return self.batch_engine(scheme).link_loads(tm)
-        return link_loads(self.xgft, scheme, tm)
+        return link_loads(self.xgft, self._routes(scheme), tm)
 
     def evaluate(
         self,
@@ -184,19 +203,7 @@ class FlowSimulator:
         return mload
 
     def permutation_mloads(self, scheme, perms: np.ndarray) -> np.ndarray:
-        """MLOAD of a ``(B, n_procs)`` batch of permutations.
-
-        Either engine evaluates the batch as one stacked call, timed as
-        ``flow.batch_eval``; the reference's is one
-        :func:`~repro.flow.loads.link_loads` call.
-        """
-        if self.engine == "compiled":
-            return self.batch_engine(scheme).permutation_mloads(perms)
-        perms = np.atleast_2d(np.asarray(perms, dtype=np.int64))
-        rec = get_recorder()
-        with rec.timer("flow.batch_eval"):
-            loads = link_loads(self.xgft, scheme, map(permutation_matrix, perms))
-        if rec.enabled:
-            rec.count("flow.batch_permutations", len(perms))
-            rec.count("flow.batch_eval_calls")
-        return loads.max(axis=1, initial=0.0)
+        """MLOAD of a ``(B, n_procs)`` batch of permutations: one
+        :func:`~repro.flow.loads.link_loads` call, timed as
+        ``flow.batch_eval``."""
+        return permutation_mloads(self.xgft, self._routes(scheme), perms)

@@ -1,33 +1,26 @@
-"""Compiled routing plans: route construction split from traffic evaluation.
+"""Compiled routing plans: a scheme's path selection, run once.
 
 A :class:`~repro.routing.base.RoutingScheme` is, by contract, a pure
-function of the SD pair — yet the flow evaluator used to re-run
-``path_index_matrix`` and the closed-form link-id arithmetic for every
-traffic matrix.  :func:`compile_scheme` performs that work exactly once,
-materializing per NCA level
+function of the SD pair, yet the flow evaluator asks it again for every
+batch of traffic matrices.  :func:`compile_scheme` runs that selection
+exactly once for every ordered pair and keeps, per NCA level,
 
-* the dense ``(n_pairs, P)`` path-index matrix for every ordered pair at
-  that level, and
-* the per-pair link incidence: the ``(n_pairs, P, 2k)`` directed-link-id
-  tensor plus the per-entry traffic weights ``f_p`` (the path fractions,
-  each repeated over its ``2k`` links),
+* the dense ``(n_pairs, P)`` path-index matrix, and
+* for fault-aware (masked) schemes, the ``(n_pairs, P)`` per-pair
+  fractions.
 
-and flattens the lot into one CSR-style incidence over pair keys
-``s * n_procs + d``: ``indptr`` (length ``n_procs**2 + 1``), ``link_ids``
-and ``link_weights``.  Self-pairs are empty rows, so evaluators need no
-fixed-point masking.  Evaluating a traffic matrix is then a single
-gather + ``np.bincount`` (see :class:`repro.flow.engine.BatchFlowEngine`),
-and the same per-level link blocks back the flit route tables
-(:meth:`CompiledScheme.route_table`) and the InfiniBand LFT compiler
-(which only needs :meth:`CompiledScheme.path_index_matrix`).
+The plan reads as a scheme: it serves the read-only query surface from
+those tables, so the one flow evaluator
+(:func:`repro.flow.loads.link_loads`), the flit route compiler
+(:func:`repro.routing.vectorized.compile_routes`) and the InfiniBand LFT
+compiler take it in place of the scheme and give bit-identical results.
+Link ids are not stored; the readers derive them in closed form.  What
+the plan saves is the selection itself, which for a
+:class:`~repro.faults.scheme.DegradedScheme` checks the liveness of
+every candidate path.
 
-A compiled plan carries only NumPy arrays and the topology's ``(h, m, w)``
-tuples, so it pickles cheaply and ships to pool workers as-is.
-
-Memory scales as ``O(n_procs**2 * K * h)`` — fine for the benchmark and
-test topologies (hundreds of nodes) and for the paper's 512-node panels;
-on the 3456-node panels with large ``K`` prefer the reference engine or
-budget a few GB.
+A compiled plan carries only NumPy arrays and the topology's ``(h, m,
+w)`` tuples, so it pickles cheaply.  Memory is ``O(n_procs**2 * K)``.
 """
 
 from __future__ import annotations
@@ -40,7 +33,7 @@ import numpy as np
 from repro.errors import RoutingError
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
-from repro.routing.vectorized import RouteTable, path_link_matrix
+from repro.routing.vectorized import path_link_matrix
 from repro.topology.xgft import XGFT
 
 
@@ -48,11 +41,10 @@ from repro.topology.xgft import XGFT
 class LinkPairIndex:
     """Transposed incidence: directed link id -> ordered-pair keys.
 
-    The inverse of the pair->link CSR a compiled plan stores: for every
-    directed link, the sorted unique keys ``s * n_procs + d`` of the
-    pairs whose indexed paths traverse it.  This is the delta structure
-    incremental re-routing reads — when a link flips dead/alive, only
-    the pairs in its row can change their selection
+    For every directed link, the sorted unique keys ``s * n_procs + d``
+    of the pairs whose indexed paths traverse it.  This is the delta
+    structure incremental re-routing reads — when a link flips
+    dead/alive, only the pairs in its row can change their selection
     (:mod:`repro.faults.churn`).
     """
 
@@ -138,21 +130,12 @@ def candidate_link_index(xgft: XGFT) -> LinkPairIndex:
 
 @dataclass(frozen=True)
 class CompiledLevel:
-    """All ordered SD pairs whose NCA sits at one level, fully routed.
-
-    Rows are sorted by pair key ``s * n_procs + d``; every row has the
-    same width (``P`` paths of ``2k`` links each), so lookups are a
-    ``searchsorted`` and gathers are plain fancy indexing.
-    """
+    """The selected paths of every ordered SD pair whose NCA sits at one
+    level, one row per pair in pair-key order."""
 
     k: int
-    src: np.ndarray          # (n_pairs,) int64
-    dst: np.ndarray          # (n_pairs,) int64
-    keys: np.ndarray         # (n_pairs,) int64, sorted: src * n_procs + dst
     path_index: np.ndarray   # (n_pairs, P) int64
-    links: np.ndarray        # (n_pairs, P, 2k) int64 directed link ids
     fractions: np.ndarray    # (P,) float64, sums to 1 (nominal when masked)
-    link_weights: np.ndarray  # (P * 2k,) float64: fractions repeated per link
     #: per-pair fractions (n_pairs, P) for masked (fault-aware) plans —
     #: rows sum to 1 with zeros on dead-path padding; None when the
     #: shared ``fractions`` vector applies to every pair.
@@ -160,34 +143,21 @@ class CompiledLevel:
 
     @property
     def n_pairs(self) -> int:
-        return len(self.keys)
-
-    @property
-    def width(self) -> int:
-        """Incidence entries per pair (``P * 2k``)."""
-        return self.link_weights.size
-
-    @property
-    def masked(self) -> bool:
-        """True when the plan carries per-pair (degraded) weights."""
-        return self.pair_weights is not None
-
-    def pair_link_weights(self) -> np.ndarray:
-        """``(n_pairs, P * 2k)`` per-entry weights (materialized view)."""
-        if self.pair_weights is None:
-            return np.broadcast_to(self.link_weights, (self.n_pairs, self.width))
-        return np.repeat(self.pair_weights, 2 * self.k, axis=1)
+        return len(self.path_index)
 
 
 class CompiledScheme:
-    """A routing scheme materialized against its topology.
+    """A routing scheme's path selection, materialized against its
+    topology.
 
     Duck-types the read-only :class:`~repro.routing.base.RoutingScheme`
-    query surface (``path_index_matrix`` / ``fractions`` /
-    ``paths_per_pair`` / ``label`` / ``xgft``), serving every query from
-    the precomputed tables — so it can stand in for the scheme anywhere
-    routes are *read* (the reference evaluator, the LFT compiler) while
-    the batch engine consumes the CSR incidence directly.
+    query surface (``path_index_matrix`` / ``path_weight_matrix`` /
+    ``fractions`` / ``paths_per_pair`` / ``label`` / ``xgft``), serving
+    every query from the stored tables, so it stands in for the scheme
+    anywhere routes are *read*: the flow evaluator, the flit route
+    compiler and the LFT compiler.  A query is two gathers over pair
+    keys ``s * n_procs + d``: ``level_of_key`` (the pair's NCA level, 0
+    for self-pairs) and ``row_of_key`` (its row within that level).
     """
 
     def __init__(
@@ -196,22 +166,19 @@ class CompiledScheme:
         label: str,
         scheme_name: str,
         levels: dict[int, CompiledLevel],
-        indptr: np.ndarray,
-        link_ids: np.ndarray,
-        link_weights: np.ndarray,
+        level_of_key: np.ndarray,
+        row_of_key: np.ndarray,
     ):
         self.xgft = xgft
         self.label = label
         self.scheme_name = scheme_name
         self.levels = levels
-        self.indptr = indptr
-        self.link_ids = link_ids
-        self.link_weights = link_weights
-        self._link_index: LinkPairIndex | None = None
+        self.level_of_key = level_of_key
+        self.row_of_key = row_of_key
 
     def __repr__(self) -> str:
         return (f"CompiledScheme({self.label!r}, {self.xgft!r}, "
-                f"pairs={self.n_pairs}, nnz={self.nnz})")
+                f"pairs={self.n_pairs}, path_entries={self.path_entries})")
 
     # -- size accounting ----------------------------------------------
     @property
@@ -220,16 +187,15 @@ class CompiledScheme:
         return sum(lv.n_pairs for lv in self.levels.values())
 
     @property
-    def nnz(self) -> int:
-        """Total (pair, link) incidence entries."""
-        return int(self.link_ids.size)
+    def path_entries(self) -> int:
+        """Stored (pair, path) selections, padding included."""
+        return sum(lv.path_index.size for lv in self.levels.values())
 
     @property
     def nbytes(self) -> int:
-        total = self.indptr.nbytes + self.link_ids.nbytes + self.link_weights.nbytes
+        total = self.level_of_key.nbytes + self.row_of_key.nbytes
         for lv in self.levels.values():
-            total += lv.path_index.nbytes + lv.links.nbytes + lv.keys.nbytes
-            total += lv.src.nbytes + lv.dst.nbytes
+            total += lv.path_index.nbytes
             if lv.pair_weights is not None:
                 total += lv.pair_weights.nbytes
         return total
@@ -237,7 +203,7 @@ class CompiledScheme:
     @property
     def masked(self) -> bool:
         """True when any level carries per-pair (degraded) weights."""
-        return any(lv.masked for lv in self.levels.values())
+        return any(lv.pair_weights is not None for lv in self.levels.values())
 
     # -- RoutingScheme query surface ----------------------------------
     def paths_per_pair(self, k: int) -> int:
@@ -259,23 +225,6 @@ class CompiledScheme:
             return None
         return lv.pair_weights[self._rows(k, s, d)]
 
-    def link_index(self) -> LinkPairIndex:
-        """The plan's pair->link CSR transposed into link -> pair keys.
-
-        Covers the *selected* paths only (what the plan actually
-        routes); for the full candidate set a re-router needs under
-        repairs, see :func:`candidate_link_index`.  Built lazily once
-        and memoized on the plan.
-        """
-        if self._link_index is None:
-            positions = np.arange(self.nnz, dtype=np.int64)
-            entry_keys = np.searchsorted(self.indptr, positions,
-                                         side="right") - 1
-            self._link_index = _transpose_incidence(
-                self.xgft.n_links, self.xgft.n_procs, self.link_ids,
-                entry_keys)
-        return self._link_index
-
     # -- lookups -------------------------------------------------------
     def _level(self, k: int) -> CompiledLevel:
         try:
@@ -286,60 +235,23 @@ class CompiledScheme:
             ) from None
 
     def _rows(self, k: int, s, d) -> np.ndarray:
-        lv = self._level(k)
-        keys = (np.asarray(s, dtype=np.int64) * self.xgft.n_procs
-                + np.asarray(d, dtype=np.int64))
-        rows = np.searchsorted(lv.keys, keys)
-        ok = (rows < lv.n_pairs) & (lv.keys[np.minimum(rows, lv.n_pairs - 1)] == keys)
-        if not np.all(ok):
-            bad = keys[~np.asarray(ok).reshape(-1)][:1]
-            n = self.xgft.n_procs
-            raise RoutingError(
-                f"pair ({int(bad[0]) // n}, {int(bad[0]) % n}) does not have "
-                f"NCA level {k}"
-            )
-        return rows
-
-    # -- derived tables ------------------------------------------------
-    def route_table(self, pairs: np.ndarray | None = None) -> RouteTable:
-        """The flit simulator's route table, read off the stored
-        incidence (same contract as
-        :func:`repro.routing.vectorized.compile_routes`)."""
-
-        def block(lv: CompiledLevel, rows=slice(None)) -> tuple:
-            # Masked plans pad short rows with weight-0 duplicates; the
-            # flit simulator picks uniformly from a pair's paths, so
-            # padding must not reach it.
-            links = lv.links[rows]
-            keep = (np.ones(links.shape[:2], dtype=bool)
-                    if lv.pair_weights is None
-                    else lv.pair_weights[rows] > 0.0)
-            return lv.keys[rows], keep, links
-
         n = self.xgft.n_procs
-        if pairs is None:
-            return RouteTable.from_blocks(
-                n * n, [block(lv) for lv in self.levels.values()])
-        pairs = np.asarray(pairs, dtype=np.int64)
-        s_all, d_all = pairs[:, 0], pairs[:, 1]
-        if np.any(s_all == d_all):
-            raise ValueError("self-pairs have no network route")
-        k_arr = self.xgft.nca_level(s_all, d_all)
-        blocks = []
-        for k in np.unique(k_arr).tolist():
-            mask = k_arr == k
-            blocks.append(block(self._level(k),
-                                self._rows(k, s_all[mask], d_all[mask])))
-        return RouteTable.from_blocks(n * n, blocks)
+        keys = np.asarray(s, dtype=np.int64) * n + np.asarray(d, dtype=np.int64)
+        ok = self.level_of_key[keys] == k
+        if not ok.all():
+            bad = int(keys[~ok][0])
+            raise RoutingError(
+                f"pair ({bad // n}, {bad % n}) does not have NCA level {k}")
+        return self.row_of_key[keys]
 
 
 def compile_scheme(xgft: XGFT, scheme: RoutingScheme) -> CompiledScheme:
     """Compile ``scheme`` against ``xgft`` into a :class:`CompiledScheme`.
 
-    Runs the scheme's vectorized path selection and the closed-form
-    link-id arithmetic once for every ordered pair, grouped by NCA level.
-    Under an enabled recorder the compile is timed (``routing.compile``)
-    and summarized in a ``compile_stats`` event.
+    Runs the scheme's vectorized path selection once for every ordered
+    pair, grouped by NCA level.  Under an enabled recorder the compile is
+    timed (``routing.compile``) and summarized in a ``compile_stats``
+    event.
     """
     if isinstance(scheme, CompiledScheme):
         if scheme.xgft != xgft:
@@ -351,40 +263,25 @@ def compile_scheme(xgft: XGFT, scheme: RoutingScheme) -> CompiledScheme:
     t0 = perf_counter()
     with rec.timer("routing.compile"):
         n = xgft.n_procs
-        keys_all = np.arange(n * n, dtype=np.int64)
-        s_all = keys_all // n
-        d_all = keys_all % n
-        k_arr = xgft.nca_level(s_all, d_all)
-        counts = np.zeros(n * n, dtype=np.int64)
+        s_all, d_all = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        k_arr = xgft.nca_level(s_all, d_all).astype(np.int8)
+        row_of_key = np.zeros(n * n, dtype=np.int64)
         levels: dict[int, CompiledLevel] = {}
         for k in range(1, xgft.h + 1):
             mask = k_arr == k
             if not mask.any():
                 continue
-            s, d, keys = s_all[mask], d_all[mask], keys_all[mask]
+            s, d = s_all[mask], d_all[mask]
+            row_of_key[mask] = np.arange(s.size)
             idx = np.asarray(scheme.path_index_matrix(s, d, k), dtype=np.int64)
-            links = path_link_matrix(xgft, s, d, idx, k)
-            frac = np.asarray(scheme.fractions(k), dtype=np.float64)
-            link_w = np.repeat(frac, 2 * k)
             pair_w = scheme.path_weight_matrix(s, d, k)
             if pair_w is not None:
                 pair_w = np.ascontiguousarray(pair_w, dtype=np.float64)
-            levels[k] = CompiledLevel(k, s, d, keys, idx, links, frac, link_w,
-                                      pair_w)
-            counts[keys] = link_w.size
-        indptr = np.zeros(n * n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        nnz = int(indptr[-1])
-        link_ids = np.empty(nnz, dtype=np.int64)
-        link_weights = np.empty(nnz, dtype=np.float64)
-        for lv in levels.values():
-            width = lv.width
-            target = indptr[lv.keys][:, None] + np.arange(width, dtype=np.int64)
-            link_ids[target] = lv.links.reshape(lv.n_pairs, width)
-            link_weights[target] = lv.pair_link_weights()
-        plan = CompiledScheme(
-            xgft, scheme.label, scheme.name, levels, indptr, link_ids, link_weights
-        )
+            levels[k] = CompiledLevel(
+                k, idx, np.asarray(scheme.fractions(k), dtype=np.float64),
+                pair_w)
+        plan = CompiledScheme(xgft, scheme.label, scheme.name, levels, k_arr,
+                              row_of_key)
     if rec.enabled:
         rec.count("routing.schemes_compiled")
         rec.event(
@@ -392,7 +289,7 @@ def compile_scheme(xgft: XGFT, scheme: RoutingScheme) -> CompiledScheme:
             scheme=scheme.label,
             topology=repr(xgft),
             n_pairs=plan.n_pairs,
-            nnz=plan.nnz,
+            path_entries=plan.path_entries,
             levels=sorted(levels),
             nbytes=plan.nbytes,
             masked=plan.masked,

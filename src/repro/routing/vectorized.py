@@ -4,7 +4,7 @@ Converts matrices of path indices into matrices of directed link ids with
 one gather and one add, mirroring the closed forms used by
 :func:`repro.routing.path.build_path` (which remains the readable scalar
 reference; tests assert both agree).  Used by the flow evaluator, the
-route compilers, the fault masks and the InfiniBand table builder.
+flit route compiler, the fault masks and the churn candidate index.
 """
 
 from __future__ import annotations
@@ -202,11 +202,6 @@ def compile_routes(
     each pair's paths in the scheme's path order (fractions are
     ``scheme.fractions(k)``).
     """
-    if hasattr(scheme, "route_table"):
-        # Compiled plans already hold the per-pair link incidence —
-        # serve the table straight from it (duck-typed to avoid an
-        # import cycle with repro.routing.compiled).
-        return scheme.route_table(pairs)
     n = xgft.n_procs
     if pairs is None:
         grid_s, grid_d = np.divmod(np.arange(n * n, dtype=np.int64), n)

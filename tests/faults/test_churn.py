@@ -17,11 +17,7 @@ from repro.faults import (
 )
 from repro.faults.spec import samplable_cables
 from repro.obs import Recorder, use_recorder
-from repro.routing.compiled import (
-    LinkPairIndex,
-    candidate_link_index,
-    compile_scheme,
-)
+from repro.routing.compiled import LinkPairIndex, candidate_link_index
 from repro.routing.factory import make_scheme
 from repro.routing.vectorized import path_link_matrix
 from repro.topology.variants import m_port_n_tree
@@ -156,33 +152,6 @@ class TestCandidateLinkIndex:
         for link in range(0, tree8x2.n_links, 11):
             pairs = index.pairs_of(link)
             assert np.all(np.diff(pairs) > 0)
-
-
-class TestCompiledLinkIndex:
-    def test_selected_subset_of_candidates(self, tree8x2):
-        # The compiled plan's transpose covers *selected* paths only, so
-        # each link's pair set is a subset of the candidate index's.
-        plan = compile_scheme(tree8x2, make_scheme(tree8x2, "disjoint:2"))
-        selected = plan.link_index()
-        candidates = candidate_link_index(tree8x2)
-        assert selected.n_links == candidates.n_links
-        for link in range(0, tree8x2.n_links, 5):
-            sel = set(selected.pairs_of(link).tolist())
-            cand = set(candidates.pairs_of(link).tolist())
-            assert sel <= cand
-
-    def test_umulti_selected_equals_candidates(self, tree8x2):
-        # UMULTI uses every candidate path, so the two transposes agree.
-        plan = compile_scheme(tree8x2, make_scheme(tree8x2, "umulti"))
-        selected = plan.link_index()
-        candidates = candidate_link_index(tree8x2)
-        for link in range(tree8x2.n_links):
-            assert np.array_equal(selected.pairs_of(link),
-                                  candidates.pairs_of(link))
-
-    def test_cached_on_plan(self, tree8x2):
-        plan = compile_scheme(tree8x2, make_scheme(tree8x2, "d-mod-k"))
-        assert plan.link_index() is plan.link_index()
 
 
 class TestIncrementalDegradedScheme:

@@ -118,29 +118,23 @@ def test_identical_mload_under_both_engines(engine, tree8x2):
     # The engines consume the scheme through path_index/weight_matrix,
     # so equality there implies equal loads — this pins the integration
     # end to end anyway: evaluate real permutations on both wrappers.
+    # One simulator serves the whole trace, so the compiled engine must
+    # also recompile its cached plan after every event.
     base = make_scheme(tree8x2, "disjoint:2")
     trace = generate_trace(tree8x2, ChurnSpec(n_events=6, seed=3))
     inc = IncrementalDegradedScheme(base)
-    sim = FlowSimulator(tree8x2)
+    sim = FlowSimulator(tree8x2, engine=engine)
     rng = np.random.default_rng(0)
     perms = np.stack([random_permutation(tree8x2.n_procs, rng)
                       for _ in range(4)])
     for event in trace:
         inc.apply_event(event)
         oracle = _oracle(base, inc.fabric)
-        if engine == "compiled":
-            from repro.flow.engine import BatchFlowEngine
-            from repro.routing.compiled import compile_scheme
-
-            got = BatchFlowEngine(
-                compile_scheme(tree8x2, inc)).permutation_mloads(perms)
-            want = BatchFlowEngine(
-                compile_scheme(tree8x2, oracle)).permutation_mloads(perms)
-            np.testing.assert_array_equal(got, want)
-        else:
-            for p in perms:
-                tm = permutation_matrix(p)
-                assert sim.max_load(inc, tm) == sim.max_load(oracle, tm)
+        np.testing.assert_array_equal(sim.permutation_mloads(inc, perms),
+                                      sim.permutation_mloads(oracle, perms))
+        for p in perms:
+            tm = permutation_matrix(p)
+            assert sim.max_load(inc, tm) == sim.max_load(oracle, tm)
 
 
 def test_route_sets_match_after_churn(tree8x2):

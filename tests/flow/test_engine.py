@@ -1,9 +1,11 @@
-"""Engine parity: the compiled evaluator must match the reference.
+"""Engine parity: the compiled engine must match the reference bit for bit.
 
-The acceptance bar for the compiled path is numerical agreement with the
-closed-form reference evaluator to 1e-9 on identical traffic matrices,
-across every scheme family and on both 2- and 3-level topologies
-(including an irregular one with w_1 > 1).
+Both engines evaluate with the one closed-form evaluator; the compiled
+one reads a cached plan in place of the scheme.  So link loads,
+permutation MLOADs, ``FlowSimulator.evaluate`` and study samples must be
+*equal* on identical traffic, across every scheme family, pristine and
+degraded, on 2- and 3-level topologies (including irregular ones with
+w_1 > 1).
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.faults import DegradedScheme, FaultSpec
+from repro.faults.churn import ChurnEvent, IncrementalDegradedScheme
+from repro.faults.degraded import DegradedFabric
+from repro.faults.spec import samplable_cables
 from repro.flow.engine import BatchFlowEngine
 from repro.flow.loads import link_loads
 from repro.flow.metrics import max_link_load, permutation_optimal_load
@@ -26,7 +32,7 @@ from repro.traffic.permutations import permutation_matrix, random_permutation
 from repro.traffic.synthetic import all_to_all, shift_pattern
 
 SCHEME_SPECS = ("d-mod-k", "s-mod-k", "shift-1:3", "disjoint:3", "random:3",
-                "umulti")
+                "umulti", "degraded:disjoint:3")
 
 TOPOLOGIES = [
     m_port_n_tree(8, 2),          # 2-level, 32 nodes
@@ -34,6 +40,20 @@ TOPOLOGIES = [
     XGFT(3, (3, 2, 4), (1, 2, 3)),  # irregular radices
     XGFT(2, (3, 5), (2, 3)),      # w_1 > 1: multiple host uplinks
 ]
+
+
+def _scheme(xgft, spec):
+    """``make_scheme``; a ``degraded:`` prefix wraps the scheme in a
+    :class:`DegradedScheme` over a connected fabric with failed cables."""
+    if not spec.startswith("degraded:"):
+        return make_scheme(xgft, spec, seed=5)
+    for seed in range(64):
+        fabric = FaultSpec(link_rate=0.2, seed=seed).sample(xgft)
+        if fabric.is_connected and not fabric.is_pristine:
+            return DegradedScheme(
+                make_scheme(xgft, spec.removeprefix("degraded:"), seed=5),
+                fabric)
+    raise AssertionError("no connected non-pristine fabric found")
 
 
 def _random_tm(xgft, seed=0):
@@ -51,27 +71,32 @@ def _random_tm(xgft, seed=0):
 @pytest.mark.parametrize("spec", SCHEME_SPECS)
 class TestLinkLoadParity:
     def test_permutation_traffic(self, xgft, spec):
-        scheme = make_scheme(xgft, spec, seed=5)
-        engine = BatchFlowEngine(compile_scheme(xgft, scheme))
+        scheme = _scheme(xgft, spec)
+        sim = FlowSimulator(xgft, engine="compiled")
         rng = np.random.default_rng(42)
-        for _ in range(3):
-            tm = permutation_matrix(random_permutation(xgft.n_procs, rng))
-            ref = link_loads(xgft, scheme, tm)
-            np.testing.assert_allclose(engine.link_loads(tm), ref, atol=1e-9)
+        perms = np.stack([random_permutation(xgft.n_procs, rng)
+                          for _ in range(3)])
+        for perm in perms:
+            tm = permutation_matrix(perm)
+            assert np.array_equal(sim.evaluate(scheme, tm).loads,
+                                  link_loads(xgft, scheme, tm))
+        assert np.array_equal(sim.permutation_mloads(scheme, perms),
+                              FlowSimulator(xgft).permutation_mloads(scheme,
+                                                                     perms))
 
     def test_weighted_sparse_traffic(self, xgft, spec):
-        scheme = make_scheme(xgft, spec, seed=5)
-        engine = BatchFlowEngine(compile_scheme(xgft, scheme))
+        scheme = _scheme(xgft, spec)
         tm = _random_tm(xgft, seed=7)
-        ref = link_loads(xgft, scheme, tm)
-        np.testing.assert_allclose(engine.link_loads(tm), ref, atol=1e-9)
+        assert np.array_equal(
+            FlowSimulator(xgft, engine="compiled").evaluate(scheme, tm).loads,
+            link_loads(xgft, scheme, tm))
 
     def test_all_to_all(self, xgft, spec):
-        scheme = make_scheme(xgft, spec, seed=5)
-        engine = BatchFlowEngine(compile_scheme(xgft, scheme))
+        scheme = _scheme(xgft, spec)
         tm = all_to_all(xgft.n_procs)
-        ref = link_loads(xgft, scheme, tm)
-        np.testing.assert_allclose(engine.link_loads(tm), ref, atol=1e-9)
+        assert np.array_equal(
+            FlowSimulator(xgft, engine="compiled").evaluate(scheme, tm).loads,
+            link_loads(xgft, scheme, tm))
 
 
 class TestBatchPermutations:
@@ -85,20 +110,7 @@ class TestBatchPermutations:
         scalar = [max_link_load(link_loads(tree8x3, scheme,
                                            permutation_matrix(p)))
                   for p in perms]
-        np.testing.assert_allclose(batch, scalar, atol=1e-9)
-
-    def test_chunking_is_invisible(self, tree8x2, monkeypatch):
-        import repro.flow.engine as eng_mod
-
-        scheme = make_scheme(tree8x2, "shift-1:2")
-        engine = BatchFlowEngine(compile_scheme(tree8x2, scheme))
-        rng = np.random.default_rng(9)
-        perms = np.stack([random_permutation(tree8x2.n_procs, rng)
-                          for _ in range(8)])
-        whole = engine.permutation_mloads(perms)
-        # Force a scratch budget so small that every chunk is one perm.
-        monkeypatch.setattr(eng_mod, "_BATCH_BUDGET", 1)
-        np.testing.assert_allclose(engine.permutation_mloads(perms), whole)
+        assert np.array_equal(batch, scalar)
 
     def test_single_permutation_1d(self, tree8x2):
         scheme = make_scheme(tree8x2, "d-mod-k")
@@ -106,9 +118,8 @@ class TestBatchPermutations:
         perm = np.roll(np.arange(tree8x2.n_procs), 1)
         out = engine.permutation_mloads(perm)
         assert out.shape == (1,)
-        ref = max_link_load(link_loads(tree8x2, scheme,
-                                       permutation_matrix(perm)))
-        assert abs(out[0] - ref) < 1e-9
+        assert out[0] == max_link_load(link_loads(tree8x2, scheme,
+                                                  permutation_matrix(perm)))
 
     def test_rejects_bad_width(self, tree8x2):
         scheme = make_scheme(tree8x2, "d-mod-k")
@@ -124,11 +135,10 @@ class TestFlowSimulatorEngines:
         tm = shift_pattern(tree8x2.n_procs, 3)
         ref = FlowSimulator(tree8x2).evaluate(scheme, tm)
         comp = FlowSimulator(tree8x2, engine="compiled").evaluate(scheme, tm)
-        np.testing.assert_allclose(comp.loads, ref.loads, atol=1e-9)
-        assert abs(comp.max_load - ref.max_load) < 1e-9
+        assert np.array_equal(comp.loads, ref.loads)
+        assert comp.max_load == ref.max_load
         assert comp.optimal == ref.optimal
-        np.testing.assert_allclose(comp.per_level_max, ref.per_level_max,
-                                   atol=1e-9)
+        assert comp.per_level_max == ref.per_level_max
 
     def test_rejects_unknown_engine(self, tree8x2):
         with pytest.raises(SimulationError):
@@ -152,9 +162,8 @@ class TestFlowSimulatorEngines:
         plan = compile_scheme(tree8x2, scheme)
         sim = FlowSimulator(tree8x2, engine="compiled")
         tm = shift_pattern(tree8x2.n_procs, 1)
-        np.testing.assert_allclose(
-            sim.evaluate(plan, tm).loads,
-            link_loads(tree8x2, scheme, tm), atol=1e-9)
+        assert np.array_equal(sim.evaluate(plan, tm).loads,
+                              link_loads(tree8x2, scheme, tm))
 
     def test_permutation_mloads_both_engines(self, tree8x2):
         scheme = make_scheme(tree8x2, "random:2", seed=1)
@@ -164,7 +173,30 @@ class TestFlowSimulatorEngines:
         ref = FlowSimulator(tree8x2).permutation_mloads(scheme, perms)
         comp = FlowSimulator(tree8x2, engine="compiled") \
             .permutation_mloads(scheme, perms)
-        np.testing.assert_allclose(comp, ref, atol=1e-9)
+        assert np.array_equal(comp, ref)
+
+    @pytest.mark.parametrize("wrapper", ["from-scratch", "incremental"])
+    def test_plan_follows_in_place_fault_events(self, tree8x3, wrapper):
+        # A cable fails in place after the plan is cached: the compiled
+        # engine must recompile, not keep routing over the dead link.
+        base = make_scheme(tree8x3, "disjoint:2")
+        if wrapper == "from-scratch":
+            fabric = DegradedFabric(tree8x3)
+            scheme = DegradedScheme(base, fabric)
+        else:
+            scheme = IncrementalDegradedScheme(base)
+            fabric = scheme.fabric
+        sim = FlowSimulator(tree8x3, engine="compiled")
+        tm = all_to_all(tree8x3.n_procs)
+        sim.evaluate(scheme, tm)
+        cable = int(samplable_cables(tree8x3)[0])
+        if wrapper == "from-scratch":
+            fabric.fail_cable(cable)
+        else:
+            scheme.apply_event(ChurnEvent("fail", "cable", cable))
+        loads = sim.evaluate(scheme, tm).loads
+        assert np.array_equal(loads, link_loads(tree8x3, scheme, tm))
+        assert not loads[~fabric.link_ok].any()
 
 
 class TestStudyCrossEngine:
@@ -176,7 +208,7 @@ class TestStudyCrossEngine:
         ref = PermutationStudy(tree8x2, **kwargs).run(scheme)
         comp = PermutationStudy(tree8x2, engine="compiled", **kwargs) \
             .run(scheme)
-        np.testing.assert_allclose(comp.samples, ref.samples, atol=1e-9)
+        assert np.array_equal(comp.samples, ref.samples)
         assert comp.converged == ref.converged
 
     def test_result_carries_optimal(self, tree8x2):

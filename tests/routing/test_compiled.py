@@ -10,7 +10,7 @@ import pytest
 from repro.errors import RoutingError
 from repro.ib.lft import compile_lfts
 from repro.obs import Recorder, use_recorder
-from repro.routing.compiled import CompiledScheme, compile_scheme
+from repro.routing.compiled import compile_scheme
 from repro.routing.factory import make_scheme
 from repro.routing.vectorized import compile_routes
 from repro.topology.variants import m_port_n_tree
@@ -72,25 +72,24 @@ class TestDerivedTables:
     def test_route_table_matches_compile_routes(self, tree8x2, spec):
         scheme = make_scheme(tree8x2, spec)
         plan = compile_scheme(tree8x2, scheme)
-        assert plan.route_table() == compile_routes(tree8x2, scheme)
+        assert compile_routes(tree8x2, plan) == compile_routes(tree8x2, scheme)
 
     def test_compile_routes_delegates_to_plan(self, tree8x2, plan):
-        # Passing the compiled plan to compile_routes serves the table
-        # from the stored incidence.
+        # compile_routes reads the plan like any scheme.
         scheme = make_scheme(tree8x2, "disjoint:2")
         assert compile_routes(tree8x2, plan) == compile_routes(tree8x2, scheme)
 
     def test_route_table_subset_pairs(self, tree8x2, plan):
         pairs = np.array([[0, 31], [5, 9], [30, 2]])
-        table = plan.route_table(pairs)
-        full = plan.route_table()
+        table = compile_routes(tree8x2, plan, pairs)
+        full = compile_routes(tree8x2, plan)
         assert set(table) == {s * tree8x2.n_procs + d for s, d in pairs}
         for key, paths in table.items():
             assert full[key] == paths
 
-    def test_route_table_rejects_self_pairs(self, plan):
+    def test_route_table_rejects_self_pairs(self, tree8x2, plan):
         with pytest.raises(ValueError):
-            plan.route_table(np.array([[3, 3]]))
+            compile_routes(tree8x2, plan, np.array([[3, 3]]))
 
     def test_lfts_from_plan_match_scheme(self, tree8x2):
         scheme = make_scheme(tree8x2, "disjoint:2")
@@ -103,25 +102,7 @@ class TestDerivedTables:
                                       from_scheme.path_index)
 
 
-class TestCsrLayout:
-    def test_self_pairs_are_empty_rows(self, plan, tree8x2):
-        n = tree8x2.n_procs
-        counts = np.diff(plan.indptr)
-        self_keys = np.arange(n) * n + np.arange(n)
-        assert (counts[self_keys] == 0).all()
-        # Every cross pair has P * 2k entries for its NCA level.
-        assert plan.n_pairs == n * (n - 1)
-        assert plan.nnz == counts.sum()
-
-    def test_weights_sum_to_path_length(self, plan, tree8x2):
-        # Per pair, the link weights sum to (fractions · 1) * 2k = 2k.
-        n = tree8x2.n_procs
-        for s, d in [(0, n - 1), (0, 1)]:
-            key = s * n + d
-            lo, hi = plan.indptr[key], plan.indptr[key + 1]
-            k = int(tree8x2.nca_level(s, d))
-            assert plan.link_weights[lo:hi].sum() == pytest.approx(2 * k)
-
+class TestSize:
     def test_nbytes_positive(self, plan):
         assert plan.nbytes > 0
         assert "CompiledScheme" in repr(plan)
@@ -134,13 +115,15 @@ class TestTelemetry:
             compile_scheme(tree8x2, make_scheme(tree8x2, "disjoint:2"))
         assert rec.counters["routing.schemes_compiled"] == 1
         assert "routing.compile" in rec.timers
-        events = [e for e in rec.events if e.get("event") == "compile_stats"
-                  or e.get("name") == "compile_stats"
-                  or "nnz" in e]
+        events = rec.events_of("compile_stats")
         assert events, f"no compile_stats event in {rec.events}"
         stats = events[0]
-        assert stats["n_pairs"] == tree8x2.n_procs * (tree8x2.n_procs - 1)
-        assert stats["nnz"] > 0
+        n = tree8x2.n_procs
+        assert stats["n_pairs"] == n * (n - 1)
+        # disjoint:2 stores the one path of a pair under a leaf switch
+        # (w_1 = 1) and two paths of every other pair
+        leaf_pairs = n * (tree8x2.m[0] - 1)
+        assert stats["path_entries"] == leaf_pairs + 2 * (n * (n - 1) - leaf_pairs)
         assert stats["seconds"] >= 0
 
 
@@ -151,10 +134,10 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.xgft == plan.xgft
         assert clone.label == plan.label
-        np.testing.assert_array_equal(clone.link_ids, plan.link_ids)
-        np.testing.assert_array_equal(clone.indptr, plan.indptr)
-        np.testing.assert_allclose(clone.link_weights, plan.link_weights)
-        assert clone.route_table() == plan.route_table()
+        for k, lv in plan.levels.items():
+            np.testing.assert_array_equal(clone.levels[k].path_index,
+                                          lv.path_index)
+        assert compile_routes(tree8x2, clone) == compile_routes(tree8x2, plan)
 
 
 @pytest.mark.parametrize("xgft", [
@@ -164,8 +147,17 @@ class TestPickling:
     XGFT(2, (3, 5), (2, 3)),
 ], ids=repr)
 def test_compile_covers_every_cross_pair(xgft):
-    plan = compile_scheme(xgft, make_scheme(xgft, "d-mod-k"))
-    counts = np.diff(plan.indptr)
+    scheme = make_scheme(xgft, "d-mod-k")
+    plan = compile_scheme(xgft, scheme)
     n = xgft.n_procs
     s, d = np.divmod(np.arange(n * n), n)
-    assert ((counts > 0) == (s != d)).all()
+    k_arr = xgft.nca_level(s, d)
+    for k in range(1, xgft.h + 1):
+        at_k = k_arr == k
+        assert np.array_equal(plan.path_index_matrix(s[at_k], d[at_k], k),
+                              scheme.path_index_matrix(s[at_k], d[at_k], k))
+    assert plan.n_pairs == n * (n - 1)
+    # self-pairs have no route at any level
+    for k in plan.levels:
+        with pytest.raises(RoutingError):
+            plan.path_index_matrix(np.array([1]), np.array([1]), k)

@@ -71,7 +71,8 @@ class TestInvariants:
     def test_compiled_plan_serves_the_same_arrays(self, tree4x3, spec):
         scheme = make_scheme(tree4x3, spec, seed=5)
         table = compile_routes(tree4x3, scheme)
-        served = compile_scheme(tree4x3, scheme).route_table()
+        served = compile_routes(tree4x3, compile_scheme(tree4x3, scheme))
+        assert served == table
         for name in ("pair_ptr", "path_ptr", "links"):
             assert np.array_equal(getattr(served, name), getattr(table, name))
 
@@ -104,12 +105,13 @@ class TestMasked:
         plan = compile_scheme(tree4x3, degraded)
         assert plan.masked
         table = compile_routes(tree4x3, degraded)
-        served = plan.route_table()
+        served = compile_routes(tree4x3, plan)
+        assert served == table
         assert np.array_equal(served.pair_ptr, table.pair_ptr)
         assert np.array_equal(served.links, table.links)
         pairs = np.array([[0, 15], [3, 2], [9, 4]])
-        assert plan.route_table(pairs) == compile_routes(tree4x3, degraded,
-                                                         pairs)
+        assert (compile_routes(tree4x3, plan, pairs)
+                == compile_routes(tree4x3, degraded, pairs))
 
 
 class TestMappingView:
