@@ -1,15 +1,17 @@
 """Overhead of the observability layer (:mod:`repro.obs`).
 
-The recorder must be near-free when disabled.  The flow evaluator's two
-entry points each make one ``get_recorder()`` lookup per call:
+The recorder must be near-free when disabled.  Every flow evaluation
+makes one ``get_recorder()`` lookup and opens one timer (``flow.kernel``
+or ``flow.fallback.no_kernel``), and the two entry points add their own:
 ``FlowSimulator.permutation_mloads`` once per batched round of a
 permutation study (the hot path; a no-op timer and an ``enabled``
 check), and ``FlowSimulator.max_load`` once per single traffic matrix
 (an ``enabled`` check).  The flit event loop pays a single integer
 comparison per event.  This bench
-measures each against an uninstrumented baseline and **asserts** the
-disabled-recorder cost stays under the 5 % budget on both flow entry
-points; the enabled-recorder cost is reported for reference.
+measures each against an uninstrumented baseline (the same work through
+the evaluator's untimed core) and **asserts** the disabled-recorder cost
+stays under the 5 % budget on both flow entry points; the
+enabled-recorder cost is reported for reference.
 """
 
 from __future__ import annotations
@@ -19,16 +21,21 @@ from time import perf_counter
 
 import numpy as np
 
+from repro import native
 from repro.flit.config import FlitConfig
 from repro.flit.engine import FlitSimulator
 from repro.flit.workload import UniformRandom
-from repro.flow.loads import link_loads
+from repro.flow import loads
 from repro.flow.metrics import max_link_load
 from repro.flow.simulator import FlowSimulator
 from repro.obs import Recorder, use_recorder
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
-from repro.traffic.permutations import permutation_matrix, random_permutation
+from repro.traffic.permutations import (
+    permutation_matrix,
+    permutation_pairs,
+    random_permutation,
+)
 
 #: disabled-recorder overhead budget on the flow entry points (<5 %)
 OBS_OVERHEAD_BUDGET = 0.05
@@ -116,11 +123,12 @@ def measure_obs_overhead() -> dict[str, dict]:
     tm = permutation_matrix(perms[0])
     return {
         "round": _overhead(
-            lambda: link_loads(xgft, scheme, map(permutation_matrix, perms))
-            .max(axis=1, initial=0.0),
+            lambda: loads._loads(xgft, scheme, permutation_pairs(perms),
+                                 native.available()).max(axis=1, initial=0.0),
             lambda: sim.permutation_mloads(scheme, perms)),
         "max_load": _overhead(
-            lambda: max_link_load(link_loads(xgft, scheme, tm)),
+            lambda: max_link_load(loads._loads(
+                xgft, scheme, [tm.network_pairs()], native.available())[0]),
             lambda: sim.max_load(scheme, tm)),
     }
 

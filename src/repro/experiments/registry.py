@@ -18,6 +18,7 @@ from time import perf_counter
 from typing import Callable
 
 from repro.errors import ReproError
+from repro.flow.loads import kernels_ran as flow_kernels_ran
 from repro.obs import RunManifest, get_recorder, use_recorder
 
 
@@ -156,7 +157,10 @@ def run_instrumented(
     ``"reference: <why>"``, joined by ``"; "`` when runs differ.  With
     the recorder enabled that is what actually ran (see
     :func:`repro.flit.batched.kernels_ran`); otherwise it is whether the
-    kernel is available.
+    kernel is available.  With the recorder enabled, a run that evaluated
+    flow loads also gets ``extra["flow_kernel"]``: ``"native"`` or
+    ``"numpy: <why>"``, joined the same way (see
+    :func:`repro.flow.loads.kernels_ran`).
     """
     rec = recorder if recorder is not None else get_recorder()
     runner = get_experiment(name).load()
@@ -199,14 +203,16 @@ def run_instrumented(
     with use_recorder(rec), rec.timer(f"experiment.{name}"):
         result = runner(**kwargs)
     manifest.wall_time_s = perf_counter() - t0
-    if engine == "batched" and rec.enabled:
-        from repro.flit.batched import kernels_ran
+    if rec.enabled:
+        timers = {timer: (seconds, calls - before.get(timer, (0.0, 0))[1])
+                  for timer, (seconds, calls) in rec.timers.items()}
+        ran = {"flow_kernel": flow_kernels_ran(timers)}
+        if engine == "batched":
+            from repro.flit.batched import kernels_ran
 
-        ran = kernels_ran({
-            timer: (seconds, calls - before.get(timer, (0.0, 0))[1])
-            for timer, (seconds, calls) in rec.timers.items()})
-        if ran is not None:
-            manifest.extra["flit_kernel"] = ran
+            ran["flit_kernel"] = kernels_ran(timers)
+        manifest.extra.update(
+            (field, what) for field, what in ran.items() if what is not None)
     for attr, field in (("samples_used", "samples_used"),
                         ("topology", "topology")):
         value = getattr(result, attr, None)

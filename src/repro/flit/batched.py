@@ -4,7 +4,8 @@ reference.
 ``BatchedFlitSimulator`` produces exactly the event sequence of
 :class:`repro.flit.engine.FlitSimulator` — same results, same telemetry,
 bit for bit — from one call of ``kernel.c``, compiled on demand by
-:mod:`repro.flit.native`.  The kernel runs in two phases:
+:mod:`repro.native` and driven by :mod:`repro.flit.native`.  The kernel
+runs in two phases:
 
 * **Phase A** replays the arrival process.  Every RNG draw in the
   reference happens while processing an ``_INJECT`` event, and the
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import random
 
+from repro import native as library
 from repro.errors import SimulationError
 from repro.flit import native
 from repro.flit.config import FlitConfig
@@ -91,14 +93,7 @@ def kernels_ran(timers: dict) -> str | None:
     ``name -> (seconds, calls)``) executed: ``"native"``,
     ``"reference: <why>"`` per fallback reason, joined by ``"; "``; None
     when no batched run was timed."""
-    ran = {name.rpartition("/")[2] for name, (_, calls) in timers.items()
-           if calls}
-    parts = ["native"] if "flit.kernel" in ran else []
-    for reason, why in FALLBACKS.items():
-        if f"flit.fallback.{reason}" in ran:
-            parts.append(
-                f"reference: {why or native.unavailable_reason()}")
-    return "; ".join(parts) or None
+    return library.kernels_ran(timers, "flit", "reference", FALLBACKS)
 
 
 class BatchedFlitSimulator(FlitSimulator):

@@ -1,6 +1,7 @@
 /* Native kernel for the batched flit engine: one call is one whole run.
  *
- * Compiled on demand by repro.flit.native and loaded through ctypes;
+ * Compiled on demand by repro.native, into one shared library with
+ * flow/loads.c, loaded through ctypes and driven by repro.flit.native;
  * when it cannot be built the batched engine runs the reference engine
  * (repro.flit.engine.FlitSimulator) instead.  The differential suite
  * tests/flit/test_batched_parity.py pins it to the reference bit for

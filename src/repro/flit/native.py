@@ -1,30 +1,20 @@
-"""On-demand compiled kernel for the batched flit engine.
+"""The batched flit engine's native entry point.
 
-One call of ``kernel.c`` runs a whole batched flit run, from the
-``random.Random`` state to the statistics: phase A replays the arrival
-process (destinations, path choices, arrival clocks) with CPython's own
-random-number formulas, and phase B processes the events, mirroring
-:meth:`repro.flit.engine.FlitSimulator.run` event for event, for both
-switch models and with telemetry.  This module compiles ``kernel.c``
-(shipped alongside) into a shared library once per machine, caches it
-under ``~/.cache/repro-flit`` keyed by source hash, and loads it with
-ctypes.
-
-When the kernel cannot be built or loaded, :func:`available` is false,
-:func:`unavailable_reason` says why ("no C compiler", "build failed:
-...", "load failed: ..."), and the batched engine runs the reference
-engine instead: correct, just slower.  No third-party packages are
-involved — just ``ctypes`` and a cc.
+One ``run_batched`` call of ``kernel.c`` runs a whole batched flit run,
+from the ``random.Random`` state to the statistics: phase A replays the
+arrival process (destinations, path choices, arrival clocks) with
+CPython's own random-number formulas, and phase B processes the events,
+mirroring :meth:`repro.flit.engine.FlitSimulator.run` event for event,
+for both switch models and with telemetry.  :mod:`repro.native` builds
+and loads the library; its :func:`available` and
+:func:`unavailable_reason` are re-exported here.  Without the library
+the batched engine runs the reference engine instead: correct, just
+slower.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 
 import numpy as np
 
@@ -35,8 +25,9 @@ from repro.flit.workload import (
     UniformRandom,
     Workload,
 )
+from repro.native import available, lib, ptr, unavailable_reason
 
-_SOURCE = os.path.join(os.path.dirname(__file__), "kernel.c")
+__all__ = ["arrivals", "available", "run", "unavailable_reason"]
 
 # params[] layout — must match the P_* enum in kernel.c.
 _P_COUNT = 19
@@ -57,98 +48,11 @@ _UNIFORM, _PERMUTATION, _HOTSPOT, _TRACE = range(4)
 # Telemetry row width: t, injected, delivered, credit_stalls, occupancy.
 _ROW = 5
 
-_lib = None
-_reason: str | None = None
-_load_attempted = False
-
-
-def _cache_dir() -> str:
-    root = os.environ.get("REPRO_KERNEL_CACHE")
-    if not root:
-        root = os.path.join(
-            os.environ.get("XDG_CACHE_HOME")
-            or os.path.join(os.path.expanduser("~"), ".cache"),
-            "repro-flit")
-    os.makedirs(root, exist_ok=True)
-    return root
-
-
-def _build(so_path: str) -> str | None:
-    """Compile ``kernel.c`` into ``so_path``; why it failed, or None."""
-    cc = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
-    if cc is None:
-        return "no C compiler"
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(so_path))
-    os.close(fd)
-    try:
-        proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SOURCE, "-lm"],
-            capture_output=True, text=True, timeout=120)
-        if proc.returncode != 0:
-            lines = proc.stderr.strip().splitlines()
-            return "build failed: " + (
-                lines[0] if lines else f"{cc} exited {proc.returncode}")
-        os.replace(tmp, so_path)  # atomic: concurrent builds collapse
-    except (OSError, subprocess.SubprocessError) as exc:
-        return f"build failed: {exc}"
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return None
-
-
-def _load() -> str | None:
-    """Build (unless cached) and load the kernel into ``_lib``; why it
-    failed, or None."""
-    global _lib
-    try:
-        with open(_SOURCE, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-        so_path = os.path.join(_cache_dir(), f"kernel-{digest}.so")
-    except OSError as exc:
-        return f"build failed: {exc}"
-    if not os.path.exists(so_path):
-        reason = _build(so_path)
-        if reason is not None:
-            return reason
-    try:
-        lib = ctypes.CDLL(so_path)
-        fn, release = lib.run_batched, lib.release
-    except (OSError, AttributeError) as exc:
-        return f"load failed: {exc}"
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    fn.restype = ctypes.c_long
-    fn.argtypes = ([i64p, ctypes.POINTER(ctypes.c_double),
-                    ctypes.POINTER(ctypes.c_uint32)] + [i64p] * 7
-                   + [ctypes.POINTER(i64p)])
-    release.restype = None
-    release.argtypes = [i64p]
-    _lib = lib
-    return None
-
-
-def available() -> bool:
-    """Whether the compiled kernel can be used (cached after first call)."""
-    global _reason, _load_attempted
-    if not _load_attempted:
-        _load_attempted = True
-        _reason = _load()
-    return _lib is not None
-
-
-def unavailable_reason() -> str | None:
-    """Why :func:`available` is false, or None when the kernel loaded."""
-    return None if available() else _reason
-
-
-def _ptr(a: np.ndarray, ctype=ctypes.c_int64):
-    return a.ctypes.data_as(ctypes.POINTER(ctype))
-
 
 def _i64(values):
     """An int64 pointer to ``values`` (copied only if not already a
     contiguous int64 array)."""
-    return _ptr(np.ascontiguousarray(values, dtype=np.int64))
+    return ptr(np.ascontiguousarray(values, dtype=np.int64))
 
 
 def arrivals(workload: Workload | None, trace, n_procs: int,
@@ -225,11 +129,12 @@ def run(state: tuple, source: tuple, routes, cfg, n_channels: int,
         dtype=np.int64)
     out = np.zeros(_O_COUNT, dtype=np.int64)
     delays = ctypes.POINTER(ctypes.c_int64)()
-    rc = _lib.run_batched(
-        _ptr(params), _ptr(np.array([rate, hot_fraction]), ctypes.c_double),
-        _ptr(np.array(state[1], dtype=np.uint32), ctypes.c_uint32),
+    kernel = lib()
+    rc = kernel.run_batched(
+        ptr(params), ptr(np.array([rate, hot_fraction]), ctypes.c_double),
+        ptr(np.array(state[1], dtype=np.uint32), ctypes.c_uint32),
         _i64(routes.pair_ptr), _i64(routes.path_ptr), _i64(routes.links),
-        _i64(data), _i64(initial_credits), _ptr(telemetry), _ptr(out),
+        _i64(data), _i64(initial_credits), ptr(telemetry), ptr(out),
         ctypes.byref(delays))
     try:
         if rc == _RC_NO_ROUTE:
@@ -244,7 +149,7 @@ def run(state: tuple, source: tuple, routes, cfg, n_channels: int,
         delay_list = (np.ctypeslib.as_array(delays, (n_delays,)).tolist()
                       if n_delays else [])
     finally:
-        _lib.release(delays)
+        kernel.release(delays)
 
     messages_measured = int(out[_O_MESSAGES_MEASURED])
     stats = (delay_list, messages_measured,

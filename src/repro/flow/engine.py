@@ -2,8 +2,8 @@
 
 :class:`BatchFlowEngine` holds one
 :class:`~repro.routing.compiled.CompiledScheme` and evaluates each batch
-of permutations with the same :func:`repro.flow.loads.link_loads` call
-as the reference engine, reading the plan as the scheme.  The two
+of permutations with the same :func:`repro.flow.loads.permutation_mloads`
+call as the reference engine, reading the plan as the scheme.  The two
 engines differ only in when path selection runs, so they agree bit for
 bit; the plan pays off when one scheme meets many batches and its
 selection is costly (a fault-aware scheme checks every candidate path).

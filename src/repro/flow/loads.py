@@ -2,44 +2,58 @@
 
 For every SD pair and every path the routing scheme assigns it, the pair's
 traffic times the path's fraction is added to each directed link on the
-path.  Link ids are closed-form (see DESIGN.md Section 6), so a whole
-batch of traffic matrices is one scheme query per tree level and one
-weighted ``np.bincount`` — no per-pair or per-matrix Python loops.  A
-compiled plan (:func:`repro.routing.compiled.compile_scheme`) is read
-like any scheme, so both flow engines evaluate here.
+path.  Link ids are closed-form (see DESIGN.md Section 6): a per-pair
+part plus a per-path part.  So a whole batch of traffic matrices is one
+scheme query per tree level and one scatter-add per query, with no
+per-pair or per-matrix Python loops.  The scatter-add is the native
+``scatter_loads`` (``loads.c``, built by :mod:`repro.native`), which adds
+each weight straight into the load vector; when the library cannot be
+built or loaded it is the numpy staging instead: an ``(n, P, 2k)``
+link-id tensor, an equally large weight tensor and one weighted
+``np.bincount``.  Both add the same floats to each link in the same
+order, so they agree bit for bit.  With the recorder on, each evaluation
+is timed as ``flow.kernel`` or ``flow.fallback.no_kernel``.  A compiled
+plan (:func:`repro.routing.compiled.compile_scheme`) is read like any
+scheme, so both flow engines evaluate here.
 """
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Iterable
 
 import numpy as np
 
+from repro import native
+from repro.errors import RoutingError
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
-from repro.routing.vectorized import path_link_matrix
+from repro.routing.vectorized import (
+    pair_link_part,
+    path_index_error,
+    path_link_matrix,
+    path_link_table,
+)
 from repro.topology.xgft import XGFT
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.permutations import permutation_matrix
+from repro.traffic.permutations import permutation_pairs
 
 #: cap on the widest array one chunk of matrices builds, in entries: its
 #: pairs times ``W(h) * 2h`` (a degraded scheme's candidate-link matrix
 #: and the random heuristic's score matrix are that wide)
 CHUNK_ENTRIES = 1 << 22
 
+# Return codes of scatter_loads, as the SCATTER_* enum in loads.c.
+_RC_BAD_PATH = 1
+_RC_BAD_LINK = 2
 
-def _chunk_loads(xgft: XGFT, scheme: RoutingScheme, pairs: list) -> np.ndarray:
-    """``(len(pairs), n_links)`` loads of each matrix's network pairs,
-    grouped by NCA level with each matrix's in its own order and matrix
-    ``b``'s link ids offset by ``b * n_links``.  A link lies in one
-    (level, direction) column, so it receives its contributions in the
-    same order as when its matrix is evaluated alone."""
-    n_links = xgft.n_links
-    s_all, d_all, amount = map(np.concatenate, zip(*pairs))
-    offset = np.repeat(np.arange(len(pairs)) * n_links,
-                       [len(s) for s, _, _ in pairs])
+
+def _level_groups(xgft: XGFT, scheme: RoutingScheme, s_all: np.ndarray,
+                  d_all: np.ndarray, amount: np.ndarray):
+    """Per NCA level with pairs, in level order: ``(k, rows, idx,
+    weight)``, the level's rows, their ``(n, P)`` path indices and the
+    traffic each of those paths carries."""
     k_arr = xgft.nca_level(s_all, d_all)
-    groups = []
     for k in range(1, xgft.h + 1):
         rows = np.flatnonzero(k_arr == k)
         if rows.size:
@@ -51,7 +65,54 @@ def _chunk_loads(xgft: XGFT, scheme: RoutingScheme, pairs: list) -> np.ndarray:
             frac = scheme.path_weight_matrix(s, d, k)
             if frac is None:
                 frac = scheme.fractions(k)[None, :]
-            groups.append((k, rows, idx, amount[rows][:, None] * frac))
+            yield k, rows, idx, amount[rows][:, None] * frac
+
+
+def _scatter(loads: np.ndarray, pair: np.ndarray, table: np.ndarray,
+             idx, weight) -> None:
+    """Add ``weight[i, j]`` to ``loads[pair[i] + table[idx[i, j]]]`` in
+    ``(i, j, link)`` order, natively."""
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    weight = np.ascontiguousarray(np.broadcast_to(weight, idx.shape),
+                                  dtype=np.float64)
+    pair = np.ascontiguousarray(pair, dtype=np.int64)
+    # the C loop trusts these shapes and writes into ``loads`` in place
+    if (pair.shape != (len(idx), table.shape[1]) or loads.dtype != np.float64
+            or not loads.flags.c_contiguous):
+        raise ValueError("scatter_loads needs an (n, 2k) pair part and a "
+                         "contiguous float64 load vector")
+    bad = ctypes.c_int64()
+    rc = native.lib().scatter_loads(
+        *idx.shape, table.shape[1], native.ptr(pair), native.ptr(table),
+        len(table), native.ptr(idx), native.ptr(weight, ctypes.c_double),
+        native.ptr(loads, ctypes.c_double), loads.size, ctypes.byref(bad))
+    if rc == _RC_BAD_PATH:
+        raise path_index_error(bad.value, len(table))
+    if rc == _RC_BAD_LINK:
+        raise RoutingError(f"link id {bad.value} out of range [0, {loads.size})")
+
+
+def _chunk_loads(xgft: XGFT, scheme: RoutingScheme, pairs: list,
+                 out: np.ndarray, kernel: bool) -> None:
+    """Fill the zeroed ``(len(pairs), n_links)`` ``out`` with the loads
+    of each list of network pairs.  Pairs are grouped by NCA level with
+    each list's in its own order and list ``b``'s link ids offset by
+    ``b * n_links``.  A link lies in one (level, direction) column, so it
+    receives its contributions in the same order as when its list is
+    evaluated alone, on either path."""
+    n_links = xgft.n_links
+    s_all, d_all, amount = map(np.concatenate, zip(*pairs))
+    offset = np.repeat(np.arange(len(pairs)) * n_links,
+                       [len(s) for s, _, _ in pairs])
+    groups = _level_groups(xgft, scheme, s_all, d_all, amount)
+    if kernel:
+        for k, rows, idx, weight in groups:
+            _scatter(out.reshape(-1),
+                     pair_link_part(xgft, s_all[rows], d_all[rows], k,
+                                    offset[rows]),
+                     path_link_table(xgft, k), idx, weight)
+        return
+    groups = list(groups)
     size = sum(idx.size * 2 * k for k, _, idx, _ in groups)
     ids, weights = np.empty(size, dtype=np.int64), np.empty(size)
     start = 0
@@ -61,8 +122,44 @@ def _chunk_loads(xgft: XGFT, scheme: RoutingScheme, pairs: list) -> np.ndarray:
                          offset=offset[rows], out=ids[start:stop].reshape(shape))
         weights[start:stop].reshape(shape)[...] = weight[:, :, None]
         start = stop
-    loads = np.bincount(ids, weights=weights, minlength=len(pairs) * n_links)
-    return loads.reshape(len(pairs), n_links)
+    out.reshape(-1)[:] = np.bincount(ids, weights=weights, minlength=out.size)
+
+
+def _loads(xgft: XGFT, scheme: RoutingScheme, pairs: list,
+           kernel: bool) -> np.ndarray:
+    """``(len(pairs), n_links)`` loads of each ``(src, dst, amount)``
+    list of network pairs, on the native path if ``kernel``.  Lists are
+    evaluated in chunks of whole lists that stay within
+    :data:`CHUNK_ENTRIES` unless one list alone exceeds it."""
+    sizes = [len(s) * xgft.max_paths * 2 * xgft.h for s, _, _ in pairs]
+    loads = np.zeros((len(pairs), xgft.n_links))
+    start = 0
+    while start < len(pairs):
+        stop, entries = start + 1, sizes[start]
+        while stop < len(pairs) and entries + sizes[stop] <= CHUNK_ENTRIES:
+            entries += sizes[stop]
+            stop += 1
+        _chunk_loads(xgft, scheme, pairs[start:stop], loads[start:stop],
+                     kernel)
+        start = stop
+    return loads
+
+
+def _evaluate(xgft: XGFT, scheme: RoutingScheme, pairs: list) -> np.ndarray:
+    """:func:`_loads` on the native path when the library loads, timed as
+    ``flow.kernel``, else on the numpy path, timed as
+    ``flow.fallback.no_kernel``."""
+    kernel = native.available()
+    with get_recorder().timer(
+            "flow.kernel" if kernel else "flow.fallback.no_kernel"):
+        return _loads(xgft, scheme, pairs, kernel)
+
+
+def kernels_ran(timers: dict) -> str | None:
+    """What the evaluations timed in ``timers`` (a recorder's ``name ->
+    (seconds, calls)``) executed: ``"native"``, ``"numpy: <why>"``, or
+    both joined by ``"; "``; None when none was timed."""
+    return native.kernels_ran(timers, "flow", "numpy", {"no_kernel": None})
 
 
 def link_loads(
@@ -76,7 +173,9 @@ def link_loads(
     matrix whose row ``b`` equals the one-matrix call on ``tm[b]`` bit
     for bit.  Self-pairs carry no network traffic and are ignored.
     Matrices are evaluated in chunks of whole matrices that stay within
-    :data:`CHUNK_ENTRIES` unless one matrix alone exceeds it.
+    :data:`CHUNK_ENTRIES` unless one matrix alone exceeds it.  A path
+    index outside ``[0, W(k))`` raises
+    :class:`~repro.errors.RoutingError`.
     """
     matrices = [tm] if isinstance(tm, TrafficMatrix) else list(tm)
     for m in matrices:
@@ -85,17 +184,7 @@ def link_loads(
                 f"traffic matrix is over {m.n_procs} nodes but topology has "
                 f"{xgft.n_procs}"
             )
-    pairs = [m.network_pairs() for m in matrices]
-    sizes = [len(s) * xgft.max_paths * 2 * xgft.h for s, _, _ in pairs]
-    loads = np.empty((len(pairs), xgft.n_links))
-    start = 0
-    while start < len(pairs):
-        stop, entries = start + 1, sizes[start]
-        while stop < len(pairs) and entries + sizes[stop] <= CHUNK_ENTRIES:
-            entries += sizes[stop]
-            stop += 1
-        loads[start:stop] = _chunk_loads(xgft, scheme, pairs[start:stop])
-        start = stop
+    loads = _evaluate(xgft, scheme, [m.network_pairs() for m in matrices])
     return loads[0] if isinstance(tm, TrafficMatrix) else loads
 
 
@@ -105,8 +194,11 @@ def permutation_mloads(
     """MLOAD of each unit-traffic permutation in ``perms``.
 
     ``perms`` is a ``(B, n_procs)`` int array (one permutation also
-    works); fixed points carry no traffic.  The batch is one
-    :func:`link_loads` call, timed as ``flow.batch_eval``.
+    works); fixed points carry no traffic.  Each row's pairs go to the
+    evaluator as they are
+    (:func:`~repro.traffic.permutations.permutation_pairs`), with no
+    traffic matrix built; the batch is one evaluation, timed as
+    ``flow.batch_eval``.
     """
     perms = np.atleast_2d(np.asarray(perms, dtype=np.int64))
     if perms.shape[1] != xgft.n_procs:
@@ -116,7 +208,7 @@ def permutation_mloads(
         )
     rec = get_recorder()
     with rec.timer("flow.batch_eval"):
-        loads = link_loads(xgft, scheme, map(permutation_matrix, perms))
+        loads = _evaluate(xgft, scheme, permutation_pairs(perms))
     if rec.enabled:
         rec.count("flow.batch_permutations", len(perms))
         rec.count("flow.batch_eval_calls")

@@ -9,8 +9,9 @@ seeds".
 
 Engines
 -------
-Each adaptive round is one batched
-:func:`~repro.flow.loads.link_loads` call: by default through
+Each adaptive round is one batched evaluation
+(:func:`~repro.flow.loads.permutation_mloads`, no traffic matrices
+built): by default through
 :meth:`repro.flow.simulator.FlowSimulator.permutation_mloads`; with
 ``engine="compiled"`` the scheme is compiled once per study run and the
 round goes to :meth:`repro.flow.engine.BatchFlowEngine.permutation_mloads`,

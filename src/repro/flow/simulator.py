@@ -204,6 +204,6 @@ class FlowSimulator:
 
     def permutation_mloads(self, scheme, perms: np.ndarray) -> np.ndarray:
         """MLOAD of a ``(B, n_procs)`` batch of permutations: one
-        :func:`~repro.flow.loads.link_loads` call, timed as
-        ``flow.batch_eval``."""
+        evaluation (:func:`~repro.flow.loads.permutation_mloads`), timed
+        as ``flow.batch_eval``."""
         return permutation_mloads(self.xgft, self._routes(scheme), perms)

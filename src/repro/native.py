@@ -1,0 +1,149 @@
+"""On-demand compiled kernels: one shared library, two entry points.
+
+* ``run_batched`` (``flit/kernel.c``) runs a whole batched flit run; see
+  :mod:`repro.flit.native`.
+* ``scatter_loads`` (``flow/loads.c``) adds one NCA-level group of the
+  flow evaluator into its load vector; see :mod:`repro.flow.loads`.
+
+Both sources are compiled by one compiler call into one shared library,
+once per machine, cached under ``~/.cache/repro-native`` (or
+``$REPRO_KERNEL_CACHE``) keyed by a hash of the sources, and loaded with
+ctypes.  When the library cannot be built or loaded, :func:`available`
+is false, :func:`unavailable_reason` says why ("no C compiler", "build
+failed: ...", "load failed: ..."), and each layer takes its own slower
+path: the batched flit engine runs the reference engine, and the flow
+evaluator stages its sums for one weighted ``np.bincount``.  Both are
+bit-identical to the native path.  No third-party packages are
+involved — just ``ctypes`` and a cc.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+
+import numpy as np
+
+_HERE = os.path.dirname(__file__)
+_SOURCES = (os.path.join(_HERE, "flit", "kernel.c"),
+            os.path.join(_HERE, "flow", "loads.c"))
+
+_lib = None
+_reason: str | None = None
+_load_attempted = False
+
+
+def _cache_dir() -> str:
+    root = os.environ.get("REPRO_KERNEL_CACHE")
+    if not root:
+        root = os.path.join(
+            os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"),
+            "repro-native")
+    os.makedirs(root, exist_ok=True)
+    return root
+
+
+def _build(so_path: str) -> str | None:
+    """Compile every source into ``so_path``; why it failed, or None."""
+    cc = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
+    if cc is None:
+        return "no C compiler"
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(so_path))
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, *_SOURCES, "-lm"],
+            capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines()
+            return "build failed: " + (
+                lines[0] if lines else f"{cc} exited {proc.returncode}")
+        os.replace(tmp, so_path)  # atomic: concurrent builds collapse
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"build failed: {exc}"
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return None
+
+
+def _load() -> str | None:
+    """Build (unless cached) and load the library into ``_lib``; why it
+    failed, or None."""
+    global _lib
+    digest = hashlib.sha256()
+    try:
+        for path in _SOURCES:
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+        so_path = os.path.join(_cache_dir(),
+                               f"kernel-{digest.hexdigest()[:16]}.so")
+    except OSError as exc:
+        return f"build failed: {exc}"
+    if not os.path.exists(so_path):
+        reason = _build(so_path)
+        if reason is not None:
+            return reason
+    try:
+        lib = ctypes.CDLL(so_path)
+        run, release, scatter = lib.run_batched, lib.release, lib.scatter_loads
+    except (OSError, AttributeError) as exc:
+        return f"load failed: {exc}"
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    i64p, f64p = ctypes.POINTER(i64), ctypes.POINTER(f64)
+    run.restype = ctypes.c_long
+    run.argtypes = ([i64p, f64p, ctypes.POINTER(ctypes.c_uint32)]
+                    + [i64p] * 7 + [ctypes.POINTER(i64p)])
+    release.restype = None
+    release.argtypes = [i64p]
+    scatter.restype = ctypes.c_long
+    scatter.argtypes = [i64, i64, i64, i64p, i64p, i64, i64p, f64p, f64p,
+                        i64, i64p]
+    _lib = lib
+    return None
+
+
+def available() -> bool:
+    """Whether the compiled library can be used (cached after first call)."""
+    global _reason, _load_attempted
+    if not _load_attempted:
+        _load_attempted = True
+        _reason = _load()
+    return _lib is not None
+
+
+def unavailable_reason() -> str | None:
+    """Why :func:`available` is false, or None when the library loaded."""
+    return None if available() else _reason
+
+
+def lib():
+    """The loaded library (None when :func:`available` is false)."""
+    available()
+    return _lib
+
+
+def kernels_ran(timers: dict, layer: str, fallback: str,
+                reasons: dict[str, str | None]) -> str | None:
+    """What one layer's timed calls in ``timers`` (a recorder's ``name ->
+    (seconds, calls)``) executed: ``"native"`` when ``<layer>.kernel``
+    ran, and ``"<fallback>: <why>"`` for each ``<layer>.fallback.<reason>``
+    that ran (``why`` from ``reasons``; None: :func:`unavailable_reason`),
+    joined by ``"; "``; None when neither ran."""
+    ran = {name.rpartition("/")[2] for name, (_, calls) in timers.items()
+           if calls}
+    parts = ["native"] if f"{layer}.kernel" in ran else []
+    for reason, why in reasons.items():
+        if f"{layer}.fallback.{reason}" in ran:
+            parts.append(f"{fallback}: {why or unavailable_reason()}")
+    return "; ".join(parts) or None
+
+
+def ptr(a: np.ndarray, ctype=ctypes.c_int64):
+    """A ``ctype`` pointer to ``a``'s data (``a`` must stay alive)."""
+    return a.ctypes.data_as(ctypes.POINTER(ctype))

@@ -3,8 +3,11 @@
 Converts matrices of path indices into matrices of directed link ids with
 one gather and one add, mirroring the closed forms used by
 :func:`repro.routing.path.build_path` (which remains the readable scalar
-reference; tests assert both agree).  Used by the flow evaluator, the
-flit route compiler, the fault masks and the churn candidate index.
+reference; tests assert both agree): a link id is a per-pair part
+(:func:`pair_link_part`) plus a per-path part (:func:`path_link_table`).
+Used by the flow evaluator (whose native scatter-add reads the two parts
+directly), the flit route compiler, the fault masks and the churn
+candidate index.
 """
 
 from __future__ import annotations
@@ -15,17 +18,18 @@ from itertools import chain
 
 import numpy as np
 
+from repro.errors import RoutingError
 from repro.routing.base import RoutingScheme
 from repro.routing.enumeration import path_codec
 from repro.topology.xgft import XGFT
 
 
 @lru_cache(maxsize=512)
-def _path_link_table(xgft: XGFT, k: int) -> np.ndarray:
+def path_link_table(xgft: XGFT, k: int) -> np.ndarray:
     """Read-only ``(W(k), 2k)`` path part of each level-``k`` path's link
     ids: with up ports ``p_l`` and ``low_l = sum_{j<l} p_j W(j)``, its
     level-``l`` up link gets ``low_l w_l + p_l`` and its down link
-    ``m_l low_{l+1}``; the rest of each id depends on the pair alone."""
+    ``m_l low_{l+1}``; the rest of each id is :func:`pair_link_part`."""
     codec = path_codec(xgft, k)
     t = np.arange(codec.num_paths, dtype=np.int64)
     table = np.empty((t.size, 2 * k), dtype=np.int64)
@@ -39,6 +43,29 @@ def _path_link_table(xgft: XGFT, k: int) -> np.ndarray:
     return table
 
 
+def pair_link_part(xgft: XGFT, s: np.ndarray, d: np.ndarray, k: int,
+                   offset=0) -> np.ndarray:
+    """``(n, 2k)`` int64 pair part of the link ids of every level-``k``
+    path from ``s[i]`` to ``d[i]``, plus ``offset`` (a scalar or length
+    n): path ``t``'s ids are this row plus ``path_link_table(xgft, k)[t]``.
+    """
+    s = np.asarray(s, dtype=np.int64)
+    d = np.asarray(d, dtype=np.int64)
+    pair = np.empty((s.size, 2 * k), dtype=np.int64)
+    for l in range(k):
+        pair[:, l] = xgft.up_link_id(l, xgft.W(l) * (s // xgft.M(l)), 0)
+        pair[:, 2 * k - 1 - l] = xgft.down_link_id(
+            l, xgft.W(l + 1) * (d // xgft.M(l + 1)),
+            (d // xgft.M(l)) % xgft.m[l])
+    pair += np.reshape(offset, (-1, 1))
+    return pair
+
+
+def path_index_error(t: int, num_paths: int) -> RoutingError:
+    """The error for a path index outside ``[0, num_paths)``."""
+    return RoutingError(f"path index {t} out of range [0, {num_paths})")
+
+
 def path_link_matrix(
     xgft: XGFT, s: np.ndarray, d: np.ndarray, idx: np.ndarray, k: int,
     *, offset=0, out: np.ndarray | None = None,
@@ -50,7 +77,8 @@ def path_link_matrix(
     s, d:
         1-D arrays (length n) of processing-node ids with NCA level ``k``.
     idx:
-        ``(n, P)`` path-index matrix.
+        ``(n, P)`` path-index matrix; an index outside ``[0, W(k))``
+        raises :class:`~repro.errors.RoutingError`.
     offset, out:
         Added to every id of a pair (a scalar or length n); an optional
         C-contiguous ``(n, P, 2k)`` int64 array to fill.
@@ -60,18 +88,15 @@ def path_link_matrix(
     ``(n, P, 2k)`` int64 array: for each pair and path, the ``k`` up-link
     ids followed by the ``k`` down-link ids, in traversal order.
     """
-    s = np.asarray(s, dtype=np.int64)
-    d = np.asarray(d, dtype=np.int64)
-    pair = np.empty((s.size, 2 * k), dtype=np.int64)
-    for l in range(k):
-        pair[:, l] = xgft.up_link_id(l, xgft.W(l) * (s // xgft.M(l)), 0)
-        pair[:, 2 * k - 1 - l] = xgft.down_link_id(
-            l, xgft.W(l + 1) * (d // xgft.M(l + 1)),
-            (d // xgft.M(l)) % xgft.m[l])
-    pair += np.reshape(offset, (-1, 1))
-    # mode "raise" would fill ``out`` through a buffer; "wrap" does not
-    out = np.take(_path_link_table(xgft, k), idx, axis=0, out=out,
-                  mode="wrap")
+    table = path_link_table(xgft, k)
+    idx = np.asarray(idx)
+    if idx.size and (idx.min() < 0 or idx.max() >= len(table)):
+        raise path_index_error(
+            idx[(idx < 0) | (idx >= len(table))][0], len(table))
+    pair = pair_link_part(xgft, s, d, k, offset)
+    # mode "raise" would fill ``out`` through a buffer; "wrap" does not,
+    # and every index is in range
+    out = np.take(table, idx, axis=0, out=out, mode="wrap")
     out += pair[:, None, :]
     return out
 

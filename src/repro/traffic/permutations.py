@@ -51,6 +51,29 @@ def permutation_matrix(perm: np.ndarray, amount: float = 1.0) -> TrafficMatrix:
     return TrafficMatrix(n, np.arange(n), perm, np.full(n, amount))
 
 
+def permutation_pairs(perms: np.ndarray) -> list[tuple]:
+    """The network pairs of each row of a ``(B, n)`` batch of
+    permutations, without building traffic matrices.
+
+    Row ``b`` gives ``(src, dst, amount)``: node ``i`` sends one unit to
+    ``perms[b, i]``, fixed points dropped, in source order — exactly
+    ``permutation_matrix(perms[b]).network_pairs()``.  A row that is not
+    a permutation of ``0..n-1`` raises :class:`TrafficError`.
+
+    >>> [tuple(a.tolist()) for a in permutation_pairs(np.array([[1, 0, 2]]))[0]]
+    [(0, 1), (1, 0), (1.0, 1.0)]
+    """
+    perms = np.asarray(perms, dtype=np.int64)
+    src = np.arange(perms.shape[-1])
+    if perms.ndim != 2 or not np.array_equal(np.sort(perms, axis=1),
+                                             np.broadcast_to(src, perms.shape)):
+        raise TrafficError("input is not a permutation")
+    moved = perms != src
+    ones = np.ones(perms.shape[1])
+    return [(src[m], row[m], ones[:count])
+            for row, m, count in zip(perms, moved, moved.sum(axis=1).tolist())]
+
+
 def sample_permutations(n_procs: int, count: int, seed=None) -> Iterator[TrafficMatrix]:
     """Yield ``count`` independent random-permutation traffic matrices."""
     rng = as_generator(seed)

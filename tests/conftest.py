@@ -1,4 +1,5 @@
-"""Shared fixtures: small topologies and scheme factories.
+"""Shared fixtures: small topologies, scheme factories and fresh loads of
+the native library.
 
 Tests use small XGFT instances (tens to a few hundred nodes) so the whole
 suite stays fast; the structures exercised are identical to the paper's
@@ -17,6 +18,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro import native
 from repro.topology.variants import k_ary_n_tree, m_port_n_tree
 from repro.topology.xgft import XGFT
 
@@ -40,6 +42,27 @@ def pytest_addoption(parser):
         help="rewrite tests/goldens/*.json from the current implementation "
              "instead of comparing against them (see docs/testing.md)",
     )
+
+
+@pytest.fixture
+def fresh_kernel_load(monkeypatch, tmp_path):
+    """Forget the loaded native library and point its cache at an empty
+    directory, so the next :func:`repro.native.available` builds and
+    loads from scratch.  The loaded library is restored afterwards."""
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_reason", None)
+    monkeypatch.setattr(native, "_load_attempted", False)
+    return tmp_path
+
+
+@pytest.fixture
+def no_compiler(fresh_kernel_load, monkeypatch):
+    """A fresh load with no C compiler on PATH: the native library is
+    unavailable, so the batched flit engine runs the reference and the
+    flow evaluator its numpy path."""
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    assert not native.available()
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import native as library
 from repro.errors import SimulationError
 from repro.experiments.registry import run_instrumented
 from repro.flit import BatchedFlitSimulator, FlitConfig, UniformRandom, native
@@ -90,11 +91,11 @@ def test_native_manifest():
 
 
 def test_build_failure_reason(fresh_kernel_load, monkeypatch):
-    if native.shutil.which("cc") is None:
+    if library.shutil.which("cc") is None:
         pytest.skip("no C compiler")
     bad = fresh_kernel_load / "kernel.c"
     bad.write_text("this is not C\n")
-    monkeypatch.setattr(native, "_SOURCE", str(bad))
+    monkeypatch.setattr(library, "_SOURCES", (str(bad),))
     assert not native.available()
     assert native.unavailable_reason().startswith("build failed: ")
     assert "\n" not in native.unavailable_reason()
@@ -103,7 +104,7 @@ def test_build_failure_reason(fresh_kernel_load, monkeypatch):
 def test_load_failure_reason(fresh_kernel_load, monkeypatch):
     bad = fresh_kernel_load / "kernel.c"
     bad.write_text("/* never compiled: a broken library is cached */\n")
-    monkeypatch.setattr(native, "_SOURCE", str(bad))
+    monkeypatch.setattr(library, "_SOURCES", (str(bad),))
     digest = hashlib.sha256(bad.read_bytes()).hexdigest()[:16]
     (fresh_kernel_load / f"kernel-{digest}.so").write_bytes(b"not a shared object")
     assert not native.available()
@@ -121,9 +122,9 @@ def test_arena_overflow_is_typed(monkeypatch, model):
         args[9][native._O_CAPACITY] = 16  # out[]
         return native._RC_ARENA_FULL
 
-    monkeypatch.setattr(native, "_lib", SimpleNamespace(
+    monkeypatch.setattr(library, "_lib", SimpleNamespace(
         run_batched=overflowing, release=released.append))
-    monkeypatch.setattr(native, "_load_attempted", True)
+    monkeypatch.setattr(library, "_load_attempted", True)
     xgft = m_port_n_tree(4, 2)
     cfg = FlitConfig(warmup_cycles=50, measure_cycles=200, drain_cycles=200,
                      switch_model=model, seed=1)

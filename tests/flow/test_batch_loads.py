@@ -9,6 +9,11 @@ order, then path order).  Covered: every scheme family, pristine and
 degraded fabrics (from-scratch and incremental after churn), compiled
 plans read as schemes, weighted non-permutation traffic, ``w_1 > 1``
 trees and any chunking.
+
+Every case runs on both scatter-add paths: each class as written on the
+default path (the native library, which CI asserts loads), and again as
+its ``...Numpy`` subclass with no compiler, on the numpy staging.  Both
+are pinned to the same scalar order, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro.flow.loads as loads_mod
+from repro.errors import TrafficError
 from repro.faults.churn import (
     ChurnSpec,
     IncrementalDegradedScheme,
@@ -25,7 +31,7 @@ from repro.faults.churn import (
 from repro.faults.degraded import DegradedFabric
 from repro.faults.scheme import DegradedScheme
 from repro.faults.spec import samplable_cables
-from repro.flow.loads import link_loads
+from repro.flow.loads import link_loads, permutation_mloads
 from repro.routing.compiled import candidate_link_index, compile_scheme
 from repro.routing.factory import make_scheme
 from repro.routing.path import build_path
@@ -182,6 +188,53 @@ class TestShapes:
         tms = [TrafficMatrix.empty(n), TrafficMatrix.empty(n + 1)]
         with pytest.raises(ValueError, match=f"over {n + 1} nodes"):
             link_loads(xgft, scheme, tms)
+
+
+class TestPermutationRounds:
+    def test_round_equals_the_matrices_call(self):
+        """A permutation round skips the traffic matrices, bit for bit."""
+        xgft = XGFT(3, (3, 2, 4), (2, 2, 3))
+        scheme = make_scheme(xgft, "random:3", seed=1)
+        n = xgft.n_procs
+        rng = np.random.default_rng(12)
+        perms = np.stack([np.arange(n)]  # every node a fixed point
+                         + [random_permutation(n, rng) for _ in range(5)])
+        perms[1] = np.concatenate([[0, 1], 2 + rng.permutation(n - 2)])
+        loads = link_loads(xgft, scheme, map(permutation_matrix, perms))
+        assert np.array_equal(permutation_mloads(xgft, scheme, perms),
+                              loads.max(axis=1, initial=0.0))
+
+    def test_rejects_a_non_permutation_row(self):
+        xgft = m_port_n_tree(4, 3)
+        perms = np.stack([np.arange(xgft.n_procs)] * 3)
+        perms[1, 0] = 1
+        with pytest.raises(TrafficError, match="not a permutation"):
+            permutation_mloads(xgft, make_scheme(xgft, "d-mod-k"), perms)
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestPristineNumpy(TestPristine):
+    """:class:`TestPristine` on the numpy path."""
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestDegradedNumpy(TestDegraded):
+    """:class:`TestDegraded` on the numpy path."""
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestChunkingNumpy(TestChunking):
+    """:class:`TestChunking` on the numpy path."""
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestShapesNumpy(TestShapes):
+    """:class:`TestShapes` on the numpy path."""
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestPermutationRoundsNumpy(TestPermutationRounds):
+    """:class:`TestPermutationRounds` on the numpy path."""
 
 
 def brute_force_index(xgft) -> tuple[np.ndarray, np.ndarray]:

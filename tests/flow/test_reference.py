@@ -2,7 +2,8 @@
 
 The reference routes every pair by materializing :class:`Path` objects
 and accumulating loads link by link in pure Python — slow but obviously
-correct.  The vectorized evaluator must agree exactly.
+correct.  The vectorized evaluator must agree exactly, on the default
+(native) path and, in :class:`TestNumpyPath`, on the numpy path.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ TOPOLOGIES = [
 SCHEMES = ["d-mod-k", "s-mod-k", "shift-1:2", "disjoint:3", "random:2", "umulti"]
 
 
-@pytest.mark.parametrize("xgft", TOPOLOGIES, ids=[repr(x) for x in TOPOLOGIES])
+@pytest.mark.parametrize("xgft", TOPOLOGIES, ids=repr)
 @pytest.mark.parametrize("spec", SCHEMES)
 def test_vectorized_equals_reference_permutation(xgft, spec):
     scheme = make_scheme(xgft, spec, seed=5)
@@ -81,3 +82,23 @@ def test_shift_traffic_loads_one_level():
     # check conservation instead: total load = sum over pairs of path length.
     ref = reference_loads(xgft, make_scheme(xgft, "d-mod-k"), tm)
     assert np.allclose(loads, ref)
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestNumpyPath:
+    """The vectorized-vs-scalar cases above, with no native library."""
+
+    @pytest.mark.parametrize("xgft", TOPOLOGIES, ids=repr)
+    @pytest.mark.parametrize("spec", SCHEMES)
+    def test_permutation(self, xgft, spec):
+        test_vectorized_equals_reference_permutation(xgft, spec)
+
+    @pytest.mark.parametrize("spec", ["d-mod-k", "disjoint:2", "umulti"])
+    def test_all_to_all(self, spec):
+        test_vectorized_equals_reference_all_to_all(spec)
+
+    def test_weighted(self):
+        test_vectorized_equals_reference_weighted()
+
+    def test_shift_traffic(self):
+        test_shift_traffic_loads_one_level()

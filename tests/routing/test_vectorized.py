@@ -5,12 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import RoutingError
 from repro.routing.heuristics import Disjoint, UMulti
 from repro.routing.modk import DModK
 from repro.routing.path import build_path
 from repro.routing.vectorized import compile_routes, path_link_matrix
+from repro.topology.variants import m_port_n_tree
 
 from tests.conftest import TOPOLOGY_POOL, pool_ids
+
+
+class OutOfRangeDModK(DModK):
+    """d-mod-k with every path index moved by ``shift * W(k)``: outside
+    ``[0, W(k))``, where a wrapping gather would read it as d-mod-k."""
+
+    def __init__(self, xgft, shift: int):
+        super().__init__(xgft)
+        self.shift = shift
+
+    def path_index_matrix(self, s, d, k):
+        return super().path_index_matrix(s, d, k) + self.shift * self.xgft.W(k)
 
 
 class TestPathLinkMatrix:
@@ -29,6 +43,13 @@ class TestPathLinkMatrix:
             links = path_link_matrix(xgft, np.array([s]), np.array([d]), idx, k)
             for t in range(x):
                 assert tuple(links[0, t]) == build_path(xgft, s, d, t).links
+
+    @pytest.mark.parametrize("t", [-1, 16], ids=["below", "above"])
+    def test_out_of_range_index_raises(self, tree8x3, t):
+        idx = np.array([[0, t, 3]])
+        with pytest.raises(RoutingError,
+                           match=rf"path index {t} out of range \[0, 16\)"):
+            path_link_matrix(tree8x3, np.array([0]), np.array([127]), idx, 3)
 
     def test_shape(self, tree8x3):
         s = np.array([0, 1])
@@ -85,3 +106,11 @@ def test_vectorized_agrees_with_scalar_random(data):
         xgft, np.array([s]), np.array([d]), np.array([[t]]), k
     )
     assert tuple(links[0, 0]) == build_path(xgft, s, d, t).links
+
+
+@pytest.mark.parametrize("shift", [1, -1], ids=["above", "below"])
+def test_compile_routes_rejects_out_of_range_indices(shift):
+    """A gather that wraps would route this scheme as d-mod-k."""
+    xgft = m_port_n_tree(4, 3)
+    with pytest.raises(RoutingError, match=r"path index -?\d+ out of range"):
+        compile_routes(xgft, OutOfRangeDModK(xgft, shift))

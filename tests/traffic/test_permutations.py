@@ -7,6 +7,7 @@ from repro.errors import TrafficError
 from repro.traffic.permutations import (
     derangement,
     permutation_matrix,
+    permutation_pairs,
     random_permutation,
     sample_permutations,
 )
@@ -69,6 +70,29 @@ class TestPermutationMatrix:
     def test_accepts_the_empty_and_identity_permutations(self):
         assert permutation_matrix(np.array([], dtype=np.int64)).n_procs == 0
         assert permutation_matrix(np.arange(5)).n_pairs == 5
+
+
+class TestPermutationPairs:
+    def test_rows_are_the_matrices_network_pairs(self):
+        rng = np.random.default_rng(4)
+        perms = np.stack([np.arange(9)]  # all fixed points: no pairs
+                         + [random_permutation(9, rng) for _ in range(5)])
+        for row, got in zip(perms, permutation_pairs(perms)):
+            want = permutation_matrix(row).network_pairs()
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [[0, 2, 2, 1], [1, 2, 3, 4], [-1, 0, 1, 2]],
+                             ids=["duplicate", "above", "below"])
+    def test_one_bad_row_rejects_the_batch(self, bad):
+        perms = np.array([[1, 0, 3, 2], bad, [0, 1, 2, 3]])
+        with pytest.raises(TrafficError, match="not a permutation"):
+            permutation_pairs(perms)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["1-D", "3-D"])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(TrafficError, match="not a permutation"):
+            permutation_pairs(np.zeros(shape, dtype=np.int64))
 
 
 class TestSamplePermutations:
