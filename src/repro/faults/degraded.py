@@ -23,7 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FaultError
-from repro.routing.vectorized import path_link_matrix
+from repro.routing.vectorized import (
+    pair_link_part,
+    path_link_matrix,
+    path_link_table,
+)
 from repro.topology.xgft import XGFT
 
 
@@ -254,22 +258,30 @@ class DegradedFabric:
         return self._connected
 
     def _check_connected(self) -> bool:
+        """A level-``k`` path's up links depend only on its source and its
+        down links only on its destination (the columns of
+        :func:`~repro.routing.vectorized.pair_link_part`).  So per level
+        two ``(n, W(k))`` tables say which paths leave each source and
+        which reach each destination alive, and a level-``k`` pair is
+        connected iff some path is alive in both rows: one boolean
+        product per level-``k`` subtree, with no per-pair link tensor."""
         xgft = self.xgft
         if self.is_pristine:
             return True
-        n = xgft.n_procs
-        keys = np.arange(n * n, dtype=np.int64)
-        s, d = np.divmod(keys, n)
-        k_arr = xgft.nca_level(s, d)
+        nodes = np.arange(xgft.n_procs, dtype=np.int64)
         for k in range(1, xgft.h + 1):
-            mask = k_arr == k
-            if not mask.any():
-                continue
-            x = xgft.W(k)
-            idx = np.broadcast_to(np.arange(x, dtype=np.int64),
-                                  (int(mask.sum()), x))
-            alive = self.path_alive_matrix(s[mask], d[mask], idx, k)
-            if not alive.any(axis=1).all():
+            ok = self.link_ok[pair_link_part(xgft, nodes, nodes, k)[:, None, :]
+                              + path_link_table(xgft, k)]
+            size = xgft.M(k)
+            shape = (xgft.n_procs // size, size, xgft.W(k))
+            up_ok = ok[:, :, :k].all(axis=2).reshape(shape)
+            down_ok = ok[:, :, k:].all(axis=2).reshape(shape)
+            # (subtree, s, d): some path of the pair is alive end to end
+            alive = up_ok @ down_ok.transpose(0, 2, 1)
+            # the pairs of a subtree whose NCA is at level k: those in
+            # different level-(k - 1) subtrees
+            below = np.arange(size) // xgft.M(k - 1)
+            if not alive[:, below[:, None] != below[None, :]].all():
                 return False
         return True
 

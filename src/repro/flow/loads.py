@@ -40,7 +40,8 @@ from repro.traffic.permutations import permutation_pairs
 
 #: cap on the widest array one chunk of matrices builds, in entries: its
 #: pairs times ``W(h) * 2h`` (a degraded scheme's candidate-link matrix
-#: and the random heuristic's score matrix are that wide)
+#: is that wide, and without the native library the numpy staging and
+#: the random heuristic's score matrix)
 CHUNK_ENTRIES = 1 << 22
 
 # Return codes of scatter_loads, as the SCATTER_* enum in loads.c.

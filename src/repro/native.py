@@ -1,20 +1,25 @@
-"""On-demand compiled kernels: one shared library, two entry points.
+"""On-demand compiled kernels: one shared library, three entry points.
 
 * ``run_batched`` (``flit/kernel.c``) runs a whole batched flit run; see
   :mod:`repro.flit.native`.
 * ``scatter_loads`` (``flow/loads.c``) adds one NCA-level group of the
   flow evaluator into its load vector; see :mod:`repro.flow.loads`.
+* ``select_paths`` (``routing/select.c``) does one level query of the
+  random heuristic: it scores every path of each pair and keeps the
+  lowest-scoring ones; see :mod:`repro.routing.heuristics`.
 
-Both sources are compiled by one compiler call into one shared library,
+All sources are compiled by one compiler call into one shared library,
 once per machine, cached under ``~/.cache/repro-native`` (or
 ``$REPRO_KERNEL_CACHE``) keyed by a hash of the sources, and loaded with
-ctypes.  When the library cannot be built or loaded, :func:`available`
-is false, :func:`unavailable_reason` says why ("no C compiler", "build
-failed: ...", "load failed: ..."), and each layer takes its own slower
-path: the batched flit engine runs the reference engine, and the flow
-evaluator stages its sums for one weighted ``np.bincount``.  Both are
-bit-identical to the native path.  No third-party packages are
-involved — just ``ctypes`` and a cc.
+ctypes.  The library loads with all three entry points or not at all.
+When it cannot be built or loaded, :func:`available` is false,
+:func:`unavailable_reason` says why ("no C compiler", "build failed:
+...", "load failed: ..."), and each layer takes its own slower path: the
+batched flit engine runs the reference engine, the flow evaluator
+stages its sums for one weighted ``np.bincount``, and the random
+heuristic scores an ``(n, W(k))`` matrix with numpy and selects with
+``argpartition``/``argsort``.  All three are bit-identical to the native
+path.  No third-party packages are involved — just ``ctypes`` and a cc.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ import numpy as np
 
 _HERE = os.path.dirname(__file__)
 _SOURCES = (os.path.join(_HERE, "flit", "kernel.c"),
-            os.path.join(_HERE, "flow", "loads.c"))
+            os.path.join(_HERE, "flow", "loads.c"),
+            os.path.join(_HERE, "routing", "select.c"))
 
 _lib = None
 _reason: str | None = None
@@ -91,7 +97,8 @@ def _load() -> str | None:
             return reason
     try:
         lib = ctypes.CDLL(so_path)
-        run, release, scatter = lib.run_batched, lib.release, lib.scatter_loads
+        run, release = lib.run_batched, lib.release
+        scatter, select = lib.scatter_loads, lib.select_paths
     except (OSError, AttributeError) as exc:
         return f"load failed: {exc}"
     i64, f64 = ctypes.c_int64, ctypes.c_double
@@ -104,6 +111,9 @@ def _load() -> str | None:
     scatter.restype = ctypes.c_long
     scatter.argtypes = [i64, i64, i64, i64p, i64p, i64, i64p, f64p, f64p,
                         i64, i64p]
+    select.restype = ctypes.c_long
+    select.argtypes = [ctypes.c_uint64, i64, i64, i64p, i64p, i64, i64,
+                       i64p, i64p]
     _lib = lib
     return None
 

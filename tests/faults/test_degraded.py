@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,76 @@ class TestDegradedFabric:
         fabric = DegradedFabric(xgft, failed_switches=[(3, 0)])
         assert fabric.is_connected  # W(3) = 8 top switches, one lost
         assert fabric.n_failed_switches == 1
+
+
+def brute_force_connected(fabric: DegradedFabric) -> bool:
+    """Whether every ordered pair keeps an alive shortest path, checked
+    over every link of every path of every pair (an ``(n^2, W, 2k)``
+    link tensor per level)."""
+    xgft = fabric.xgft
+    n = xgft.n_procs
+    s, d = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    k_arr = xgft.nca_level(s, d)
+    for k in range(1, xgft.h + 1):
+        mask = k_arr == k
+        if not mask.any():
+            continue
+        x = xgft.W(k)
+        idx = np.broadcast_to(np.arange(x, dtype=np.int64),
+                              (int(mask.sum()), x))
+        alive = fabric.path_alive_matrix(s[mask], d[mask], idx, k)
+        if not alive.any(axis=1).all():
+            return False
+    return True
+
+
+class TestConnectivity:
+    @pytest.mark.parametrize("xgft", [
+        m_port_n_tree(4, 3), m_port_n_tree(8, 3), XGFT(3, (3, 2, 4), (1, 2, 3)),
+        XGFT(2, (3, 5), (2, 3)), XGFT(3, (2, 3, 4), (2, 2, 2)),
+    ], ids=repr)
+    def test_equals_brute_force(self, xgft):
+        """Random cable and switch faults, including trees with ``w_1 >
+        1`` (several host uplinks); both answers occur."""
+        rng = np.random.default_rng(xgft.n_links)
+        ups = np.flatnonzero(xgft.link_is_up())
+        answers = []
+        for _ in range(60):
+            cables = rng.choice(ups, size=rng.integers(0, 6), replace=False)
+            switches = {(int(level), int(rng.integers(xgft.level_size(level))))
+                        for level in rng.integers(1, xgft.h + 1,
+                                                  size=rng.integers(0, 3))}
+            fabric = DegradedFabric(xgft, failed_cables=cables,
+                                    failed_switches=switches)
+            answers.append(fabric.is_connected)
+            assert answers[-1] == brute_force_connected(fabric)
+        assert set(answers) == {True, False}
+
+    def test_pairs_below_a_dead_level_stay_connected(self):
+        """With one subtree under the top level (``m_h = 1``) no pair's
+        NCA is a top switch, so losing every top switch strands no pair."""
+        xgft = XGFT(2, (4, 1), (1, 2))
+        fabric = DegradedFabric(xgft, failed_switches=[(2, 0), (2, 1)])
+        assert fabric.is_connected
+        assert brute_force_connected(fabric)
+
+    def test_sixteen_port_tree_memory(self):
+        """The brute force's level-3 link tensor is about 3 GB here."""
+        xgft = m_port_n_tree(16, 3)
+        top_up, _ = xgft.boundary_link_slices(2)
+        fabric = DegradedFabric(
+            xgft, failed_cables=[top_up.start, top_up.start + 5],
+            failed_switches=[(3, 0), (2, 7)])
+        tracemalloc.start()
+        try:
+            connected = fabric.is_connected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert connected
+        assert peak < 256 * 2**20
+        fabric.fail_cable(xgft.boundary_link_slices(0)[0].start)
+        assert not fabric.is_connected  # a host's only uplink
 
 
 class TestFabricMutation:

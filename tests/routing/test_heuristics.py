@@ -11,6 +11,7 @@ from repro.routing.heuristics import (
     Shift1,
     UMulti,
 )
+from repro.routing.factory import make_scheme
 from repro.routing.modk import DModK
 from repro.topology.variants import m_port_n_tree
 
@@ -132,6 +133,27 @@ class TestRandom:
         for i in range(3):
             assert tuple(batch[i]) == scheme.route(int(s[i]), int(d[i])).indices
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["zero", "max"])
+    def test_seed_at_range_ends(self, tree8x3, seed):
+        for spec in ("random:2", "random:16", "random-single"):
+            scheme = make_scheme(tree8x3, spec, seed=seed)
+            assert scheme.seed == seed
+            rs = scheme.route(0, 127)
+            assert rs.num_paths == scheme.paths_per_pair(3)
+            order = scheme.path_order_matrix(np.array([0]), np.array([127]), 3)
+            assert sorted(order[0]) == list(range(16))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["below", "above"])
+    def test_seed_out_of_range_raises(self, tree8x3, seed):
+        """A seed numpy cannot take as a uint64 is rejected when the
+        scheme is built, not at its first query."""
+        for build in (lambda: make_scheme(tree8x3, "random:2", seed=seed),
+                      lambda: RandomMultipath(tree8x3, 2, seed=seed),
+                      lambda: RandomSingle(tree8x3, seed=seed)):
+            with pytest.raises(RoutingError,
+                               match=rf"routing seed {seed} out of range"):
+                build()
+
 
 class TestUMulti:
     def test_uses_all_paths(self, fig3_xgft):
@@ -191,3 +213,16 @@ def test_graceful_improvement_with_k():
     opt = optimal_load(xgft, tm)
     loads_at_max = max_link_load(link_loads(xgft, Disjoint(xgft, xgft.max_paths), tm))
     assert loads_at_max == pytest.approx(opt)
+
+
+# shift-1, disjoint and UMULTI select without the native library, so
+# only the classes that reach the random heuristic run again on its
+# numpy path.
+@pytest.mark.usefixtures("no_compiler")
+class TestRandomNumpy(TestRandom):
+    """:class:`TestRandom` on the numpy selection path."""
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestCommonInvariantsNumpy(TestCommonInvariants):
+    """:class:`TestCommonInvariants` on the numpy selection path."""

@@ -52,6 +52,18 @@ class TestCommands:
     def test_route_error(self, capsys):
         assert main(["route", "mport:8x2", "nosuchscheme", "0", "1"]) == 2
 
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["below", "above"])
+    def test_route_seed_out_of_range(self, capsys, seed):
+        argv = ["route", "mport:4x3", "random:2", "0", "15", "--seed", str(seed)]
+        assert main(argv) == 2
+        assert f"error: routing seed {seed} out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["zero", "max"])
+    def test_route_seed_at_range_ends(self, capsys, seed):
+        argv = ["route", "mport:4x3", "random:2", "0", "15", "--seed", str(seed)]
+        assert main(argv) == 0
+        assert "2 path(s)" in capsys.readouterr().out
+
     def test_engine_flag_on_aware_experiment(self, capsys):
         # ratios is engine-aware: --engine compiled must run end to end.
         assert main(["ratios", "--engine", "compiled", "--quiet"]) == 0
