@@ -8,7 +8,7 @@ per curve, and after every event measure the average maximum permutation
 load over a fixed set of seeded permutations.  The output is a
 trajectory — MLOAD vs event step — plus the incremental re-routing
 costs: links flipped, pairs recomputed (identical across curves, since
-the candidate link->pairs index is scheme-independent) and per-curve
+the candidate pairs of a link are scheme-independent) and per-curve
 re-route latency.
 
 The same fixed permutation set is evaluated at every step, so the

@@ -17,17 +17,16 @@ module provides that axis:
 * :class:`IncrementalDegradedScheme` — a routing scheme that holds its
   full selection state (per NCA level: preference orders, selected path
   indices, renormalized weights) and, per event, recomputes only the
-  pairs whose *candidate* paths touch a flipped link, found through the
-  transposed link->pairs incidence
-  (:func:`repro.routing.compiled.candidate_link_index`).
+  pairs whose *candidate* paths touch a flipped link, found in closed
+  form (:func:`candidate_pairs`).
 
 Correctness contract
 --------------------
 After any event sequence, the incremental state is **bit-identical** to
 a from-scratch ``DegradedScheme`` recompile over the same cumulative
 fault set: both run the same row-local selection rule
-(:func:`~repro.faults.scheme.select_surviving`), and the candidate index
-over-approximates the affected set in both directions — a failure can
+(:func:`~repro.faults.scheme.select_surviving`), and the candidate pairs
+over-approximate the affected set in both directions — a failure can
 only change rows whose candidate paths use a dead link, a repair only
 rows whose candidate paths use the resurrected one.  The differential
 test layer (``tests/faults/test_churn_equivalence.py``) pins this after
@@ -51,8 +50,7 @@ from repro.faults.scheme import DegradedScheme, select_surviving
 from repro.faults.spec import samplable_cables, samplable_switches
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RouteSet, RoutingScheme
-from repro.routing.compiled import candidate_link_index
-from repro.topology.xgft import XGFT
+from repro.topology.xgft import LinkKind, XGFT
 from repro.util.rng import substream
 
 #: attempts per failure draw before the generator falls back to a repair
@@ -229,6 +227,28 @@ def generate_trace(xgft: XGFT, spec: ChurnSpec) -> ChurnTrace:
     return ChurnTrace(repr(xgft), spec, tuple(events))
 
 
+def candidate_pairs(xgft: XGFT, links) -> np.ndarray:
+    """Sorted unique keys ``s * n_procs + d`` of the ordered pairs with a
+    candidate (shortest) path through any of the directed ``links``:
+    the pairs whose selection can change when those links fail or come
+    back, under any scheme.  Closed form: an up link out of a level-``l``
+    node lies on a candidate path of exactly the pairs with the source
+    in its subtree of ``M(l)`` nodes and the destination outside it; a
+    down link into one, the reverse.
+    """
+    n = xgft.n_procs
+    mask = np.zeros((n, n), dtype=bool)
+    for link in np.asarray(links, dtype=np.int64).reshape(-1).tolist():
+        ref = xgft.link_ref(link)
+        up = ref.kind is LinkKind.UP
+        node = ref.src_index if up else ref.dst_index  # the level-l end
+        lo = node // xgft.W(ref.level) * xgft.M(ref.level)
+        hi = lo + xgft.M(ref.level)
+        inside = mask if up else mask.T  # rows: the nodes inside
+        inside[lo:hi, :lo] = inside[lo:hi, hi:] = True
+    return np.flatnonzero(mask)
+
+
 @dataclass(frozen=True)
 class RerouteStats:
     """What one applied event cost.
@@ -291,7 +311,6 @@ class IncrementalDegradedScheme(RoutingScheme):
         self.base = base
         self.fabric = fabric
         self.name = base.name
-        self._index = candidate_link_index(base.xgft)
         self._levels: dict[int, _LevelState] = {}
         xgft = base.xgft
         n = xgft.n_procs
@@ -336,7 +355,8 @@ class IncrementalDegradedScheme(RoutingScheme):
         with rec.timer("faults.reroute.apply"):
             changed = event.apply(self.fabric)
             try:
-                recomputed = self._recompute(self._index.pairs(changed))
+                recomputed = self._recompute(
+                    candidate_pairs(self.xgft, changed))
             except DisconnectedPairError:
                 event.inverse().apply(self.fabric)
                 raise

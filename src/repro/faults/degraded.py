@@ -10,9 +10,9 @@ dead cables and dead switches — but both reduce to the link mask:
   so masking incident links is exactly equivalent to masking the node).
 
 Keeping the mask at link granularity lets every consumer stay
-vectorized: path liveness is one gather over
-:func:`repro.routing.vectorized.path_link_matrix` output, and the flit
-engine zeroes the credits of failed channels.
+vectorized: path liveness is two gathers from per-level liveness tables
+(:meth:`DegradedFabric.level_liveness`), and the flit engine zeroes the
+credits of failed channels.
 
 Cables are identified by their *up-link* id (each physical cable is the
 up link plus its paired down link; see :func:`cable_links`).
@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.errors import FaultError
 from repro.routing.vectorized import (
-    pair_link_part,
-    path_link_matrix,
+    check_path_indices,
+    pair_part_tables,
     path_link_table,
 )
 from repro.topology.xgft import XGFT
@@ -99,13 +99,14 @@ class DegradedFabric:
     flipped.  Links are reference-counted per failing element, so a link
     covered by both a dead switch and a dead cable only comes back when
     its *last* cause is repaired.  Every mutation bumps :attr:`version`
-    and invalidates the derived caches (:attr:`is_connected`), so no
-    consumer can observe a stale answer.
+    and invalidates the derived caches (:attr:`is_connected`,
+    :meth:`level_liveness`), so no consumer can observe a stale answer.
     """
 
     def __init__(self, xgft: XGFT, *, failed_cables=(), failed_switches=()):
         self.xgft = xgft
         self._connected: bool | None = None
+        self._liveness: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._version = 0
         self._cables: set[int] = set()
         self._switches: set[tuple[int, int]] = set()
@@ -154,6 +155,7 @@ class DegradedFabric:
             self._link_ok.setflags(write=False)
         self._version += 1
         self._connected = None
+        self._liveness.clear()
         return changed
 
     def fail_cable(self, up_link_id: int) -> np.ndarray:
@@ -258,24 +260,18 @@ class DegradedFabric:
         return self._connected
 
     def _check_connected(self) -> bool:
-        """A level-``k`` path's up links depend only on its source and its
-        down links only on its destination (the columns of
-        :func:`~repro.routing.vectorized.pair_link_part`).  So per level
-        two ``(n, W(k))`` tables say which paths leave each source and
-        which reach each destination alive, and a level-``k`` pair is
-        connected iff some path is alive in both rows: one boolean
-        product per level-``k`` subtree, with no per-pair link tensor."""
+        """A level-``k`` pair is connected iff some path is alive in both
+        its source's and its destination's row of
+        :meth:`level_liveness`: one boolean product per level-``k``
+        subtree, with no per-pair link tensor."""
         xgft = self.xgft
         if self.is_pristine:
             return True
-        nodes = np.arange(xgft.n_procs, dtype=np.int64)
         for k in range(1, xgft.h + 1):
-            ok = self.link_ok[pair_link_part(xgft, nodes, nodes, k)[:, None, :]
-                              + path_link_table(xgft, k)]
             size = xgft.M(k)
             shape = (xgft.n_procs // size, size, xgft.W(k))
-            up_ok = ok[:, :, :k].all(axis=2).reshape(shape)
-            down_ok = ok[:, :, k:].all(axis=2).reshape(shape)
+            up_ok, down_ok = (ok.reshape(shape)
+                              for ok in self.level_liveness(k))
             # (subtree, s, d): some path of the pair is alive end to end
             alive = up_ok @ down_ok.transpose(0, 2, 1)
             # the pairs of a subtree whose NCA is at level k: those in
@@ -285,11 +281,32 @@ class DegradedFabric:
                 return False
         return True
 
+    def level_liveness(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(n_procs, W(k))`` ``(up_ok, down_ok)`` tables: a
+        level-``k`` path's up links depend only on its source and its down
+        links only on its destination, so ``up_ok[s, t]`` says whether
+        path ``t`` leaves node ``s`` alive and ``down_ok[d, t]`` whether
+        it reaches node ``d`` alive.  Cached until the next event."""
+        tables = self._liveness.get(k)
+        if tables is None:
+            up, down = pair_part_tables(self.xgft, k)
+            path = path_link_table(self.xgft, k)
+            tables = tuple(
+                self.link_ok[pair[:, None, :] + part].all(axis=2)
+                for pair, part in ((up, path[:, :k]), (down, path[:, k:])))
+            for ok in tables:
+                ok.setflags(write=False)
+            self._liveness[k] = tables
+        return tables
+
     def path_alive_matrix(
         self, s: np.ndarray, d: np.ndarray, idx: np.ndarray, k: int
     ) -> np.ndarray:
         """Which of the paths in the ``(n, P)`` index matrix ``idx``
         survive: True iff every link of the path is alive (a level-0
-        path has none)."""
-        links = path_link_matrix(self.xgft, s, d, idx, k)
-        return self.link_ok[links].all(axis=2)
+        path has none).  An index outside ``[0, W(k))`` raises
+        :class:`~repro.errors.RoutingError`."""
+        idx = check_path_indices(idx, self.xgft.W(k))
+        up_ok, down_ok = self.level_liveness(k)
+        s, d = np.asarray(s)[:, None], np.asarray(d)[:, None]
+        return up_ok[s, idx] & down_ok[d, idx]

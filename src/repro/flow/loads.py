@@ -3,14 +3,15 @@
 For every SD pair and every path the routing scheme assigns it, the pair's
 traffic times the path's fraction is added to each directed link on the
 path.  Link ids are closed-form (see DESIGN.md Section 6): a per-pair
-part plus a per-path part.  So a whole batch of traffic matrices is one
-scheme query per tree level and one scatter-add per query, with no
-per-pair or per-matrix Python loops.  The scatter-add is the native
-``scatter_loads`` (``loads.c``, built by :mod:`repro.native`), which adds
-each weight straight into the load vector; when the library cannot be
-built or loaded it is the numpy staging instead: an ``(n, P, 2k)``
-link-id tensor, an equally large weight tensor and one weighted
-``np.bincount``.  Both add the same floats to each link in the same
+part (two cached per-node tables) plus a per-path part.  So a whole
+batch of traffic matrices is one scheme query per tree level and one
+scatter-add per query, with no per-pair or per-matrix Python loops.  The
+scatter-add is the native ``scatter_loads`` (``loads.c``, built by
+:mod:`repro.native`), which reads each pair's nodes, amount and path
+fractions and adds each weight straight into the load vector; when the
+library cannot be built or loaded it is the numpy staging instead: an
+``(n, P, 2k)`` link-id tensor, an equally large weight tensor and one
+weighted ``np.bincount``.  Both add the same floats to each link in the same
 order, so they agree bit for bit.  With the recorder on, each evaluation
 is timed as ``flow.kernel`` or ``flow.fallback.no_kernel``.  A compiled
 plan (:func:`repro.routing.compiled.compile_scheme`) is read like any
@@ -29,7 +30,7 @@ from repro.errors import RoutingError
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
 from repro.routing.vectorized import (
-    pair_link_part,
+    pair_part_tables,
     path_index_error,
     path_link_matrix,
     path_link_table,
@@ -39,21 +40,22 @@ from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.permutations import permutation_pairs
 
 #: cap on the widest array one chunk of matrices builds, in entries: its
-#: pairs times ``W(h) * 2h`` (a degraded scheme's candidate-link matrix
-#: is that wide, and without the native library the numpy staging and
-#: the random heuristic's score matrix)
+#: pairs times ``W(h) * 2h`` (without the native library the numpy
+#: staging is that wide)
 CHUNK_ENTRIES = 1 << 22
 
 # Return codes of scatter_loads, as the SCATTER_* enum in loads.c.
 _RC_BAD_PATH = 1
 _RC_BAD_LINK = 2
+_RC_BAD_NODE = 3
 
 
 def _level_groups(xgft: XGFT, scheme: RoutingScheme, s_all: np.ndarray,
-                  d_all: np.ndarray, amount: np.ndarray):
+                  d_all: np.ndarray):
     """Per NCA level with pairs, in level order: ``(k, rows, idx,
-    weight)``, the level's rows, their ``(n, P)`` path indices and the
-    traffic each of those paths carries."""
+    frac)``, the level's rows, their ``(n, P)`` path indices and the
+    fraction of a pair's traffic each of those paths carries: one
+    ``(P,)`` vector shared by every pair, or ``(n, P)`` per pair."""
     k_arr = xgft.nca_level(s_all, d_all)
     for k in range(1, xgft.h + 1):
         rows = np.flatnonzero(k_arr == k)
@@ -65,32 +67,42 @@ def _level_groups(xgft: XGFT, scheme: RoutingScheme, s_all: np.ndarray,
             # share one per-level fraction vector.
             frac = scheme.path_weight_matrix(s, d, k)
             if frac is None:
-                frac = scheme.fractions(k)[None, :]
-            yield k, rows, idx, amount[rows][:, None] * frac
+                frac = scheme.fractions(k)
+            yield k, rows, idx, frac
 
 
-def _scatter(loads: np.ndarray, pair: np.ndarray, table: np.ndarray,
-             idx, weight) -> None:
-    """Add ``weight[i, j]`` to ``loads[pair[i] + table[idx[i, j]]]`` in
-    ``(i, j, link)`` order, natively."""
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    weight = np.ascontiguousarray(np.broadcast_to(weight, idx.shape),
-                                  dtype=np.float64)
-    pair = np.ascontiguousarray(pair, dtype=np.int64)
+def _scatter(loads: np.ndarray, xgft: XGFT, k: int, s, d, offset, idx,
+             amount, frac) -> None:
+    """Add ``amount[i] * frac[i, j]`` (``frac[j]`` if shared) to each
+    link of level-``k`` path ``idx[i, j]`` from ``s[i]`` to ``d[i]``, ids
+    offset by ``offset[i]``, in ``(i, j, link)`` order, natively."""
+    idx, s, d, offset = (np.ascontiguousarray(a, dtype=np.int64)
+                         for a in (idx, s, d, offset))
+    amount, frac = (np.ascontiguousarray(a, dtype=np.float64)
+                    for a in (amount, frac))
+    up, down = pair_part_tables(xgft, k)
+    table = path_link_table(xgft, k)
     # the C loop trusts these shapes and writes into ``loads`` in place
-    if (pair.shape != (len(idx), table.shape[1]) or loads.dtype != np.float64
-            or not loads.flags.c_contiguous):
-        raise ValueError("scatter_loads needs an (n, 2k) pair part and a "
-                         "contiguous float64 load vector")
+    if (idx.ndim != 2 or frac.shape not in (idx.shape[1:], idx.shape)
+            or {a.shape for a in (s, d, offset, amount)} != {idx.shape[:1]}
+            or loads.dtype != np.float64 or not loads.flags.c_contiguous):
+        raise ValueError("scatter_loads needs an (n, P) index matrix, (P,) "
+                         "or (n, P) fractions, n nodes, offsets and amounts "
+                         "and a contiguous float64 load vector")
+    stride = idx.shape[1] if frac.ndim == 2 else 0  # 0: shared fractions
     bad = ctypes.c_int64()
     rc = native.lib().scatter_loads(
-        *idx.shape, table.shape[1], native.ptr(pair), native.ptr(table),
-        len(table), native.ptr(idx), native.ptr(weight, ctypes.c_double),
+        *idx.shape, k, native.ptr(s), native.ptr(d), native.ptr(offset),
+        native.ptr(up), native.ptr(down), len(up), native.ptr(table),
+        len(table), native.ptr(idx), native.ptr(amount, ctypes.c_double),
+        native.ptr(frac, ctypes.c_double), stride,
         native.ptr(loads, ctypes.c_double), loads.size, ctypes.byref(bad))
     if rc == _RC_BAD_PATH:
         raise path_index_error(bad.value, len(table))
     if rc == _RC_BAD_LINK:
         raise RoutingError(f"link id {bad.value} out of range [0, {loads.size})")
+    if rc == _RC_BAD_NODE:
+        raise RoutingError(f"node id {bad.value} out of range [0, {len(up)})")
 
 
 def _chunk_loads(xgft: XGFT, scheme: RoutingScheme, pairs: list,
@@ -105,23 +117,22 @@ def _chunk_loads(xgft: XGFT, scheme: RoutingScheme, pairs: list,
     s_all, d_all, amount = map(np.concatenate, zip(*pairs))
     offset = np.repeat(np.arange(len(pairs)) * n_links,
                        [len(s) for s, _, _ in pairs])
-    groups = _level_groups(xgft, scheme, s_all, d_all, amount)
+    groups = _level_groups(xgft, scheme, s_all, d_all)
     if kernel:
-        for k, rows, idx, weight in groups:
-            _scatter(out.reshape(-1),
-                     pair_link_part(xgft, s_all[rows], d_all[rows], k,
-                                    offset[rows]),
-                     path_link_table(xgft, k), idx, weight)
+        for k, rows, idx, frac in groups:
+            _scatter(out.reshape(-1), xgft, k, s_all[rows], d_all[rows],
+                     offset[rows], idx, amount[rows], frac)
         return
     groups = list(groups)
     size = sum(idx.size * 2 * k for k, _, idx, _ in groups)
     ids, weights = np.empty(size, dtype=np.int64), np.empty(size)
     start = 0
-    for k, rows, idx, weight in groups:
+    for k, rows, idx, frac in groups:
         stop, shape = start + idx.size * 2 * k, (*idx.shape, 2 * k)
         path_link_matrix(xgft, s_all[rows], d_all[rows], idx, k,
                          offset=offset[rows], out=ids[start:stop].reshape(shape))
-        weights[start:stop].reshape(shape)[...] = weight[:, :, None]
+        weights[start:stop].reshape(shape)[...] = (
+            amount[rows][:, None] * frac)[:, :, None]
         start = stop
     out.reshape(-1)[:] = np.bincount(ids, weights=weights, minlength=out.size)
 

@@ -10,8 +10,11 @@
 
 All sources are compiled by one compiler call into one shared library,
 once per machine, cached under ``~/.cache/repro-native`` (or
-``$REPRO_KERNEL_CACHE``) keyed by a hash of the sources, and loaded with
-ctypes.  The library loads with all three entry points or not at all.
+``$REPRO_KERNEL_CACHE``) keyed by a hash of the compiler's name, its
+flags and the sources, and loaded with ctypes.  ``-ffp-contract=off``
+keeps a multiply and an add from fusing into one FMA, which rounds once
+where numpy rounds twice.  The library loads with all three entry points
+or not at all.
 When it cannot be built or loaded, :func:`available` is false,
 :func:`unavailable_reason` says why ("no C compiler", "build failed:
 ...", "load failed: ..."), and each layer takes its own slower path: the
@@ -38,6 +41,9 @@ _SOURCES = (os.path.join(_HERE, "flit", "kernel.c"),
             os.path.join(_HERE, "flow", "loads.c"),
             os.path.join(_HERE, "routing", "select.c"))
 
+#: compiler flags, hashed into the cached library's name
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
 _lib = None
 _reason: str | None = None
 _load_attempted = False
@@ -54,16 +60,13 @@ def _cache_dir() -> str:
     return root
 
 
-def _build(so_path: str) -> str | None:
+def _build(cc: str, so_path: str) -> str | None:
     """Compile every source into ``so_path``; why it failed, or None."""
-    cc = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
-    if cc is None:
-        return "no C compiler"
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(so_path))
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, *_SOURCES, "-lm"],
+            [cc, *_FLAGS, "-o", tmp, *_SOURCES, "-lm"],
             capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             lines = proc.stderr.strip().splitlines()
@@ -78,21 +81,29 @@ def _build(so_path: str) -> str | None:
     return None
 
 
+def _library_path(cc: str) -> str:
+    """Where the library ``cc`` builds with :data:`_FLAGS` from the
+    current sources is cached."""
+    digest = hashlib.sha256("\0".join((cc, *_FLAGS)).encode())
+    for path in _SOURCES:
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return os.path.join(_cache_dir(), f"kernel-{digest.hexdigest()[:16]}.so")
+
+
 def _load() -> str | None:
     """Build (unless cached) and load the library into ``_lib``; why it
     failed, or None."""
     global _lib
-    digest = hashlib.sha256()
+    cc = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
+    if cc is None:
+        return "no C compiler"
     try:
-        for path in _SOURCES:
-            with open(path, "rb") as fh:
-                digest.update(fh.read())
-        so_path = os.path.join(_cache_dir(),
-                               f"kernel-{digest.hexdigest()[:16]}.so")
+        so_path = _library_path(cc)
     except OSError as exc:
         return f"build failed: {exc}"
     if not os.path.exists(so_path):
-        reason = _build(so_path)
+        reason = _build(cc, so_path)
         if reason is not None:
             return reason
     try:
@@ -109,8 +120,8 @@ def _load() -> str | None:
     release.restype = None
     release.argtypes = [i64p]
     scatter.restype = ctypes.c_long
-    scatter.argtypes = [i64, i64, i64, i64p, i64p, i64, i64p, f64p, f64p,
-                        i64, i64p]
+    scatter.argtypes = [i64, i64, i64, i64p, i64p, i64p, i64p, i64p, i64,
+                        i64p, i64, i64p, f64p, f64p, i64, f64p, i64, i64p]
     select.restype = ctypes.c_long
     select.argtypes = [ctypes.c_uint64, i64, i64, i64p, i64p, i64, i64,
                        i64p, i64p]

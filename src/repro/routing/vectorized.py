@@ -3,11 +3,10 @@
 Converts matrices of path indices into matrices of directed link ids with
 one gather and one add, mirroring the closed forms used by
 :func:`repro.routing.path.build_path` (which remains the readable scalar
-reference; tests assert both agree): a link id is a per-pair part
-(:func:`pair_link_part`) plus a per-path part (:func:`path_link_table`).
-Used by the flow evaluator (whose native scatter-add reads the two parts
-directly), the flit route compiler, the fault masks and the churn
-candidate index.
+reference; tests assert both agree): a link id is a per-pair part (two
+per-node tables, :func:`pair_part_tables`) plus a per-path part
+(:func:`path_link_table`).  The flow evaluator's native scatter-add and
+the fault liveness tables read the tables directly.
 """
 
 from __future__ import annotations
@@ -43,27 +42,48 @@ def path_link_table(xgft: XGFT, k: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=512)
+def pair_part_tables(xgft: XGFT, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(n_procs, k)`` ``(up, down)`` tables of the pair part
+    of level-``k`` link ids: a path from ``s`` to ``d`` has pair part
+    ``up[s]`` on its ``k`` up links and ``down[d]`` on its ``k`` down
+    links, in traversal order (see :func:`pair_link_part`)."""
+    x = np.arange(xgft.n_procs, dtype=np.int64)
+    up, down = np.empty((2, x.size, k), dtype=np.int64)
+    for l in range(k):
+        up[:, l] = xgft.up_link_id(l, xgft.W(l) * (x // xgft.M(l)), 0)
+        down[:, k - 1 - l] = xgft.down_link_id(
+            l, xgft.W(l + 1) * (x // xgft.M(l + 1)),
+            (x // xgft.M(l)) % xgft.m[l])
+    for table in (up, down):
+        table.setflags(write=False)
+    return up, down
+
+
 def pair_link_part(xgft: XGFT, s: np.ndarray, d: np.ndarray, k: int,
                    offset=0) -> np.ndarray:
     """``(n, 2k)`` int64 pair part of the link ids of every level-``k``
     path from ``s[i]`` to ``d[i]``, plus ``offset`` (a scalar or length
     n): path ``t``'s ids are this row plus ``path_link_table(xgft, k)[t]``.
     """
-    s = np.asarray(s, dtype=np.int64)
-    d = np.asarray(d, dtype=np.int64)
-    pair = np.empty((s.size, 2 * k), dtype=np.int64)
-    for l in range(k):
-        pair[:, l] = xgft.up_link_id(l, xgft.W(l) * (s // xgft.M(l)), 0)
-        pair[:, 2 * k - 1 - l] = xgft.down_link_id(
-            l, xgft.W(l + 1) * (d // xgft.M(l + 1)),
-            (d // xgft.M(l)) % xgft.m[l])
-    pair += np.reshape(offset, (-1, 1))
-    return pair
+    up, down = pair_part_tables(xgft, k)
+    pair = np.concatenate((up[s], down[d]), axis=1)
+    return pair + np.reshape(offset, (-1, 1))
 
 
 def path_index_error(t: int, num_paths: int) -> RoutingError:
     """The error for a path index outside ``[0, num_paths)``."""
     return RoutingError(f"path index {t} out of range [0, {num_paths})")
+
+
+def check_path_indices(idx, num_paths: int) -> np.ndarray:
+    """``idx`` as an array, after raising :func:`path_index_error` for
+    its first entry outside ``[0, num_paths)``."""
+    idx = np.asarray(idx)
+    if idx.size and (idx.min() < 0 or idx.max() >= num_paths):
+        raise path_index_error(
+            idx[(idx < 0) | (idx >= num_paths)][0], num_paths)
+    return idx
 
 
 def path_link_matrix(
@@ -89,10 +109,7 @@ def path_link_matrix(
     ids followed by the ``k`` down-link ids, in traversal order.
     """
     table = path_link_table(xgft, k)
-    idx = np.asarray(idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= len(table)):
-        raise path_index_error(
-            idx[(idx < 0) | (idx >= len(table))][0], len(table))
+    idx = check_path_indices(idx, len(table))
     pair = pair_link_part(xgft, s, d, k, offset)
     # mode "raise" would fill ``out`` through a buffer; "wrap" does not,
     # and every index is in range

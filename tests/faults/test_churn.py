@@ -1,8 +1,10 @@
-"""Unit tests for streaming churn: events, traces, the link->pairs
-transpose, and incremental re-routing (including the >=10x acceptance
-gate on the 8-port 3-tree)."""
+"""Unit tests for streaming churn: events, traces, the closed-form
+link->candidate pairs map, and incremental re-routing (including the
+>=10x acceptance gate on the 8-port 3-tree)."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,13 +17,15 @@ from repro.faults import (
     IncrementalDegradedScheme,
     generate_trace,
 )
+from repro.faults.churn import candidate_pairs
 from repro.faults.spec import samplable_cables
 from repro.obs import Recorder, use_recorder
-from repro.routing.compiled import LinkPairIndex, candidate_link_index
 from repro.routing.factory import make_scheme
-from repro.routing.vectorized import path_link_matrix
+from repro.routing.path import build_path
 from repro.topology.variants import m_port_n_tree
 from repro.topology.xgft import XGFT
+
+from tests.conftest import TOPOLOGY_POOL, pool_ids
 
 
 class TestChurnEvent:
@@ -99,59 +103,55 @@ class TestGenerateTrace:
             assert event.label in text
 
 
+@lru_cache(maxsize=None)
+def _candidate_links(xgft) -> dict[int, frozenset]:
+    """Every pair key's candidate links, path by path from
+    :func:`build_path`."""
+    n = xgft.n_procs
+    return {s * n + d: frozenset(
+                link for t in range(xgft.num_shortest_paths(s, d))
+                for link in build_path(xgft, s, d, t).links)
+            for s in range(n) for d in range(n) if s != d}
+
+
 def _brute_force_pairs(xgft, link_ids):
     """All pair keys with a candidate path through any of ``link_ids``."""
     wanted = set(int(l) for l in np.atleast_1d(link_ids))
-    out = set()
-    n = xgft.n_procs
-    for s in range(n):
-        for d in range(n):
-            k = int(xgft.nca_level(s, d))
-            if k == 0:
-                continue
-            idx = np.arange(xgft.W(k), dtype=np.int64)[None, :]
-            links = path_link_matrix(
-                xgft, np.array([s]), np.array([d]), idx, k)
-            if wanted & set(links.ravel().tolist()):
-                out.add(s * n + d)
-    return np.array(sorted(out), dtype=np.int64)
+    return np.array(sorted(key for key, links in _candidate_links(xgft).items()
+                           if wanted & links), dtype=np.int64)
 
 
 class TestCandidateLinkIndex:
+    """The link -> candidate pairs map, in closed form
+    (:func:`candidate_pairs`)."""
+
     @pytest.mark.parametrize("make", [
         lambda: m_port_n_tree(4, 2),
         lambda: XGFT(2, (3, 2), (1, 2)),
     ])
     def test_matches_brute_force(self, make):
         xgft = make()
-        index = candidate_link_index(xgft)
         for link in range(0, xgft.n_links, 7):
             expected = _brute_force_pairs(xgft, [link])
-            assert np.array_equal(index.pairs_of(link), expected)
+            assert np.array_equal(candidate_pairs(xgft, [link]), expected)
 
     def test_pairs_unions_and_dedups(self):
         xgft = m_port_n_tree(4, 2)
-        index = candidate_link_index(xgft)
         links = [0, 1, xgft.n_links - 1]
-        assert np.array_equal(index.pairs(links),
-                              _brute_force_pairs(xgft, links))
-        assert index.pairs([]).size == 0
+        expected = _brute_force_pairs(xgft, links)
+        assert np.array_equal(candidate_pairs(xgft, links), expected)
+        # repeated links, in any order, name each pair once
+        assert np.array_equal(
+            candidate_pairs(xgft, np.array(links[::-1] + links + [1])),
+            expected)
+        empty = candidate_pairs(xgft, [])
+        assert empty.size == 0 and empty.dtype == np.int64
 
-    def test_memoized_per_topology(self):
-        xgft = m_port_n_tree(4, 2)
-        assert candidate_link_index(xgft) is candidate_link_index(
-            m_port_n_tree(4, 2))
-
-    def test_index_shape_invariants(self, tree8x2):
-        index = candidate_link_index(tree8x2)
-        assert isinstance(index, LinkPairIndex)
-        assert index.n_links == tree8x2.n_links
-        assert index.indptr.shape == (tree8x2.n_links + 1,)
-        assert index.indptr[-1] == index.nnz
-        # Within each link's slice, pair keys are sorted and unique.
-        for link in range(0, tree8x2.n_links, 11):
-            pairs = index.pairs_of(link)
-            assert np.all(np.diff(pairs) > 0)
+    @pytest.mark.parametrize("xgft", TOPOLOGY_POOL, ids=pool_ids())
+    def test_every_link_of_the_pool(self, xgft):
+        for link in range(xgft.n_links):
+            assert np.array_equal(candidate_pairs(xgft, [link]),
+                                  _brute_force_pairs(xgft, [link]))
 
 
 class TestIncrementalDegradedScheme:

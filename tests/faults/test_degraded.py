@@ -7,10 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.errors import FaultError
+from repro.errors import FaultError, RoutingError
 from repro.faults import DegradedFabric, cable_links, switch_links
+from repro.routing.vectorized import path_link_matrix
 from repro.topology.variants import m_port_n_tree
 from repro.topology.xgft import XGFT
+
+from tests.conftest import TOPOLOGY_POOL, pool_ids
 
 
 class TestCableLinks:
@@ -192,6 +195,91 @@ class TestConnectivity:
         assert peak < 256 * 2**20
         fabric.fail_cable(xgft.boundary_link_slices(0)[0].start)
         assert not fabric.is_connected  # a host's only uplink
+
+
+def gathered_alive(fabric, s, d, idx, k) -> np.ndarray:
+    """Path liveness through the ``(n, P, 2k)`` link-id tensor: whether
+    every link id of each path is alive."""
+    return fabric.link_ok[path_link_matrix(fabric.xgft, s, d, idx, k)].all(
+        axis=2)
+
+
+def random_fabric(xgft, rng) -> DegradedFabric:
+    """A few random dead cables and switches (critical ones included)."""
+    ups = np.flatnonzero(xgft.link_is_up())
+    cables = rng.choice(ups, size=min(ups.size, rng.integers(0, 5)),
+                        replace=False)
+    switches = {(int(level), int(rng.integers(xgft.level_size(level))))
+                for level in rng.integers(1, xgft.h + 1,
+                                          size=rng.integers(0, 3))}
+    return DegradedFabric(xgft, failed_cables=cables, failed_switches=switches)
+
+
+def assert_liveness_matches(fabric, rng) -> None:
+    """:meth:`path_alive_matrix` equals the link-tensor gather on every
+    pair of every level, for all of a pair's paths and for a random
+    ``(n, P)`` selection with repeats."""
+    xgft = fabric.xgft
+    n = xgft.n_procs
+    s_all, d_all = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    k_all = xgft.nca_level(s_all, d_all)
+    for k in range(xgft.h + 1):
+        s, d = s_all[k_all == k], d_all[k_all == k]
+        x = xgft.W(k)
+        for idx in (np.broadcast_to(np.arange(x), (s.size, x)),
+                    rng.integers(x, size=(s.size, 3))):
+            alive = fabric.path_alive_matrix(s, d, idx, k)
+            assert alive.shape == idx.shape
+            assert np.array_equal(alive, gathered_alive(fabric, s, d, idx, k))
+
+
+class TestPathLiveness:
+    """Path liveness from the per-level ``(n_procs, W(k))`` tables equals
+    the per-path link gather it replaced."""
+
+    @pytest.mark.parametrize("xgft", TOPOLOGY_POOL, ids=pool_ids())
+    def test_equals_link_gather(self, xgft):
+        rng = np.random.default_rng(xgft.n_links)
+        dead = 0
+        for _ in range(6):
+            fabric = random_fabric(xgft, rng)
+            assert_liveness_matches(fabric, rng)
+            dead += fabric.n_failed_links
+        assert dead
+
+    def test_tables_follow_the_version(self, tree8x3):
+        """Fail, query, repair, query, fail another: every query sees
+        the current mask, never tables cached at an earlier version."""
+        rng = np.random.default_rng(0)
+        fabric = DegradedFabric(tree8x3)
+        up1, _ = tree8x3.boundary_link_slices(1)
+        up2, _ = tree8x3.boundary_link_slices(2)
+        assert_liveness_matches(fabric, rng)  # warm every level's tables
+        fabric.fail_cable(up1.start)
+        assert_liveness_matches(fabric, rng)
+        fabric.repair_cable(up1.start)
+        assert_liveness_matches(fabric, rng)
+        fabric.fail_cable(up2.start + 3)
+        assert_liveness_matches(fabric, rng)
+        fabric.fail_switch(2, 5)
+        assert_liveness_matches(fabric, rng)
+
+    def test_tables_are_read_only_and_shared(self, tree8x3):
+        fabric = DegradedFabric(tree8x3, failed_switches=[(2, 1)])
+        up_ok, down_ok = fabric.level_liveness(3)
+        assert up_ok.shape == down_ok.shape == (tree8x3.n_procs, tree8x3.W(3))
+        with pytest.raises(ValueError):
+            up_ok[0, 0] = False
+        assert fabric.is_connected
+        assert fabric.level_liveness(3)[0] is up_ok
+
+    @pytest.mark.parametrize("t", [-1, 16], ids=["below", "above"])
+    def test_out_of_range_index_raises(self, tree8x3, t):
+        fabric = DegradedFabric(tree8x3)
+        with pytest.raises(RoutingError,
+                           match=rf"path index {t} out of range \[0, 16\)"):
+            fabric.path_alive_matrix(np.array([0]), np.array([127]),
+                                     np.array([[0, t]]), 3)
 
 
 class TestFabricMutation:

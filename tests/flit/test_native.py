@@ -3,7 +3,6 @@ run records it, and that an arena overflow is a typed error."""
 
 from __future__ import annotations
 
-import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -105,10 +104,24 @@ def test_load_failure_reason(fresh_kernel_load, monkeypatch):
     bad = fresh_kernel_load / "kernel.c"
     bad.write_text("/* never compiled: a broken library is cached */\n")
     monkeypatch.setattr(library, "_SOURCES", (str(bad),))
-    digest = hashlib.sha256(bad.read_bytes()).hexdigest()[:16]
-    (fresh_kernel_load / f"kernel-{digest}.so").write_bytes(b"not a shared object")
+    # the compiler's name is part of the library's; it never runs here
+    monkeypatch.setattr(library.shutil, "which", lambda name: f"/bin/{name}")
+    with open(library._library_path("cc"), "wb") as fh:
+        fh.write(b"not a shared object")
     assert not native.available()
     assert native.unavailable_reason().startswith("load failed: ")
+
+
+def test_compiler_and_flags_name_the_library(fresh_kernel_load, monkeypatch):
+    """A library built by another compiler or with other flags is never
+    loaded in place of this one: both are hashed into its name."""
+    assert "-ffp-contract=off" in library._FLAGS
+    path = library._library_path("cc")
+    assert library._library_path("cc") == path
+    assert library._library_path("clang") != path
+    monkeypatch.setattr(library, "_FLAGS", tuple(
+        flag for flag in library._FLAGS if flag != "-ffp-contract=off"))
+    assert library._library_path("cc") != path
 
 
 @pytest.mark.parametrize("model", ["output-queued", "input-fifo"])

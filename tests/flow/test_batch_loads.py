@@ -26,13 +26,14 @@ from repro.errors import TrafficError
 from repro.faults.churn import (
     ChurnSpec,
     IncrementalDegradedScheme,
+    candidate_pairs,
     generate_trace,
 )
 from repro.faults.degraded import DegradedFabric
 from repro.faults.scheme import DegradedScheme
 from repro.faults.spec import samplable_cables
 from repro.flow.loads import link_loads, permutation_mloads
-from repro.routing.compiled import candidate_link_index, compile_scheme
+from repro.routing.compiled import compile_scheme
 from repro.routing.factory import make_scheme
 from repro.routing.path import build_path
 from repro.topology.variants import m_port_n_tree
@@ -255,7 +256,8 @@ def brute_force_index(xgft) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("xgft", [m_port_n_tree(4, 3), XGFT(2, (3, 5), (2, 3))],
                          ids=repr)
 def test_candidate_link_index_equals_brute_force(xgft):
-    index = candidate_link_index(xgft)
+    """The closed-form link -> candidate pairs map, link by link."""
     indptr, keys = brute_force_index(xgft)
-    assert np.array_equal(index.indptr, indptr)
-    assert np.array_equal(index.pair_keys, keys)
+    for link in range(xgft.n_links):
+        assert np.array_equal(candidate_pairs(xgft, [link]),
+                              keys[indptr[link]:indptr[link + 1]])

@@ -92,17 +92,39 @@ def test_out_of_range_path_index_raises(flow_path, shift):
 
 
 def test_native_scatter_checks_link_ids():
-    """The C guard behind the closed form: an id outside the load vector
-    stops the call instead of writing past it."""
+    """The C guards behind the closed form: a link id outside the load
+    vector or a node id outside the pair-part tables stops the call
+    instead of reading or writing past them, and fractions that do not
+    match the index matrix never reach it."""
     if not native.available():
         pytest.skip(f"native library unavailable: {native.unavailable_reason()}")
-    table = np.zeros((2, 2), dtype=np.int64)
-    with pytest.raises(RoutingError, match=r"link id 9 out of range \[0, 4\)"):
-        loads_mod._scatter(np.zeros(4), np.array([[1, 9]]), table,
-                           np.array([[1]]), np.array([[1.0]]))
-    with pytest.raises(ValueError, match="pair part"):  # a short pair row
-        loads_mod._scatter(np.zeros(4), np.array([[1]]), table,
-                           np.array([[1]]), np.array([[1.0]]))
+    xgft = m_port_n_tree(4, 2)
+    n, n_links, k = xgft.n_procs, xgft.n_links, xgft.h
+    loads = np.zeros(n_links)
+    s, d, offset = np.array([0]), np.array([n - 1]), np.array([0])
+    idx, amount, frac = np.array([[0, 1]]), np.array([1.0]), np.full(2, 0.5)
+
+    def scatter(s=s, d=d, offset=offset, frac=frac):
+        loads_mod._scatter(loads, xgft, k, s, d, offset, idx, amount, frac)
+
+    # source 0's first up link has id 0, so the first id is the offset
+    with pytest.raises(RoutingError,
+                       match=rf"link id {n_links} out of range \[0, {n_links}\)"):
+        scatter(offset=np.array([n_links]))
+    for node in (n, -1):
+        with pytest.raises(RoutingError,
+                           match=rf"node id {node} out of range \[0, {n}\)"):
+            scatter(s=np.array([node]))
+        with pytest.raises(RoutingError,
+                           match=rf"node id {node} out of range \[0, {n}\)"):
+            scatter(d=np.array([node]))
+    with pytest.raises(ValueError, match="fractions"):
+        scatter(frac=np.full((1, 3), 0.5))
+    with pytest.raises(ValueError, match="fractions"):
+        scatter(frac=np.full((2, 2), 0.5))
+    assert not loads.any()
+    scatter()
+    assert loads.sum() == 2 * k
 
 
 def test_timer_names_the_path(flow_path):

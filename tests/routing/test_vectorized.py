@@ -9,7 +9,12 @@ from repro.errors import RoutingError
 from repro.routing.heuristics import Disjoint, UMulti
 from repro.routing.modk import DModK
 from repro.routing.path import build_path
-from repro.routing.vectorized import compile_routes, path_link_matrix
+from repro.routing.vectorized import (
+    compile_routes,
+    pair_link_part,
+    pair_part_tables,
+    path_link_matrix,
+)
 from repro.topology.variants import m_port_n_tree
 
 from tests.conftest import TOPOLOGY_POOL, pool_ids
@@ -25,6 +30,42 @@ class OutOfRangeDModK(DModK):
 
     def path_index_matrix(self, s, d, k):
         return super().path_index_matrix(s, d, k) + self.shift * self.xgft.W(k)
+
+
+def division_pair_part(xgft, s, d, k) -> np.ndarray:
+    """``(n, 2k)`` pair part of level-``k`` link ids, by integer division
+    per pair: the up link out of the source's first level-``l`` node,
+    then the down links into the destination's subtrees, top-down."""
+    pair = np.empty((s.size, 2 * k), dtype=np.int64)
+    for l in range(k):
+        pair[:, l] = xgft.up_link_id(l, xgft.W(l) * (s // xgft.M(l)), 0)
+        pair[:, 2 * k - 1 - l] = xgft.down_link_id(
+            l, xgft.W(l + 1) * (d // xgft.M(l + 1)),
+            (d // xgft.M(l)) % xgft.m[l])
+    return pair
+
+
+class TestPairPartTables:
+    @pytest.mark.parametrize("xgft", TOPOLOGY_POOL, ids=pool_ids())
+    def test_equal_division_per_pair(self, xgft):
+        nodes = np.arange(xgft.n_procs, dtype=np.int64)
+        rng = np.random.default_rng(xgft.n_links)
+        s, d = rng.integers(xgft.n_procs, size=(2, 50))
+        for k in range(xgft.h + 1):
+            up, down = pair_part_tables(xgft, k)
+            assert up.shape == down.shape == (xgft.n_procs, k)
+            assert up.dtype == down.dtype == np.int64
+            whole = division_pair_part(xgft, nodes, nodes, k)
+            assert np.array_equal(up, whole[:, :k])
+            assert np.array_equal(down, whole[:, k:])
+            assert np.array_equal(pair_link_part(xgft, s, d, k, offset=7),
+                                  division_pair_part(xgft, s, d, k) + 7)
+
+    def test_cached_and_read_only(self, tree8x3):
+        up, down = pair_part_tables(tree8x3, 2)
+        assert pair_part_tables(tree8x3, 2)[0] is up
+        with pytest.raises(ValueError):
+            down[0, 0] = 0
 
 
 class TestPathLinkMatrix:
