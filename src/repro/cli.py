@@ -11,7 +11,7 @@ Commands
 * ``report <path...>`` — aggregate ``--log-json`` JSONL run logs
   (files or directories) into a cross-run summary: per-phase
   p50/p95/p99 wall times, counter totals, span waterfalls
-  (``--format text|json|prometheus``).
+  (``--format text|json``).
 
 Every experiment subcommand also accepts the telemetry options
 (:mod:`repro.obs`): ``--seed N`` for a reproducible invocation,
@@ -23,12 +23,13 @@ options reach an experiment only when its runner takes them (see
 error (exit 2), except the do-nothing ``--engine reference``,
 ``--jobs 1`` and ``--no-cache``:
 
-* ``--engine``: flow-level permutation studies take ``compiled``
-  (select each scheme's paths once, then evaluate every round over
-  that cached plan, bit-identical to the reference) and
-  flit-level sweeps (``table1``, ``figure5``) take ``batched`` (the
-  native flit kernel, bit-identical to the reference engine but several
-  times faster); ``reference`` is the default everywhere;
+* ``--engine``: flit-level sweeps (``table1``, ``figure5``) run the
+  native ``batched`` flit kernel by default (bit-identical to the
+  reference engine, which it falls back to when the kernel cannot run,
+  and several times faster) and take ``reference`` for the pure-Python
+  oracle; flow-level permutation studies run ``reference`` by default
+  and take ``compiled`` (select each scheme's paths once, then evaluate
+  every round over that cached plan, bit-identical to the reference);
 * ``--fault-rate R[,R...]`` (link failure rate grid), ``--fault-links
   ID[,ID...]`` (explicit failed cables, instead of a rate grid) and
   ``--fault-seed N`` (fault sampler seed): ``fault-sweep``;
@@ -168,16 +169,13 @@ def _cmd_report(args) -> int:
     import json as _json
 
     from repro.obs.export import (aggregate_runs, merged_recorder,
-                                  render_cross_run_report, to_prometheus,
-                                  to_wide_row)
+                                  render_cross_run_report, to_wide_row)
 
     runs = aggregate_runs(args.paths)
     if not runs:
         print("error: no run logs found", file=sys.stderr)
         return 2
-    if args.format == "prometheus":
-        print(to_prometheus(merged_recorder(runs)), end="")
-    elif args.format == "json":
+    if args.format == "json":
         print(_json.dumps({
             "runs": [{"path": r.path, "manifest": r.manifest} for r in runs],
             "merged": to_wide_row(merged_recorder(runs)),
@@ -258,9 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="+", metavar="PATH",
         help="run-log files or directories of *.jsonl (from --log-json)")
     p_report.add_argument(
-        "--format", choices=("text", "json", "prometheus"), default="text",
-        help="text summary (default), merged wide-row JSON, or Prometheus "
-             "text exposition of the merged metrics")
+        "--format", choices=("text", "json"), default="text",
+        help="text summary (default) or merged wide-row JSON")
     p_report.set_defaults(func=_cmd_report)
 
     # Telemetry/reproducibility options shared by every experiment
@@ -281,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     obs_parent.add_argument(
         "--engine", choices=("reference", "compiled", "batched"),
         default=None,
-        help="simulation backend: flow experiments take 'compiled' "
-             "(select paths once per scheme, then evaluate every round "
-             "over that plan, bit-identical to the reference), flit "
-             "experiments (table1, figure5) take 'batched' (calendar-"
-             "queue kernel, bit-identical to the reference); 'reference' "
-             "is the default everywhere")
+        help="simulation backend: flit experiments (table1, figure5) "
+             "run 'batched' (the native flit kernel, bit-identical to "
+             "the reference it falls back to) by default and take "
+             "'reference'; flow experiments run 'reference' by default "
+             "and take 'compiled' (select paths once per scheme, then "
+             "evaluate every round over that plan, bit-identical)")
     obs_parent.add_argument(
         "--fault-rate", metavar="R[,R...]", default=None,
         type=_arg_fault_rates,

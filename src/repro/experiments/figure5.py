@@ -85,7 +85,7 @@ def run(
     seed: int | None = None,
     n_jobs: int = 1,
     cache=None,
-    engine: str = "reference",
+    engine: str = "batched",
 ) -> Figure5Result:
     """Regenerate Figure 5's delay curves.
 
@@ -95,8 +95,9 @@ def run(
     ``n_jobs > 1`` fans it out over one process pool and ``cache`` (a
     :class:`~repro.runner.cache.ResultCache`) replays completed points
     from disk; both return results bit-identical to an inline run for a
-    fixed seed.  ``engine`` selects the flit backend (``reference`` or
-    the bit-identical, faster ``batched``).
+    fixed seed.  ``engine`` selects the flit backend: the native
+    ``batched`` kernel by default (it runs the reference engine when the
+    kernel cannot run), or the bit-identical ``reference`` oracle.
     """
     from repro.runner import sweep
 

@@ -152,8 +152,9 @@ def run_instrumented(
     for the do-nothing values ``engine="reference"``, ``jobs=1`` and
     ``cache=False``.  Other keyword arguments go to the runner as is.
 
-    With ``engine="batched"`` the manifest's ``extra["flit_kernel"]``
-    records which path the flit runs took: ``"native"`` or
+    When the runner's flit runs take the batched engine (the flit
+    runners' default, or ``engine="batched"``), the manifest's
+    ``extra["flit_kernel"]`` records which path they took: ``"native"`` or
     ``"reference: <why>"``, joined by ``"; "`` when runs differ.  With
     the recorder enabled that is what actually ran (see
     :func:`repro.flit.batched.kernels_ran`); otherwise it is whether the
@@ -184,6 +185,10 @@ def run_instrumented(
 
         kwargs["cache"] = ResultCache(
             cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR)
+    # the engine the runner takes: as forwarded, else its default
+    batched = kwargs.get("engine", getattr(
+        inspect.signature(runner).parameters.get("engine"), "default",
+        None)) == "batched"
     if seed is not None and "seed" in accepts:
         kwargs["seed"] = seed
     if "fidelity_name" in accepts:
@@ -192,7 +197,7 @@ def run_instrumented(
         name, fidelity=fidelity_name, seed=seed,
         argv=tuple(argv) if argv is not None else None,
     )
-    if engine == "batched":
+    if batched:
         from repro.flit import native
 
         manifest.extra["flit_kernel"] = (
@@ -207,7 +212,7 @@ def run_instrumented(
         timers = {timer: (seconds, calls - before.get(timer, (0.0, 0))[1])
                   for timer, (seconds, calls) in rec.timers.items()}
         ran = {"flow_kernel": flow_kernels_ran(timers)}
-        if engine == "batched":
+        if batched:
             from repro.flit.batched import kernels_ran
 
             ran["flit_kernel"] = kernels_ran(timers)

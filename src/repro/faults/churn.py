@@ -14,17 +14,17 @@ module provides that axis:
   ``churn-trace`` RNG substream, so it never perturbs fault-spec or
   traffic sampling), by default conditioned to keep the fabric
   connected after every event;
-* :class:`IncrementalDegradedScheme` — a routing scheme that holds its
-  full selection state (per NCA level: preference orders, selected path
-  indices, renormalized weights) and, per event, recomputes only the
-  pairs whose *candidate* paths touch a flipped link, found in closed
-  form (:func:`candidate_pairs`).
+* :class:`IncrementalDegradedScheme` — a
+  :class:`~repro.faults.scheme.DegradedScheme` whose per-level selection
+  tables are filled up front and, per event, re-selects only the pairs
+  whose *candidate* paths touch a flipped link, found in closed form
+  (:func:`candidate_pairs`).
 
 Correctness contract
 --------------------
 After any event sequence, the incremental state is **bit-identical** to
-a from-scratch ``DegradedScheme`` recompile over the same cumulative
-fault set: both run the same row-local selection rule
+a from-scratch ``DegradedScheme`` over the same cumulative fault set:
+both fill their tables with the same row-local selection rule
 (:func:`~repro.faults.scheme.select_surviving`), and the candidate pairs
 over-approximate the affected set in both directions — a failure can
 only change rows whose candidate paths use a dead link, a repair only
@@ -46,10 +46,11 @@ import numpy as np
 
 from repro.errors import DisconnectedPairError, FaultError
 from repro.faults.degraded import DegradedFabric
-from repro.faults.scheme import DegradedScheme, select_surviving
+from repro.faults.scheme import DegradedScheme
 from repro.faults.spec import samplable_cables, samplable_switches
 from repro.obs.recorder import get_recorder
-from repro.routing.base import RouteSet, RoutingScheme
+from repro.routing.base import RoutingScheme
+from repro.routing.vectorized import level_pairs
 from repro.topology.xgft import LinkKind, XGFT
 from repro.util.rng import substream
 
@@ -267,80 +268,41 @@ class RerouteStats:
     seconds: float
 
 
-@dataclass
-class _LevelState:
-    """One NCA level's persistent selection state (sorted by pair key)."""
-
-    k: int
-    keys: np.ndarray     # (n_pairs,) int64, sorted
-    src: np.ndarray      # (n_pairs,) int64
-    dst: np.ndarray      # (n_pairs,) int64
-    order: np.ndarray    # (n_pairs, X) int64 — base preference order
-    idx: np.ndarray      # (n_pairs, P) int64 — current selection
-    weights: np.ndarray  # (n_pairs, P) float64 — current fractions
-
-
-class IncrementalDegradedScheme(RoutingScheme):
-    """A routing scheme that re-routes around churn one event at a time.
-
-    Serves the same query surface as
-    :class:`~repro.faults.scheme.DegradedScheme` from persistent per-level
-    tables; :meth:`apply_event` updates those tables in place, touching
-    only the pairs whose candidate paths cross a flipped link.  On a
-    pristine fabric it is a transparent proxy, exactly like the
-    from-scratch wrapper.
+class IncrementalDegradedScheme(DegradedScheme):
+    """A :class:`~repro.faults.scheme.DegradedScheme` whose tables follow
+    churn one event at a time: every row is filled up front (so a
+    disconnected fabric raises here), and :meth:`apply_event` re-selects
+    only the pairs whose candidate paths cross a flipped link.
+    ``fabric`` is an alias of ``degraded``, created pristine if not given.
     """
 
     def __init__(self, base: RoutingScheme,
                  fabric: DegradedFabric | None = None):
-        if not hasattr(base, "path_order_matrix"):
-            raise FaultError(
-                f"{type(base).__name__} exposes no path preference order; "
-                f"wrap the underlying scheme, not a compiled plan"
-            )
-        if isinstance(base, (DegradedScheme, IncrementalDegradedScheme)):
-            raise FaultError("refusing to stack degraded wrappers; wrap the "
-                             "pristine base scheme")
-        if fabric is None:
-            fabric = DegradedFabric(base.xgft)
-        elif base.xgft != fabric.xgft:
-            raise FaultError(
-                "scheme and degraded fabric were built for different topologies"
-            )
-        super().__init__(base.xgft)
-        self.base = base
-        self.fabric = fabric
-        self.name = base.name
-        self._levels: dict[int, _LevelState] = {}
-        xgft = base.xgft
-        n = xgft.n_procs
-        keys_all = np.arange(n * n, dtype=np.int64)
-        s_all, d_all = np.divmod(keys_all, n)
-        k_arr = xgft.nca_level(s_all, d_all)
-        for k in range(1, xgft.h + 1):
-            mask = k_arr == k
-            if not mask.any():
-                continue
-            s, d, keys = s_all[mask], d_all[mask], keys_all[mask]
-            order = np.asarray(base.path_order_matrix(s, d, k),
-                               dtype=np.int64)
-            alive = fabric.path_alive_matrix(s, d, order, k)
-            idx, weights = select_surviving(
-                s, d, order, alive, base.paths_per_pair(k))
-            self._levels[k] = _LevelState(k, keys, s, d, order, idx, weights)
-
-    def __repr__(self) -> str:
-        return f"IncrementalDegradedScheme({self.base!r}, {self.fabric!r})"
+        super().__init__(base, DegradedFabric(base.xgft)
+                         if fabric is None else fabric)
+        self._fill()
 
     @property
-    def label(self) -> str:
-        return f"{self.base.label}@{self.fabric.tag}"
+    def fabric(self) -> DegradedFabric:
+        return self.degraded
+
+    def _fill(self) -> None:
+        """Select every row of every level on the fabric as it is now."""
+        self._tables = {k: [*self._select(k, slice(None)), None]
+                        for k in level_pairs(self.xgft).pairs}
+        self._version = self.fabric.version
+
+    def _drop_stale(self) -> None:
+        """Refill every row if another holder moved the fabric, so the
+        tables stay complete and every event checks all its rows."""
+        if self._version != self.fabric.version:
+            self._fill()
 
     @property
     def n_pairs(self) -> int:
         """Ordered pairs with a network route (the full recompile's
         workload, the denominator of the incremental saving)."""
-        return sum(len(st.keys) for st in self._levels.values())
+        return sum(len(s) for s, _ in level_pairs(self.xgft).pairs.values())
 
     # -- event application ---------------------------------------------
     def apply_event(self, event: ChurnEvent) -> RerouteStats:
@@ -353,12 +315,15 @@ class IncrementalDegradedScheme(RoutingScheme):
         rec = get_recorder()
         t0 = perf_counter()
         with rec.timer("faults.reroute.apply"):
+            self._drop_stale()
             changed = event.apply(self.fabric)
             try:
                 recomputed = self._recompute(
                     candidate_pairs(self.xgft, changed))
             except DisconnectedPairError:
                 event.inverse().apply(self.fabric)
+                # the tables still hold the pre-event selection
+                self._version = self.fabric.version
                 raise
         seconds = perf_counter() - t0
         stats = RerouteStats(event, int(changed.size), recomputed,
@@ -375,78 +340,19 @@ class IncrementalDegradedScheme(RoutingScheme):
         return [self.apply_event(event) for event in events]
 
     def _recompute(self, touched_keys: np.ndarray) -> int:
-        """Re-select the rows named by ``touched_keys``; returns how
-        many.  All-or-nothing: results are staged per level and only
-        committed once every level selected cleanly."""
+        """Re-select the rows named by ``touched_keys``, then key the
+        tables to the fabric's version; returns how many rows.
+        All-or-nothing: results are staged per level and only committed
+        once every level selected cleanly."""
+        pairs = level_pairs(self.xgft)
+        levels, rows_of = pairs.level[touched_keys], pairs.row[touched_keys]
         staged = []
-        count = 0
-        for k, st in self._levels.items():
-            pos = np.searchsorted(st.keys, touched_keys)
-            pos_c = np.minimum(pos, len(st.keys) - 1)
-            rows = pos_c[st.keys[pos_c] == touched_keys]
-            if not rows.size:
-                continue
-            s, d, order = st.src[rows], st.dst[rows], st.order[rows]
-            alive = self.fabric.path_alive_matrix(s, d, order, k)
-            idx, weights = select_surviving(
-                s, d, order, alive, st.idx.shape[1])
-            staged.append((st, rows, idx, weights))
-            count += int(rows.size)
-        for st, rows, idx, weights in staged:
-            st.idx[rows] = idx
-            st.weights[rows] = weights
-        return count
-
-    # -- RoutingScheme surface -----------------------------------------
-    def paths_per_pair(self, k: int) -> int:
-        return self.base.paths_per_pair(k)
-
-    def fractions(self, k: int) -> np.ndarray:
-        """The nominal (pristine) fractions; per-pair truth comes from
-        :meth:`path_weight_matrix`."""
-        return self.base.fractions(k)
-
-    def path_order_matrix(self, s, d, k: int) -> np.ndarray:
-        return self.base.path_order_matrix(s, d, k)
-
-    def _rows(self, k: int, s, d) -> np.ndarray:
-        try:
-            st = self._levels[k]
-        except KeyError:
-            raise FaultError(
-                f"no pairs with NCA level {k} on {self.xgft!r}") from None
-        keys = (np.asarray(s, dtype=np.int64) * self.xgft.n_procs
-                + np.asarray(d, dtype=np.int64))
-        rows = np.searchsorted(st.keys, keys)
-        rows_c = np.minimum(rows, len(st.keys) - 1)
-        if not np.all(st.keys[rows_c] == keys):
-            raise FaultError(
-                f"batch contains pairs whose NCA level is not {k}")
-        return rows_c
-
-    def path_index_matrix(self, s, d, k: int) -> np.ndarray:
-        if self.fabric.is_pristine:
-            return self.base.path_index_matrix(s, d, k)
-        return self._levels[k].idx[self._rows(k, s, d)]
-
-    def path_weight_matrix(self, s, d, k: int):
-        if self.fabric.is_pristine:
-            return None
-        return self._levels[k].weights[self._rows(k, s, d)]
-
-    def route(self, s: int, d: int) -> RouteSet:
-        """One pair's surviving routes (padding filtered out)."""
-        if self.fabric.is_pristine:
-            return self.base.route(s, d)
-        k = self.xgft.nca_level(s, d)
-        if k == 0:
-            return RouteSet(s, d, 0, (), ())
-        row = int(self._rows(int(k), np.array([s]), np.array([d]))[0])
-        st = self._levels[int(k)]
-        idx, weights = st.idx[row], st.weights[row]
-        live = weights > 0.0
-        return RouteSet(
-            s, d, int(k),
-            tuple(int(t) for t in idx[live]),
-            tuple(float(f) for f in weights[live]),
-        )
+        for k, (idx, weights, _) in self._tables.items():
+            rows = rows_of[levels == k]
+            if rows.size:
+                staged.append((idx, weights, rows, *self._select(k, rows)))
+        for idx, weights, rows, new_idx, new_weights in staged:
+            idx[rows] = new_idx
+            weights[rows] = new_weights
+        self._version = self.fabric.version
+        return sum(len(rows) for _, _, rows, _, _ in staged)

@@ -26,8 +26,7 @@ import numpy as np
 from repro.errors import DisconnectedPairError, FaultError
 from repro.faults.degraded import DegradedFabric
 from repro.routing.base import RouteSet, RoutingScheme
-
-_EMPTY = np.empty(0, dtype=np.int64)
+from repro.routing.vectorized import level_pairs
 
 
 def select_surviving(
@@ -39,12 +38,11 @@ def select_surviving(
     Each row keeps the first ``min(p, alive)`` surviving entries of its
     ``order`` row, weights renormalized to ``1/alive``; rows short of
     ``p`` are padded with their first surviving path at weight 0.  This
-    is THE re-route rule — :class:`DegradedScheme` (from-scratch) and
-    :class:`~repro.faults.churn.IncrementalDegradedScheme` (per-event
-    deltas) both call it, which is what makes their results
-    bit-identical by construction for identical inputs.  Purely
-    row-local, so recomputing a subset of rows gives the same floats as
-    recomputing all of them.
+    is THE re-route rule: :class:`DegradedScheme` fills its tables with
+    it, both when a query names a row and when
+    :class:`~repro.faults.churn.IncrementalDegradedScheme` re-selects
+    the rows an event touched.  Purely row-local, so recomputing a
+    subset of rows gives the same floats as recomputing all of them.
 
     Raises :class:`~repro.errors.DisconnectedPairError` (before any
     output is materialized) if some row has no surviving path.
@@ -73,6 +71,12 @@ class DegradedScheme(RoutingScheme):
     On a pristine fabric this is a transparent proxy (bit-identical
     routes and loads); the paper's pristine results are the
     ``rate == 0`` end of every fault sweep.
+
+    On a damaged fabric one table per NCA level holds a row per pair
+    (:func:`~repro.routing.vectorized.level_pairs`): a row is selected
+    the first time a query names its pair, served from the table after
+    that, and dropped when the fabric's ``version`` moves.  Selection is
+    row-local, so a row holds the same floats whichever batch filled it.
     """
 
     def __init__(self, base: RoutingScheme, degraded: DegradedFabric):
@@ -92,13 +96,14 @@ class DegradedScheme(RoutingScheme):
         self.base = base
         self.degraded = degraded
         self.name = base.name
-        # One-entry memo: evaluators ask for path_index_matrix and
-        # path_weight_matrix back to back with identical batches.
-        self._memo_key: tuple | None = None
-        self._memo: tuple[np.ndarray, np.ndarray] | None = None
+        # NCA level -> [idx, weights, filled]: the (pairs, P) selection
+        # at fabric version ``_version`` and the mask of the rows filled
+        # so far, None once every row is.
+        self._tables: dict[int, list] = {}
+        self._version = degraded.version
 
     def __repr__(self) -> str:
-        return f"DegradedScheme({self.base!r}, {self.degraded!r})"
+        return f"{type(self).__name__}({self.base!r}, {self.degraded!r})"
 
     @property
     def label(self) -> str:
@@ -113,32 +118,76 @@ class DegradedScheme(RoutingScheme):
         return self.base.fractions(k)
 
     # ------------------------------------------------------------------
-    def _select(self, s: np.ndarray, d: np.ndarray, k: int):
-        """Padded ``(idx, weights)`` matrices for one level-``k`` batch."""
+    def _keys(self, s, d) -> np.ndarray:
+        """Pair keys ``s * n_procs + d`` of a batch, after checking that
+        every node id is in ``[0, n_procs)``."""
+        n = self.xgft.n_procs
         s = np.asarray(s, dtype=np.int64)
         d = np.asarray(d, dtype=np.int64)
-        # The fabric version keys the memo so an in-place fail/repair
-        # event on the shared fabric can never serve a stale selection.
-        key = (k, self.degraded.version, s.tobytes(), d.tobytes())
-        if key == self._memo_key:
-            return self._memo
-        order = self.base.path_order_matrix(s, d, k)
+        if s.size and (min(s.min(), d.min()) < 0
+                       or max(s.max(), d.max()) >= n):
+            raise FaultError(f"batch contains node ids outside [0, {n})")
+        return s * n + d
+
+    def _select(self, k: int, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Padded ``(idx, weights)`` of level ``k``'s ``rows`` on the
+        fabric as it is now."""
+        src, dst = level_pairs(self.xgft).pairs[k]
+        s, d = src[rows], dst[rows]
+        order = np.asarray(self.base.path_order_matrix(s, d, k),
+                           dtype=np.int64)
         alive = self.degraded.path_alive_matrix(s, d, order, k)
-        idx, weights = select_surviving(
-            s, d, order, alive, self.base.paths_per_pair(k))
-        self._memo_key, self._memo = key, (idx, weights)
-        return idx, weights
+        return select_surviving(s, d, order, alive, self.paths_per_pair(k))
+
+    def _drop_stale(self) -> None:
+        """Empty every table if the fabric moved since they were filled."""
+        if self._version != self.degraded.version:
+            self._tables.clear()
+            self._version = self.degraded.version
+
+    def _lookup(self, s, d, k: int) -> tuple[list, np.ndarray]:
+        """Level ``k``'s table and the batch's rows in it, once the rows
+        not yet filled at the fabric's current version are selected."""
+        keys = self._keys(s, d)
+        pairs = level_pairs(self.xgft)
+        if k not in pairs.pairs or (pairs.level[keys] != k).any():
+            raise FaultError(
+                f"batch contains pairs whose NCA level is not {k}")
+        rows = pairs.row[keys]
+        self._drop_stale()
+        table = self._tables.get(k)
+        if table is None:
+            n_rows = len(pairs.pairs[k][0])
+            shape = (n_rows, self.paths_per_pair(k))
+            # np.empty: rows no query names cost address space, not RSS
+            table = self._tables[k] = [np.empty(shape, dtype=np.int64),
+                                       np.empty(shape),
+                                       np.zeros(n_rows, dtype=bool)]
+        filled = table[2]
+        if filled is not None:
+            missing = ~filled[rows]
+            if missing.any():
+                todo = np.zeros_like(filled)
+                todo[rows[missing]] = True  # each row once, in row order
+                todo = np.flatnonzero(todo)
+                table[0][todo], table[1][todo] = self._select(k, todo)
+                filled[todo] = True
+                if filled.all():
+                    table[2] = None
+        return table, rows
 
     # -- RoutingScheme surface -----------------------------------------
     def path_index_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
         if self.degraded.is_pristine:
             return self.base.path_index_matrix(s, d, k)
-        return self._select(s, d, k)[0]
+        table, rows = self._lookup(s, d, k)
+        return table[0][rows]
 
     def path_weight_matrix(self, s: np.ndarray, d: np.ndarray, k: int):
         if self.degraded.is_pristine:
             return None
-        return self._select(s, d, k)[1]
+        table, rows = self._lookup(s, d, k)
+        return table[1][rows]
 
     def path_order_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
         return self.base.path_order_matrix(s, d, k)
@@ -147,13 +196,15 @@ class DegradedScheme(RoutingScheme):
         """One pair's surviving routes (padding filtered out)."""
         if self.degraded.is_pristine:
             return self.base.route(s, d)
-        k = self.xgft.nca_level(s, d)
+        s_arr, d_arr = np.array([s]), np.array([d])
+        k = int(level_pairs(self.xgft).level[self._keys(s_arr, d_arr)][0])
         if k == 0:
             return RouteSet(s, d, 0, (), ())
-        idx, weights = self._select(np.array([s]), np.array([d]), k)
-        live = weights[0] > 0.0
+        table, rows = self._lookup(s_arr, d_arr, k)
+        idx, weights = table[0][rows[0]], table[1][rows[0]]
+        live = weights > 0.0
         return RouteSet(
-            s, d, int(k),
-            tuple(int(t) for t in idx[0][live]),
-            tuple(float(f) for f in weights[0][live]),
+            s, d, k,
+            tuple(int(t) for t in idx[live]),
+            tuple(float(f) for f in weights[live]),
         )

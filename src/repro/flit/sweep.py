@@ -67,15 +67,15 @@ def load_sweep(
     loads: Sequence[float] | None = None,
     workload_factory: Callable[[float], Workload] = UniformRandom,
     repeats: int = 1,
-    engine: str = "reference",
+    engine: str = "batched",
 ) -> SweepResult:
     """Run ``scheme`` at each offered load with fresh Poisson workloads.
 
     ``repeats > 1`` averages several seeds per load point (results keep
     the mean of each statistic).  Routes are compiled once and shared by
     all runs.  ``engine`` selects the flit backend (:data:`repro.flit.
-    batched.ENGINES`); the batched engine is bit-identical to the
-    reference, so it changes only wall-clock time.
+    batched.ENGINES`); the default ``batched`` engine is bit-identical to
+    the ``reference``, so the choice changes only wall-clock time.
 
     This is the one-scheme call of :func:`repro.runner.sweep.run_sweeps`,
     which also takes worker processes and a result cache.

@@ -8,7 +8,8 @@ Both engines evaluate with the one closed-form evaluator,
 :func:`repro.flow.loads.link_loads` (see ``docs/architecture.md``); they
 differ only in when path selection runs:
 
-* ``"reference"`` — the scheme selects paths on every call.  The spec.
+* ``"reference"`` — the scheme is queried on every call (a fault-aware
+  scheme serves the pairs it has met from its own tables).  The spec.
 * ``"compiled"`` — the scheme is compiled once
   (:func:`repro.routing.compiled.compile_scheme`) into a cached plan,
   and every call reads the plan in place of the scheme.  Pays off when
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.faults.churn import IncrementalDegradedScheme
 from repro.faults.scheme import DegradedScheme
 from repro.flow.engine import BatchFlowEngine
 from repro.flow.loads import link_loads, permutation_mloads
@@ -54,8 +54,6 @@ def _fabric_version(scheme) -> int | None:
     stale at the next: an in-place fail/repair event moved the routes."""
     if isinstance(scheme, DegradedScheme):
         return scheme.degraded.version
-    if isinstance(scheme, IncrementalDegradedScheme):
-        return scheme.fabric.version
     return None
 
 
@@ -115,7 +113,7 @@ class FlowSimulator:
     xgft:
         Topology under test.
     engine:
-        ``"reference"`` (default) re-selects paths per evaluation;
+        ``"reference"`` (default) queries the scheme per evaluation;
         ``"compiled"`` compiles each scheme on first use and evaluates
         its cached plan, recompiling a fault-aware scheme after an
         in-place fail/repair event on its fabric.

@@ -15,7 +15,7 @@ CLI report through:
   experiment run;
 * :func:`render_report` / :func:`sparkline` — the human-readable
   ``--profile`` view;
-* :func:`to_prometheus` / :func:`to_wide_row` — metrics export
+* :func:`to_wide_row` — metrics export
   (:mod:`repro.obs.export`), plus the cross-run aggregation behind the
   ``repro report`` CLI.
 
@@ -31,7 +31,7 @@ recorder=rec)``) or ambiently::
 """
 
 from repro.obs.events import JsonlSink, read_jsonl, write_run
-from repro.obs.export import to_prometheus, to_wide_row
+from repro.obs.export import to_wide_row
 from repro.obs.manifest import RunManifest
 from repro.obs.recorder import (
     NULL_RECORDER,
@@ -68,6 +68,5 @@ __all__ = [
     "RunManifest",
     "render_report",
     "sparkline",
-    "to_prometheus",
     "to_wide_row",
 ]

@@ -1,13 +1,7 @@
-"""Metrics export: Prometheus text, flat wide rows, cross-run reports.
+"""Metrics export: flat wide rows and cross-run reports.
 
-Three renderings of recorder state, each aimed at a different consumer:
+Two renderings of recorder state, each aimed at a different consumer:
 
-* :func:`to_prometheus` — the Prometheus text exposition format, for
-  scraping a long-lived process (the ROADMAP's plan server) or pushing
-  a batch run's final state through a gateway.  Counters map to
-  ``counter`` metrics, timers to ``_seconds_total`` / ``_calls_total``
-  pairs, histograms to native Prometheus histograms (the power-of-two
-  buckets become cumulative ``le`` buckets).
 * :func:`to_wide_row` — one flat ``{column: scalar}`` dict per run,
   the shape the result cache and any columnar store wants; nested
   structure is flattened into dotted column names.
@@ -19,8 +13,6 @@ Three renderings of recorder state, each aimed at a different consumer:
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,79 +20,6 @@ from repro.obs.events import read_jsonl
 from repro.obs.recorder import Recorder
 from repro.obs.trace import render_waterfall, spans_of
 from repro.util.tables import format_table
-
-_PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(prefix: str, name: str) -> str:
-    return prefix + _PROM_NAME.sub("_", name)
-
-
-def _prom_value(value: float) -> str:
-    value = float(value)
-    if value != value:
-        return "NaN"
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def _label_value(value) -> str:
-    # Prometheus exposition escapes inside label values: backslash
-    # first (so the other escapes aren't doubled), then quote and
-    # newline.  A scheme label like 'disjoint "wide"' must not produce
-    # an unparseable metric line.
-    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _label_str(labels: dict | None, extra: dict | None = None) -> str:
-    merged = {**(labels or {}), **(extra or {})}
-    if not merged:
-        return ""
-    inner = ",".join(f'{k}="{_label_value(v)}"' for k, v in merged.items())
-    return "{" + inner + "}"
-
-
-def to_prometheus(recorder, *, prefix: str = "repro_",
-                  labels: dict | None = None) -> str:
-    """Render a recorder in the Prometheus text exposition format.
-
-    >>> rec = Recorder()
-    >>> rec.count("runner.cache_hit", 3)
-    >>> print(to_prometheus(rec), end="")
-    # TYPE repro_runner_cache_hit counter
-    repro_runner_cache_hit 3
-    """
-    lines: list[str] = []
-    base_labels = _label_str(labels)
-    for name, value in sorted(recorder.counters.items()):
-        metric = _prom_name(prefix, name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric}{base_labels} {_prom_value(value)}")
-    for name, (total, calls) in sorted(recorder.timers.items()):
-        metric = _prom_name(prefix, name)
-        lines.append(f"# TYPE {metric}_seconds_total counter")
-        lines.append(f"{metric}_seconds_total{base_labels} {repr(total)}")
-        lines.append(f"# TYPE {metric}_calls_total counter")
-        lines.append(f"{metric}_calls_total{base_labels} {_prom_value(calls)}")
-    for name, hist in sorted(recorder.hists.items()):
-        metric = _prom_name(prefix, name)
-        lines.append(f"# TYPE {metric} histogram")
-        seen = 0
-        for b in sorted(hist.buckets):
-            seen += hist.buckets[b]
-            le = "0" if b <= -1075 else repr(math.ldexp(1.0, b))
-            lines.append(
-                f"{metric}_bucket"
-                f"{_label_str(labels, {'le': le})} {seen}")
-        lines.append(
-            f"{metric}_bucket{_label_str(labels, {'le': '+Inf'})} "
-            f"{hist.count}")
-        lines.append(f"{metric}_sum{base_labels} {repr(hist.total)}")
-        lines.append(f"{metric}_count{base_labels} {hist.count}")
-    return "\n".join(lines) + "\n" if lines else ""
-
 
 def to_wide_row(recorder, *, prefix: str = "") -> dict:
     """Flatten a recorder into one ``{column: scalar}`` row.

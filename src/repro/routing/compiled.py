@@ -33,6 +33,7 @@ import numpy as np
 from repro.errors import RoutingError
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
+from repro.routing.vectorized import level_pairs
 from repro.topology.xgft import XGFT
 
 
@@ -65,7 +66,8 @@ class CompiledScheme:
     anywhere routes are *read*: the flow evaluator, the flit route
     compiler and the LFT compiler.  A query is two gathers over pair
     keys ``s * n_procs + d``: ``level_of_key`` (the pair's NCA level, 0
-    for self-pairs) and ``row_of_key`` (its row within that level).
+    for self-pairs) and ``row_of_key`` (its row within that level), the
+    topology's shared :func:`~repro.routing.vectorized.level_pairs` map.
     """
 
     def __init__(
@@ -170,17 +172,9 @@ def compile_scheme(xgft: XGFT, scheme: RoutingScheme) -> CompiledScheme:
     rec = get_recorder()
     t0 = perf_counter()
     with rec.timer("routing.compile"):
-        n = xgft.n_procs
-        s_all, d_all = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        k_arr = xgft.nca_level(s_all, d_all).astype(np.int8)
-        row_of_key = np.zeros(n * n, dtype=np.int64)
+        keys = level_pairs(xgft)
         levels: dict[int, CompiledLevel] = {}
-        for k in range(1, xgft.h + 1):
-            mask = k_arr == k
-            if not mask.any():
-                continue
-            s, d = s_all[mask], d_all[mask]
-            row_of_key[mask] = np.arange(s.size)
+        for k, (s, d) in keys.pairs.items():
             idx = np.asarray(scheme.path_index_matrix(s, d, k), dtype=np.int64)
             pair_w = scheme.path_weight_matrix(s, d, k)
             if pair_w is not None:
@@ -188,8 +182,8 @@ def compile_scheme(xgft: XGFT, scheme: RoutingScheme) -> CompiledScheme:
             levels[k] = CompiledLevel(
                 k, idx, np.asarray(scheme.fractions(k), dtype=np.float64),
                 pair_w)
-        plan = CompiledScheme(xgft, scheme.label, scheme.name, levels, k_arr,
-                              row_of_key)
+        plan = CompiledScheme(xgft, scheme.label, scheme.name, levels,
+                              keys.level, keys.row)
     if rec.enabled:
         rec.count("routing.schemes_compiled")
         rec.event(

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from itertools import chain
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,44 @@ from repro.errors import RoutingError
 from repro.routing.base import RoutingScheme
 from repro.routing.enumeration import path_codec
 from repro.topology.xgft import XGFT
+
+
+class LevelPairs(NamedTuple):
+    """Pair keys ``s * n_procs + d`` grouped by NCA level (read-only)."""
+
+    #: ``(n_procs**2,)`` int8: each key's NCA level, 0 for self-pairs
+    level: np.ndarray
+    #: ``(n_procs**2,)`` int64: each key's row within its level, in key
+    #: order (0 for self-pairs)
+    row: np.ndarray
+    #: NCA level with pairs -> the ``(src, dst)`` int64 arrays of its rows
+    pairs: Mapping[int, tuple[np.ndarray, np.ndarray]]
+
+
+@lru_cache(maxsize=8)
+def level_pairs(xgft: XGFT) -> LevelPairs:
+    """The :class:`LevelPairs` map of ``xgft``, built once per topology.
+
+    >>> from repro.topology import m_port_n_tree
+    >>> lp = level_pairs(m_port_n_tree(4, 2))   # 8 hosts, pairs of 2
+    >>> key = 1 * 8 + 6                          # the pair (1, 6)
+    >>> k, row = int(lp.level[key]), int(lp.row[key])
+    >>> k, [int(a[row]) for a in lp.pairs[k]]
+    (2, [1, 6])
+    """
+    n = xgft.n_procs
+    src, dst = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    level = xgft.nca_level(src, dst).astype(np.int8)
+    row = np.zeros(n * n, dtype=np.int64)
+    pairs = {}
+    for k in range(1, xgft.h + 1):
+        keys = np.flatnonzero(level == k)
+        if keys.size:
+            row[keys] = np.arange(keys.size)
+            pairs[k] = (src[keys], dst[keys])
+    for table in (level, row, *chain.from_iterable(pairs.values())):
+        table.setflags(write=False)
+    return LevelPairs(level, row, MappingProxyType(pairs))
 
 
 @lru_cache(maxsize=512)

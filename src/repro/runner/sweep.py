@@ -106,7 +106,7 @@ def run_sweeps(
     loads: Sequence[float] | None = None,
     repeats: int = 1,
     workload_factory=UniformRandom,
-    engine: str = "reference",
+    engine: str = "batched",
     n_jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> dict[str, SweepResult]:
@@ -127,8 +127,9 @@ def run_sweeps(
         ``repeats > 1`` averages per-load statistics over per-repeat
         seeds.
     engine:
-        The flit backend (:data:`repro.flit.batched.ENGINES`); the
-        batched engine is bit-identical to the reference.
+        The flit backend (:data:`repro.flit.batched.ENGINES`): the
+        native ``batched`` kernel by default, bit-identical to the
+        ``reference`` oracle it falls back to.
     n_jobs:
         Worker processes.  1 runs inline, one simulator at a time;
         results are identical either way for a fixed seed.

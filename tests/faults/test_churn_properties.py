@@ -39,10 +39,12 @@ EXAMPLES = 25
 
 
 def _state_snapshot(inc: IncrementalDegradedScheme):
-    """Frozen copies of every level's selection tables."""
+    """Frozen copies of every level's selection tables, which the
+    incremental scheme keeps filled in every row."""
+    assert all(filled is None for _, _, filled in inc._tables.values())
     return {
-        k: (st.idx.copy(), st.weights.copy())
-        for k, st in inc._levels.items()
+        k: (idx.copy(), weights.copy())
+        for k, (idx, weights, _) in inc._tables.items()
     }
 
 

@@ -38,6 +38,18 @@ def test_no_compiler_reason_and_manifest(no_compiler):
     assert ran(run) == {"flit.fallback.no_kernel": 1}
 
 
+def test_default_engine_stamps_like_batched():
+    """A flit experiment run without an engine takes the batched one, and
+    its manifest says what ran exactly as ``engine="batched"`` does."""
+    default = run_instrumented("figure5", fidelity_name="fast",
+                               recorder=Recorder(), **TINY)
+    explicit = run_instrumented("figure5", fidelity_name="fast",
+                                engine="batched", recorder=Recorder(), **TINY)
+    assert default.manifest.extra["flit_kernel"] == (
+        explicit.manifest.extra["flit_kernel"])
+    assert ran(default) == ran(explicit) != {}
+
+
 def test_long_horizon_fallback_says_why(monkeypatch):
     """A horizon above the dense-calendar limit runs the reference, and
     the run's manifest and timers say so."""

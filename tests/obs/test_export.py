@@ -1,4 +1,4 @@
-"""Metrics export: Prometheus text format, wide rows, cross-run reports."""
+"""Metrics export: wide rows, cross-run reports."""
 
 import math
 
@@ -14,101 +14,10 @@ from repro.obs.export import (
     merged_recorder,
     quantile,
     render_cross_run_report,
-    to_prometheus,
     to_wide_row,
 )
 from repro.obs.manifest import RunManifest
 from repro.obs.trace import span
-
-
-class TestPrometheus:
-    def test_counter(self):
-        rec = Recorder()
-        rec.count("runner.cache_hit", 3)
-        out = to_prometheus(rec)
-        assert "# TYPE repro_runner_cache_hit counter\n" in out
-        assert "repro_runner_cache_hit 3\n" in out
-
-    def test_name_sanitization(self):
-        rec = Recorder()
-        rec.count("flow.samples-odd name", 1)
-        out = to_prometheus(rec)
-        assert "repro_flow_samples_odd_name 1" in out
-
-    def test_timer_becomes_seconds_and_calls_pair(self):
-        rec = Recorder()
-        with rec.timer("flow.study"):
-            pass
-        out = to_prometheus(rec)
-        assert "# TYPE repro_flow_study_seconds_total counter" in out
-        assert "repro_flow_study_calls_total 1" in out
-
-    def test_labels_attach_to_every_sample(self):
-        rec = Recorder()
-        rec.count("a", 1)
-        with rec.timer("t"):
-            pass
-        out = to_prometheus(rec, labels={"host": "ci", "run": "7"})
-        for line in out.splitlines():
-            if line.startswith("#"):
-                continue
-            assert 'host="ci"' in line and 'run="7"' in line
-
-    def test_custom_prefix(self):
-        rec = Recorder()
-        rec.count("x", 1)
-        assert "xgft_x 1" in to_prometheus(rec, prefix="xgft_")
-
-    def test_label_values_escape_quotes_backslashes_newlines(self):
-        # Prometheus exposition format: \ -> \\, " -> \", newline -> \n
-        # inside label values; a raw quote would truncate the value and
-        # break the scrape parser.
-        rec = Recorder()
-        rec.count("x", 1)
-        out = to_prometheus(rec, labels={
-            "scheme": 'disjoint "wide"',
-            "path": "C:\\tables",
-            "note": "a\nb",
-        })
-        assert 'scheme="disjoint \\"wide\\""' in out
-        assert 'path="C:\\\\tables"' in out
-        assert 'note="a\\nb"' in out
-        # no label value leaks an unescaped quote or literal newline
-        for line in out.splitlines():
-            if not line.startswith("#") and "x{" in line:
-                assert line.count('"') % 2 == 0
-
-    def test_histogram_buckets_are_cumulative(self):
-        rec = Recorder()
-        for v in (0.5, 1.5, 3.0, 3.5):
-            rec.observe("lat", v)
-        out = to_prometheus(rec)
-        assert "# TYPE repro_lat histogram" in out
-        bucket_counts = []
-        for line in out.splitlines():
-            if line.startswith("repro_lat_bucket"):
-                bucket_counts.append(int(line.rsplit(" ", 1)[1]))
-        # cumulative and ending at the total count via +Inf
-        assert bucket_counts == sorted(bucket_counts)
-        assert bucket_counts[-1] == 4
-        assert 'le="+Inf"' in out
-        assert "repro_lat_sum 8.5" in out
-        assert "repro_lat_count 4" in out
-
-    def test_histogram_le_bounds_are_powers_of_two(self):
-        rec = Recorder()
-        rec.observe("lat", 3.0)  # bucket covers (2, 4]
-        out = to_prometheus(rec)
-        assert 'le="4.0"' in out
-
-    def test_zero_value_lands_in_floor_bucket(self):
-        rec = Recorder()
-        rec.observe("lat", 0.0)
-        out = to_prometheus(rec)
-        assert 'le="0"' in out
-
-    def test_empty_recorder_renders_empty(self):
-        assert to_prometheus(Recorder()) == ""
 
 
 class TestWideRow:

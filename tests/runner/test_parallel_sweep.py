@@ -102,9 +102,10 @@ class TestCacheReplay:
                                                      monkeypatch):
         """Kill a cached sweep mid-grid: the points it finished are on
         disk, and the rerun computes only the rest."""
+        # the reference engine: its run method is the one interrupted
         kwargs = dict(fidelity_name="fast", topology=tree,
                       loads=(0.2, 0.4, 0.6, 0.8), config=CFG,
-                      curves=("d-mod-k",))
+                      curves=("d-mod-k",), engine="reference")
         serial = figure5.run(**kwargs).sweeps["d-mod-k"]
         real_run, finished = FlitSimulator.run, []
 

@@ -260,10 +260,11 @@ class TestReportCommand:
         assert len(data["runs"]) == 2
         assert isinstance(data["merged"], dict)
 
-    def test_prometheus_format(self, log_dir, capsys):
-        assert main(["report", str(log_dir), "--format", "prometheus"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_" in out
+    def test_unknown_format_is_a_usage_error(self, log_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(log_dir), "--format", "prometheus"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_no_logs_is_an_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 2
