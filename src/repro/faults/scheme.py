@@ -21,12 +21,22 @@ materialized (route sets, flit route tables, LFTs).
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
-from repro.errors import DisconnectedPairError, FaultError
+from repro import native
+from repro.errors import DisconnectedPairError, FaultError, RoutingError
 from repro.faults.degraded import DegradedFabric
+from repro.obs.recorder import get_recorder
 from repro.routing.base import RouteSet, RoutingScheme
-from repro.routing.vectorized import level_pairs
+from repro.routing.vectorized import level_pairs, path_index_error
+
+# Return codes of select_surviving, as the SELECT_* enum in select.c.
+_RC_BAD_PATH = 1
+_RC_BAD_SHAPE = 2
+_RC_BAD_NODE = 4
+_RC_DISCONNECTED = 5
 
 
 def select_surviving(
@@ -43,6 +53,8 @@ def select_surviving(
     :class:`~repro.faults.churn.IncrementalDegradedScheme` re-selects
     the rows an event touched.  Purely row-local, so recomputing a
     subset of rows gives the same floats as recomputing all of them.
+    This numpy form, from an ``(n, X)`` ``alive`` matrix, is the oracle
+    and the no-compiler path of :func:`select_level`.
 
     Raises :class:`~repro.errors.DisconnectedPairError` (before any
     output is materialized) if some row has no surviving path.
@@ -65,6 +77,65 @@ def select_surviving(
     return idx, weights
 
 
+def select_level(fabric: DegradedFabric, k: int, s: np.ndarray,
+                 d: np.ndarray, order: np.ndarray, p: int,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`select_surviving` of the level-``k`` pairs ``(s, d)`` with
+    preference ``order`` on ``fabric`` as it is now: one native call over
+    the fabric's liveness tables when the library loads, timed as
+    ``faults.kernel``, else
+    :meth:`~repro.faults.degraded.DegradedFabric.path_alive_matrix` and
+    :func:`select_surviving`, timed as ``faults.fallback.no_kernel``.
+    Both give the same arrays and raise the same errors: an order entry
+    outside ``[0, W(k))`` anywhere in the batch raises
+    :class:`~repro.errors.RoutingError`, else the first row with no
+    surviving path :class:`~repro.errors.DisconnectedPairError`."""
+    kernel = native.available()
+    with get_recorder().timer(
+            "faults.kernel" if kernel else "faults.fallback.no_kernel"):
+        if kernel:
+            return _select_native(s, d, order, fabric.level_liveness(k), p)
+        alive = fabric.path_alive_matrix(s, d, order, k)
+        return select_surviving(s, d, order, alive, p)
+
+
+def _select_native(s: np.ndarray, d: np.ndarray, order: np.ndarray,
+                   liveness: tuple[np.ndarray, np.ndarray], p: int,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`select_level`'s native path: one ``select_surviving`` call
+    that tests each path against the level's ``(up_ok, down_ok)``
+    liveness tables (:meth:`~repro.faults.degraded.DegradedFabric.level_liveness`)
+    as it walks the order, with no ``(n, X)`` alive matrix."""
+    up_ok, down_ok = liveness
+    s, d, order = (np.ascontiguousarray(a, dtype=np.int64)
+                   for a in (s, d, order))
+    # the C loop trusts these shapes and reads the tables as bytes
+    if (order.ndim != 2 or s.shape != d.shape or s.shape != order.shape[:1]
+            or up_ok.shape != down_ok.shape
+            or up_ok.shape[1:] != order.shape[1:]
+            or any(ok.dtype != np.bool_ or not ok.flags.c_contiguous
+                   for ok in liveness)):
+        raise ValueError("select_surviving needs an (n, X) order, n nodes "
+                         "and two contiguous (n_procs, X) bool tables")
+    n, x = order.shape
+    idx = np.empty((n, p), dtype=np.int64)
+    weights = np.empty((n, p))
+    bad = ctypes.c_int64()
+    rc = native.lib().select_surviving(
+        len(up_ok), n, s.ctypes.data, d.ctypes.data, x, p, order.ctypes.data,
+        up_ok.ctypes.data, down_ok.ctypes.data, idx.ctypes.data,
+        weights.ctypes.data, ctypes.byref(bad))
+    if rc == _RC_BAD_PATH:
+        raise path_index_error(bad.value, x)
+    if rc == _RC_BAD_NODE:
+        raise RoutingError(f"node id {bad.value} out of range [0, {len(up_ok)})")
+    if rc == _RC_DISCONNECTED:
+        raise DisconnectedPairError(int(s[bad.value]), int(d[bad.value]))
+    if rc == _RC_BAD_SHAPE:
+        raise ValueError(f"select_surviving needs 1 <= p <= X, got p={p}, X={x}")
+    return idx, weights
+
+
 class DegradedScheme(RoutingScheme):
     """A routing scheme filtered through a degraded fabric.
 
@@ -77,6 +148,8 @@ class DegradedScheme(RoutingScheme):
     the first time a query names its pair, served from the table after
     that, and dropped when the fabric's ``version`` moves.  Selection is
     row-local, so a row holds the same floats whichever batch filled it.
+    Rows are selected by :func:`select_level`: natively when the library
+    loads, else with numpy, bit for bit alike.
     """
 
     def __init__(self, base: RoutingScheme, degraded: DegradedFabric):
@@ -136,8 +209,8 @@ class DegradedScheme(RoutingScheme):
         s, d = src[rows], dst[rows]
         order = np.asarray(self.base.path_order_matrix(s, d, k),
                            dtype=np.int64)
-        alive = self.degraded.path_alive_matrix(s, d, order, k)
-        return select_surviving(s, d, order, alive, self.paths_per_pair(k))
+        return select_level(self.degraded, k, s, d, order,
+                            self.paths_per_pair(k))
 
     def _drop_stale(self) -> None:
         """Empty every table if the fabric moved since they were filled."""
@@ -178,16 +251,16 @@ class DegradedScheme(RoutingScheme):
 
     # -- RoutingScheme surface -----------------------------------------
     def path_index_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
-        if self.degraded.is_pristine:
-            return self.base.path_index_matrix(s, d, k)
-        table, rows = self._lookup(s, d, k)
-        return table[0][rows]
+        return self.path_selection(s, d, k)[0]
 
     def path_weight_matrix(self, s: np.ndarray, d: np.ndarray, k: int):
+        return self.path_selection(s, d, k)[1]
+
+    def path_selection(self, s: np.ndarray, d: np.ndarray, k: int):
         if self.degraded.is_pristine:
-            return None
+            return self.base.path_index_matrix(s, d, k), None
         table, rows = self._lookup(s, d, k)
-        return table[1][rows]
+        return table[0][rows], table[1][rows]
 
     def path_order_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
         return self.base.path_order_matrix(s, d, k)

@@ -25,7 +25,7 @@ from repro.flit.workload import (
     UniformRandom,
     Workload,
 )
-from repro.native import available, lib, ptr, unavailable_reason
+from repro.native import available, lib, unavailable_reason
 
 __all__ = ["arrivals", "available", "run", "unavailable_reason"]
 
@@ -47,12 +47,6 @@ _SELECTIONS = {"per-packet": 0, "per-message": 1, "round-robin": 2}
 _UNIFORM, _PERMUTATION, _HOTSPOT, _TRACE = range(4)
 # Telemetry row width: t, injected, delivered, credit_stalls, occupancy.
 _ROW = 5
-
-
-def _i64(values):
-    """An int64 pointer to ``values`` (copied only if not already a
-    contiguous int64 array)."""
-    return ptr(np.ascontiguousarray(values, dtype=np.int64))
 
 
 def arrivals(workload: Workload | None, trace, n_procs: int,
@@ -130,12 +124,17 @@ def run(state: tuple, source: tuple, routes, cfg, n_channels: int,
     out = np.zeros(_O_COUNT, dtype=np.int64)
     delays = ctypes.POINTER(ctypes.c_int64)()
     kernel = lib()
-    rc = kernel.run_batched(
-        ptr(params), ptr(np.array([rate, hot_fraction]), ctypes.c_double),
-        ptr(np.array(state[1], dtype=np.uint32), ctypes.c_uint32),
-        _i64(routes.pair_ptr), _i64(routes.path_ptr), _i64(routes.links),
-        _i64(data), _i64(initial_credits), ptr(telemetry), ptr(out),
-        ctypes.byref(delays))
+    # the kernel reads contiguous int64 arrays, but for the two rates
+    # (float64) and the Mersenne Twister state (uint32); ``arrays`` keeps
+    # every one alive for the call
+    arrays = (params, np.array([rate, hot_fraction]),
+              np.array(state[1], dtype=np.uint32),
+              *(np.ascontiguousarray(a, dtype=np.int64)
+                for a in (routes.pair_ptr, routes.path_ptr, routes.links,
+                          data, initial_credits)),
+              telemetry, out)
+    rc = kernel.run_batched(*(a.ctypes.data for a in arrays),
+                            ctypes.byref(delays))
     try:
         if rc == _RC_NO_ROUTE:
             raise KeyError(int(out[_O_KEY]))

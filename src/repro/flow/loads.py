@@ -60,12 +60,10 @@ def _level_groups(xgft: XGFT, scheme: RoutingScheme, s_all: np.ndarray,
     for k in range(1, xgft.h + 1):
         rows = np.flatnonzero(k_arr == k)
         if rows.size:
-            s, d = s_all[rows], d_all[rows]
-            idx = scheme.path_index_matrix(s, d, k)  # (n, P)
             # Fault-aware schemes carry per-pair fractions (renormalized
             # around failed paths, 0 on padding entries); pristine schemes
             # share one per-level fraction vector.
-            frac = scheme.path_weight_matrix(s, d, k)
+            idx, frac = scheme.path_selection(s_all[rows], d_all[rows], k)
             if frac is None:
                 frac = scheme.fractions(k)
             yield k, rows, idx, frac
@@ -92,11 +90,10 @@ def _scatter(loads: np.ndarray, xgft: XGFT, k: int, s, d, offset, idx,
     stride = idx.shape[1] if frac.ndim == 2 else 0  # 0: shared fractions
     bad = ctypes.c_int64()
     rc = native.lib().scatter_loads(
-        *idx.shape, k, native.ptr(s), native.ptr(d), native.ptr(offset),
-        native.ptr(up), native.ptr(down), len(up), native.ptr(table),
-        len(table), native.ptr(idx), native.ptr(amount, ctypes.c_double),
-        native.ptr(frac, ctypes.c_double), stride,
-        native.ptr(loads, ctypes.c_double), loads.size, ctypes.byref(bad))
+        *idx.shape, k, s.ctypes.data, d.ctypes.data, offset.ctypes.data,
+        up.ctypes.data, down.ctypes.data, len(up), table.ctypes.data,
+        len(table), idx.ctypes.data, amount.ctypes.data, frac.ctypes.data,
+        stride, loads.ctypes.data, loads.size, ctypes.byref(bad))
     if rc == _RC_BAD_PATH:
         raise path_index_error(bad.value, len(table))
     if rc == _RC_BAD_LINK:

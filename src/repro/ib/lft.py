@@ -97,8 +97,7 @@ def compile_lfts(
         # A representative source whose NCA with every destination is the
         # top level (only s-mod-k / hashed schemes even look at it).
         reps = (dests + xgft.M(h - 1)) % xgft.n_procs
-        full = scheme.path_index_matrix(reps, dests, h)  # (n, P_h)
-        pair_w = scheme.path_weight_matrix(reps, dests, h)
+        full, pair_w = scheme.path_selection(reps, dests, h)  # (n, P_h)
         if pair_w is None:
             offsets = np.arange(lids.lids_per_port) % full.shape[1]
             path_index = full[:, offsets]  # (n, lids_per_port)

@@ -1,4 +1,4 @@
-"""On-demand compiled kernels: one shared library, three entry points.
+"""On-demand compiled kernels: one shared library, four entry points.
 
 * ``run_batched`` (``flit/kernel.c``) runs a whole batched flit run; see
   :mod:`repro.flit.native`.
@@ -7,22 +7,30 @@
 * ``select_paths`` (``routing/select.c``) does one level query of the
   random heuristic: it scores every path of each pair and keeps the
   lowest-scoring ones; see :mod:`repro.routing.heuristics`.
+* ``select_surviving`` (``routing/select.c``) does one level query of a
+  fault-aware scheme: it walks each pair's preference order and keeps
+  the first paths alive in the fabric's liveness tables; see
+  :mod:`repro.faults.scheme`.
 
 All sources are compiled by one compiler call into one shared library,
 once per machine, cached under ``~/.cache/repro-native`` (or
 ``$REPRO_KERNEL_CACHE``) keyed by a hash of the compiler's name, its
 flags and the sources, and loaded with ctypes.  ``-ffp-contract=off``
 keeps a multiply and an add from fusing into one FMA, which rounds once
-where numpy rounds twice.  The library loads with all three entry points
-or not at all.
+where numpy rounds twice.  The library loads with all four entry points
+or not at all.  Array arguments are declared ``c_void_p`` and passed as
+``a.ctypes.data``, a plain address: the caller checks each array's
+dtype and contiguity and keeps it alive for the call.
 When it cannot be built or loaded, :func:`available` is false,
 :func:`unavailable_reason` says why ("no C compiler", "build failed:
 ...", "load failed: ..."), and each layer takes its own slower path: the
 batched flit engine runs the reference engine, the flow evaluator
-stages its sums for one weighted ``np.bincount``, and the random
-heuristic scores an ``(n, W(k))`` matrix with numpy and selects with
-``argpartition``/``argsort``.  All three are bit-identical to the native
-path.  No third-party packages are involved — just ``ctypes`` and a cc.
+stages its sums for one weighted ``np.bincount``, the random heuristic
+scores an ``(n, W(k))`` matrix with numpy and selects with
+``argpartition``/``argsort``, and a fault-aware scheme gathers an
+``(n, W(k))`` liveness matrix and selects from it with numpy.  All four
+are bit-identical to the native path.  No third-party packages are
+involved — just ``ctypes`` and a cc.
 """
 
 from __future__ import annotations
@@ -33,8 +41,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-
-import numpy as np
 
 _HERE = os.path.dirname(__file__)
 _SOURCES = (os.path.join(_HERE, "flit", "kernel.c"),
@@ -110,21 +116,23 @@ def _load() -> str | None:
         lib = ctypes.CDLL(so_path)
         run, release = lib.run_batched, lib.release
         scatter, select = lib.scatter_loads, lib.select_paths
+        surviving = lib.select_surviving
     except (OSError, AttributeError) as exc:
         return f"load failed: {exc}"
-    i64, f64 = ctypes.c_int64, ctypes.c_double
-    i64p, f64p = ctypes.POINTER(i64), ctypes.POINTER(f64)
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
     run.restype = ctypes.c_long
-    run.argtypes = ([i64p, f64p, ctypes.POINTER(ctypes.c_uint32)]
-                    + [i64p] * 7 + [ctypes.POINTER(i64p)])
+    run.argtypes = [ptr] * 10 + [ctypes.POINTER(ctypes.POINTER(i64))]
     release.restype = None
-    release.argtypes = [i64p]
+    release.argtypes = [ctypes.POINTER(i64)]
     scatter.restype = ctypes.c_long
-    scatter.argtypes = [i64, i64, i64, i64p, i64p, i64p, i64p, i64p, i64,
-                        i64p, i64, i64p, f64p, f64p, i64, f64p, i64, i64p]
+    scatter.argtypes = [i64, i64, i64, ptr, ptr, ptr, ptr, ptr, i64, ptr,
+                        i64, ptr, ptr, ptr, i64, ptr, i64, ptr]
     select.restype = ctypes.c_long
-    select.argtypes = [ctypes.c_uint64, i64, i64, i64p, i64p, i64, i64,
-                       i64p, i64p]
+    select.argtypes = [ctypes.c_uint64, i64, i64, ptr, ptr, i64, i64, ptr,
+                       ptr]
+    surviving.restype = ctypes.c_long
+    surviving.argtypes = [i64, i64, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr,
+                          ptr, ptr]
     _lib = lib
     return None
 
@@ -163,8 +171,3 @@ def kernels_ran(timers: dict, layer: str, fallback: str,
         if f"{layer}.fallback.{reason}" in ran:
             parts.append(f"{fallback}: {why or unavailable_reason()}")
     return "; ".join(parts) or None
-
-
-def ptr(a: np.ndarray, ctype=ctypes.c_int64):
-    """A ``ctype`` pointer to ``a``'s data (``a`` must stay alive)."""
-    return a.ctypes.data_as(ctypes.POINTER(ctype))

@@ -10,8 +10,9 @@ Two query granularities are supported:
 * :meth:`RoutingScheme.route` — one SD pair, returns a :class:`RouteSet`;
 * :meth:`RoutingScheme.path_index_matrix` — a *batch* of pairs sharing a
   common NCA level ``k``, returns a dense ``(n_pairs, P)`` matrix of path
-  indices plus fractions.  The flow-level simulator groups pairs by NCA
-  level and uses this vectorized form exclusively.
+  indices plus fractions (:meth:`RoutingScheme.path_selection` returns
+  both at once).  The flow-level simulator groups pairs by NCA level and
+  uses this vectorized form exclusively.
 
 Both must agree; the scalar form is implemented on top of the batch form.
 """
@@ -122,6 +123,16 @@ class RoutingScheme(ABC):
         Evaluators must consult this before :meth:`fractions`.
         """
         return None
+
+    def path_selection(self, s: np.ndarray, d: np.ndarray, k: int):
+        """:meth:`path_index_matrix` and :meth:`path_weight_matrix` of one
+        batch as ``(idx, frac)``, in one query.  The default makes the
+        two calls; schemes that serve both from one table lookup (the
+        fault-aware wrapper, compiled plans) override it.  The flow
+        evaluator and the route and LFT compilers read selections
+        through it."""
+        return (self.path_index_matrix(s, d, k),
+                self.path_weight_matrix(s, d, k))
 
     def path_order_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
         """Full preference order over *all* ``X = W(k)`` path indices for

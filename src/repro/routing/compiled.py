@@ -61,13 +61,14 @@ class CompiledScheme:
 
     Duck-types the read-only :class:`~repro.routing.base.RoutingScheme`
     query surface (``path_index_matrix`` / ``path_weight_matrix`` /
-    ``fractions`` / ``paths_per_pair`` / ``label`` / ``xgft``), serving
-    every query from the stored tables, so it stands in for the scheme
-    anywhere routes are *read*: the flow evaluator, the flit route
-    compiler and the LFT compiler.  A query is two gathers over pair
-    keys ``s * n_procs + d``: ``level_of_key`` (the pair's NCA level, 0
-    for self-pairs) and ``row_of_key`` (its row within that level), the
-    topology's shared :func:`~repro.routing.vectorized.level_pairs` map.
+    ``path_selection`` / ``fractions`` / ``paths_per_pair`` / ``label`` /
+    ``xgft``), serving every query from the stored tables, so it stands
+    in for the scheme anywhere routes are *read*: the flow evaluator, the
+    flit route compiler and the LFT compiler.  A query is two gathers
+    over pair keys ``s * n_procs + d``: ``level_of_key`` (the pair's NCA
+    level, 0 for self-pairs) and ``row_of_key`` (its row within that
+    level), the topology's shared
+    :func:`~repro.routing.vectorized.level_pairs` map.
     """
 
     def __init__(
@@ -125,15 +126,19 @@ class CompiledScheme:
     def path_index_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
         """Dense path indices for a batch of level-``k`` pairs, served by
         table lookup (no scheme recomputation)."""
-        return self._level(k).path_index[self._rows(k, s, d)]
+        return self.path_selection(s, d, k)[0]
 
     def path_weight_matrix(self, s: np.ndarray, d: np.ndarray, k: int):
         """Per-pair fractions for masked (degraded) plans; ``None`` for
         pristine plans, matching the scheme contract."""
+        return self.path_selection(s, d, k)[1]
+
+    def path_selection(self, s: np.ndarray, d: np.ndarray, k: int):
+        """Both of the above from one row lookup."""
         lv = self._level(k)
-        if lv.pair_weights is None:
-            return None
-        return lv.pair_weights[self._rows(k, s, d)]
+        rows = self._rows(k, s, d)
+        return (lv.path_index[rows],
+                None if lv.pair_weights is None else lv.pair_weights[rows])
 
     # -- lookups -------------------------------------------------------
     def _level(self, k: int) -> CompiledLevel:
@@ -175,8 +180,8 @@ def compile_scheme(xgft: XGFT, scheme: RoutingScheme) -> CompiledScheme:
         keys = level_pairs(xgft)
         levels: dict[int, CompiledLevel] = {}
         for k, (s, d) in keys.pairs.items():
-            idx = np.asarray(scheme.path_index_matrix(s, d, k), dtype=np.int64)
-            pair_w = scheme.path_weight_matrix(s, d, k)
+            idx, pair_w = scheme.path_selection(s, d, k)
+            idx = np.asarray(idx, dtype=np.int64)
             if pair_w is not None:
                 pair_w = np.ascontiguousarray(pair_w, dtype=np.float64)
             levels[k] = CompiledLevel(

@@ -20,7 +20,7 @@ from repro.routing.vectorized import path_index_error
 from repro.util.hashing import hash_combine, hash_mod, hash_uniform
 
 # Return codes of select_paths, as the SELECT_* enum in select.c.
-_RC_BAD_FIRST = 1
+_RC_BAD_PATH = 1
 _RC_BAD_SHAPE = 2
 _RC_NO_MEMORY = 3
 
@@ -183,9 +183,9 @@ def _select_native(seed: int, n_procs: int, s: np.ndarray, d: np.ndarray,
         if first.shape != s.shape:
             raise ValueError("select_paths needs one pinned path per pair")
     rc = native.lib().select_paths(
-        seed, n_procs, s.size, native.ptr(s), native.ptr(d), x, p,
-        None if first is None else native.ptr(first), native.ptr(out))
-    if rc == _RC_BAD_FIRST:
+        seed, n_procs, s.size, s.ctypes.data, d.ctypes.data, x, p,
+        None if first is None else first.ctypes.data, out.ctypes.data)
+    if rc == _RC_BAD_PATH:
         raise path_index_error(first[(first < 0) | (first >= x)][0], x)
     if rc == _RC_BAD_SHAPE:
         raise ValueError(f"select_paths needs 1 <= p <= x, got p={p}, x={x}")

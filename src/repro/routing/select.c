@@ -1,14 +1,25 @@
-/* Native path selection for the random heuristic
- * (repro.routing.heuristics.RandomMultipath).
+/* Native path selection: the random heuristic's
+ * (repro.routing.heuristics.RandomMultipath) and the fault-aware
+ * re-route rule (repro.faults.scheme.DegradedScheme).
  *
  * Compiled with flit/kernel.c and flow/loads.c into one shared library
- * by repro.native and loaded through ctypes.  One call is one level
- * query: for each pair it derives the pair key, hashes every one of the
- * level's x paths to a score and keeps the p lowest-scoring paths, or
- * orders all x.  When the library cannot be built, RandomMultipath
- * builds the (n, x) float64 score matrix with numpy's splitmix64 and
- * selects with argpartition and argsort instead; the two paths agree
- * bit for bit (tests/routing/test_select_kernel.py).
+ * by repro.native and loaded through ctypes.  Each call is one level
+ * query.
+ *
+ * select_paths, for each pair, derives the pair key, hashes every one
+ * of the level's x paths to a score and keeps the p lowest-scoring
+ * paths, or orders all x.  When the library cannot be built,
+ * RandomMultipath builds the (n, x) float64 score matrix with numpy's
+ * splitmix64 and selects with argpartition and argsort instead; the two
+ * paths agree bit for bit (tests/routing/test_select_kernel.py).
+ *
+ * select_surviving walks each pair's preference order over the level's
+ * x paths, tests each path against the fabric's per-node liveness
+ * tables and keeps the first p live ones.  Without the library
+ * DegradedScheme gathers an (n, x) alive matrix and selects from it with
+ * numpy; the two agree bit for bit (tests/faults/test_surviving_kernel.py).
+ *
+ * select_paths in detail:
  *
  * Scores are repro.util.hashing's:
  *   pair key  = hash_combine(seed, s * n_procs + d)
@@ -38,9 +49,10 @@
 typedef int64_t i64;
 typedef uint64_t u64;
 
-/* Return codes, as the _RC_* constants in repro/routing/heuristics.py. */
-enum { SELECT_OK = 0, SELECT_BAD_FIRST = 1, SELECT_BAD_SHAPE = 2,
-       SELECT_NO_MEMORY = 3 };
+/* Return codes, as the _RC_* constants in repro/routing/heuristics.py
+ * and repro/faults/scheme.py. */
+enum { SELECT_OK = 0, SELECT_BAD_PATH = 1, SELECT_BAD_SHAPE = 2,
+       SELECT_NO_MEMORY = 3, SELECT_BAD_NODE = 4, SELECT_DISCONNECTED = 5 };
 
 /* hash_combine's initial accumulator (digits of pi). */
 #define HASH_INIT 0x243F6A8885A308D3ULL
@@ -85,7 +97,7 @@ long select_paths(u64 seed, i64 n_procs, i64 n, const i64 *s, const i64 *d,
     if (first)
         for (i64 i = 0; i < n; i++)
             if (first[i] < 0 || first[i] >= x)
-                return SELECT_BAD_FIRST;
+                return SELECT_BAD_PATH;
     if (n == 0)
         return SELECT_OK;
     int bits = 0;
@@ -157,5 +169,67 @@ long select_paths(u64 seed, i64 n_procs, i64 n, const i64 *s, const i64 *d,
         }
     }
     free(key), free(count), free(last), free(scratch);
+    return SELECT_OK;
+}
+
+
+/* One fault-aware level query of n pairs (s[i], d[i]) with x paths each
+ * on a tree of n_procs processing nodes.  Row i of the (n, x) order is
+ * pair i's preference over its paths; path t survives iff
+ * up_ok[s[i] * x + t] and down_ok[d[i] * x + t] (the fabric's
+ * (n_procs, x) level liveness tables, one byte per entry).  Row i of
+ * the (n, p) idx and weights gets the first min(p, alive) surviving
+ * paths in order at weight 1.0 / min(p, alive), then copies of its
+ * first surviving path at weight 0: the rule of
+ * repro.faults.scheme.select_surviving.  The walk stops at the p-th
+ * surviving path.  Checked in this order, each before it is relied on:
+ * every order entry is in [0, x) (else *bad is the first outside it, in
+ * row-major order), every node id in [0, n_procs) (else *bad is the
+ * first outside it) and every row has a surviving path (else *bad is
+ * the first row without one). */
+long select_surviving(i64 n_procs, i64 n, const i64 *s, const i64 *d,
+                      i64 x, i64 p, const i64 *order,
+                      const uint8_t *up_ok, const uint8_t *down_ok,
+                      i64 *idx, double *weights, i64 *bad)
+{
+    if (n < 0 || x < 1 || p < 1 || p > x)
+        return SELECT_BAD_SHAPE;
+    for (i64 j = 0; j < n * x; j++)
+        if (order[j] < 0 || order[j] >= x) {
+            *bad = order[j];
+            return SELECT_BAD_PATH;
+        }
+    for (i64 i = 0; i < n; i++) {
+        i64 src = s[i], dst = d[i];
+        if (src < 0 || src >= n_procs || dst < 0 || dst >= n_procs) {
+            *bad = (src < 0 || src >= n_procs) ? src : dst;
+            return SELECT_BAD_NODE;
+        }
+    }
+    for (i64 i = 0; i < n; i++) {
+        const i64 *row = order + i * x;
+        const uint8_t *up = up_ok + s[i] * x, *down = down_ok + d[i] * x;
+        i64 *out = idx + i * p;
+        double *w = weights + i * p;
+        /* live counts the surviving paths so far; out[live] takes each
+         * path in turn and keeps it only if it survives */
+        i64 live = 0;
+        for (i64 j = 0; j < x && live < p; j++) {
+            i64 t = row[j];
+            out[live] = t;
+            live += (up[t] != 0) & (down[t] != 0);
+        }
+        if (live == 0) {
+            *bad = i;
+            return SELECT_DISCONNECTED;
+        }
+        double share = 1.0 / (double)live;
+        for (i64 j = 0; j < live; j++)
+            w[j] = share;
+        for (i64 j = live; j < p; j++) {
+            out[j] = out[0];
+            w[j] = 0.0;
+        }
+    }
     return SELECT_OK;
 }

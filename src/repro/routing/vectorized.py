@@ -302,8 +302,7 @@ def compile_routes(
         if not mask.any():
             continue
         s, d = s_all[mask], d_all[mask]
-        idx = scheme.path_index_matrix(s, d, k)
-        pair_w = scheme.path_weight_matrix(s, d, k)
+        idx, pair_w = scheme.path_selection(s, d, k)
         # Fault-aware schemes pad short rows with weight-0 duplicates;
         # concrete path lists must not contain them.
         keep = (np.ones(idx.shape, dtype=bool) if pair_w is None

@@ -379,13 +379,17 @@ class XGFT:
     # ------------------------------------------------------------------
     def nca_level(self, s, d):
         """Level of the nearest common ancestors of processing nodes
-        ``s`` and ``d``; 0 iff ``s == d``.  Vectorized over arrays."""
+        ``s`` and ``d``; 0 iff ``s == d``.  Vectorized over arrays.
+
+        Two nodes in different height-``j`` subtrees are also in different
+        height-``i`` subtrees for every ``i < j``, so the level is the
+        number of heights ``j < h`` at which their subtrees differ."""
         s_arr = np.asarray(s)
         d_arr = np.asarray(d)
-        level = np.zeros(np.broadcast(s_arr, d_arr).shape, dtype=np.int64)
-        for k in range(self.h, 0, -1):
-            same = (s_arr // self._M[k - 1]) == (d_arr // self._M[k - 1])
-            level[(level == 0) & ~same] = k
+        # height 0: the subtrees are the nodes themselves
+        level = np.asarray(s_arr != d_arr, dtype=np.int64)
+        for j in range(1, self.h):
+            level += (s_arr // self._M[j]) != (d_arr // self._M[j])
         if np.isscalar(s) and np.isscalar(d):
             return int(level)
         return level

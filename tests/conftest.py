@@ -65,6 +65,17 @@ def no_compiler(fresh_kernel_load, monkeypatch):
     assert not native.available()
 
 
+@pytest.fixture(params=["native", "numpy"])
+def kernel_path(request):
+    """Run the test once per path: native (skipped when the library does
+    not load) and numpy (no compiler)."""
+    if request.param == "numpy":
+        request.getfixturevalue("no_compiler")
+    elif not native.available():
+        pytest.skip(f"native library unavailable: {native.unavailable_reason()}")
+    return request.param
+
+
 @pytest.fixture
 def fig3_xgft() -> XGFT:
     """The paper's Figure 3 topology: XGFT(3; 4,4,4; 1,4,2), 64 nodes."""

@@ -495,3 +495,42 @@ class TestSelectionRuns:
         selected.clear()
         assert_every_level_matches_oracle(inc, "after the rollback")
         assert selected == []
+
+
+class TestPathSelection:
+    """``path_selection`` answers both batch queries at once: the same
+    arrays as ``path_index_matrix`` and ``path_weight_matrix``, from one
+    table lookup where a scheme keeps tables."""
+
+    @pytest.mark.parametrize("spec", SCHEME_SPECS)
+    def test_equals_the_two_queries(self, tree8x2, fabric, spec):
+        """On the scheme, pristine and degraded, and on its compiled
+        plan."""
+        base = make_scheme(tree8x2, spec)
+        for scheme in (base, DegradedScheme(base, DegradedFabric(tree8x2)),
+                       DegradedScheme(base, fabric)):
+            plan = compile_scheme(tree8x2, scheme)
+            for k, (s, d) in level_pairs(tree8x2).pairs.items():
+                s, d = s[::3], d[::3]
+                idx = scheme.path_index_matrix(s, d, k)
+                weights = scheme.path_weight_matrix(s, d, k)
+                for got_idx, got_w in (scheme.path_selection(s, d, k),
+                                       plan.path_selection(s, d, k)):
+                    np.testing.assert_array_equal(got_idx, idx)
+                    if weights is None:
+                        assert got_w is None
+                    else:
+                        np.testing.assert_array_equal(got_w, weights)
+
+    def test_one_lookup_per_level_group(self, tree8x2, fabric, monkeypatch):
+        lookups = []
+        original = DegradedScheme._lookup
+
+        def counting(self, s, d, k):
+            lookups.append(k)
+            return original(self, s, d, k)
+
+        monkeypatch.setattr(DegradedScheme, "_lookup", counting)
+        scheme = DegradedScheme(make_scheme(tree8x2, "disjoint:2"), fabric)
+        link_loads(tree8x2, scheme, all_to_all(tree8x2.n_procs))
+        assert lookups == [1, 2]

@@ -3,6 +3,7 @@ run records it, and that an arena overflow is a typed error."""
 
 from __future__ import annotations
 
+import ctypes
 from types import SimpleNamespace
 
 import pytest
@@ -144,7 +145,8 @@ def test_arena_overflow_is_typed(monkeypatch, model):
     released = []
 
     def overflowing(*args):
-        args[9][native._O_CAPACITY] = 16  # out[]
+        out = (ctypes.c_int64 * native._O_COUNT).from_address(args[9])
+        out[native._O_CAPACITY] = 16
         return native._RC_ARENA_FULL
 
     monkeypatch.setattr(library, "_lib", SimpleNamespace(

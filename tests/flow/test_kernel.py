@@ -26,17 +26,6 @@ from repro.traffic.permutations import permutation_matrix, random_permutation
 from tests.routing.test_vectorized import OutOfRangeDModK
 
 
-@pytest.fixture(params=["native", "numpy"])
-def flow_path(request):
-    """Run the test once per path: native (skipped when the library does
-    not load) and numpy (no compiler)."""
-    if request.param == "numpy":
-        request.getfixturevalue("no_compiler")
-    elif not native.available():
-        pytest.skip(f"native library unavailable: {native.unavailable_reason()}")
-    return request.param
-
-
 def on_both_paths(request, evaluate):
     """``evaluate()`` natively, then again with no compiler."""
     if not native.available():
@@ -79,7 +68,7 @@ class TestNativeEqualsNumpy:
 
 
 @pytest.mark.parametrize("shift", [1, -1], ids=["above", "below"])
-def test_out_of_range_path_index_raises(flow_path, shift):
+def test_out_of_range_path_index_raises(kernel_path, shift):
     """A wrapping gather would evaluate this scheme as d-mod-k."""
     xgft = m_port_n_tree(4, 3)
     scheme = OutOfRangeDModK(xgft, shift)
@@ -127,20 +116,20 @@ def test_native_scatter_checks_link_ids():
     assert loads.sum() == 2 * k
 
 
-def test_timer_names_the_path(flow_path):
+def test_timer_names_the_path(kernel_path):
     xgft = m_port_n_tree(4, 3)
     scheme, tms = make_scheme(xgft, "disjoint:2"), round_of(xgft, 2, 1)
     rec = Recorder()
     with use_recorder(rec):
         link_loads(xgft, scheme, tms)
-    timer = "flow.kernel" if flow_path == "native" else "flow.fallback.no_kernel"
+    timer = "flow.kernel" if kernel_path == "native" else "flow.fallback.no_kernel"
     assert {name: calls for name, (_, calls) in rec.timers.items()} == {timer: 1}
 
 
-def test_manifest_says_what_ran(flow_path):
+def test_manifest_says_what_ran(kernel_path):
     run = run_instrumented("theorems", fidelity_name="fast", recorder=Recorder())
     assert run.manifest.extra["flow_kernel"] == (
-        "native" if flow_path == "native" else "numpy: no C compiler")
+        "native" if kernel_path == "native" else "numpy: no C compiler")
 
 
 def test_manifest_without_flow_evaluation():

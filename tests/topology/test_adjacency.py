@@ -108,6 +108,26 @@ class TestNca:
         d = np.array([0, 1, 4, 16])
         assert np.array_equal(x.nca_level(s, d), [0, 1, 2, 3])
 
+    @pytest.mark.parametrize("xgft", TOPOLOGY_POOL, ids=pool_ids())
+    def test_equals_the_top_down_search(self, xgft):
+        """The count of heights whose subtrees differ equals the search
+        from the top level down for the highest such height, on every
+        ordered pair, as an int64 array and as an int for scalars."""
+        n = xgft.n_procs
+        s, d = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        want = np.zeros(n * n, dtype=np.int64)
+        for k in range(xgft.h, 0, -1):
+            same = s // xgft.M(k - 1) == d // xgft.M(k - 1)
+            want[(want == 0) & ~same] = k
+        got = xgft.nca_level(s, d)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(xgft.nca_level(s.reshape(n, n), d[:n]),
+                              want.reshape(n, n))
+        for i in (0, 1, n * n // 2, n * n - 2):
+            level = xgft.nca_level(int(s[i]), int(d[i]))
+            assert type(level) is int and level == want[i]
+
     def test_num_shortest_paths_property1(self):
         # Property 1: prod_{i<=k} w_i paths for NCA level k.
         x = XGFT(3, (4, 4, 4), (1, 4, 2))
