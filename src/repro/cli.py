@@ -28,8 +28,9 @@ error (exit 2), except the do-nothing ``--engine reference``,
   reference engine, which it falls back to when the kernel cannot run,
   and several times faster) and take ``reference`` for the pure-Python
   oracle; flow-level permutation studies run ``reference`` by default
-  and take ``compiled`` (select each scheme's paths once, then evaluate
-  every round over that cached plan, bit-identical to the reference);
+  and take ``compiled`` (keep each pair's paths from the first round
+  that names it for the study's later rounds, bit-identical to the
+  reference);
 * ``--fault-rate R[,R...]`` (link failure rate grid), ``--fault-links
   ID[,ID...]`` (explicit failed cables, instead of a rate grid) and
   ``--fault-seed N`` (fault sampler seed): ``fault-sweep``;
@@ -282,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
              "run 'batched' (the native flit kernel, bit-identical to "
              "the reference it falls back to) by default and take "
              "'reference'; flow experiments run 'reference' by default "
-             "and take 'compiled' (select paths once per scheme, then "
-             "evaluate every round over that plan, bit-identical)")
+             "and take 'compiled' (keep each pair's paths from the first "
+             "round that names it for later rounds, bit-identical)")
     obs_parent.add_argument(
         "--fault-rate", metavar="R[,R...]", default=None,
         type=_arg_fault_rates,

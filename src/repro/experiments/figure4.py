@@ -87,7 +87,8 @@ def run_panel(
     same protocol on small trees); ``random_seeds`` controls how many
     routing seeds the random heuristic is averaged over (paper: five);
     ``engine`` selects the permutation evaluator (``"compiled"`` selects
-    each scheme's paths once per study — see ``docs/architecture.md``).
+    each pair's paths once per study, when a round first names it — see
+    ``docs/architecture.md``).
     """
     fid = fidelity(fidelity_name)
     if topology is None:

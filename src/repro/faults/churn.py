@@ -298,12 +298,6 @@ class IncrementalDegradedScheme(DegradedScheme):
         if self._version != self.fabric.version:
             self._fill()
 
-    @property
-    def n_pairs(self) -> int:
-        """Ordered pairs with a network route (the full recompile's
-        workload, the denominator of the incremental saving)."""
-        return sum(len(s) for s, _ in level_pairs(self.xgft).pairs.values())
-
     # -- event application ---------------------------------------------
     def apply_event(self, event: ChurnEvent) -> RerouteStats:
         """Apply one fail/repair event and re-route the affected pairs.

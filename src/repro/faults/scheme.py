@@ -30,6 +30,7 @@ from repro.errors import DisconnectedPairError, FaultError, RoutingError
 from repro.faults.degraded import DegradedFabric
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RouteSet, RoutingScheme
+from repro.routing.compiled import LazyPlan
 from repro.routing.vectorized import level_pairs, path_index_error
 
 # Return codes of select_surviving, as the SELECT_* enum in select.c.
@@ -136,31 +137,35 @@ def _select_native(s: np.ndarray, d: np.ndarray, order: np.ndarray,
     return idx, weights
 
 
-class DegradedScheme(RoutingScheme):
+class DegradedScheme(LazyPlan):
     """A routing scheme filtered through a degraded fabric.
 
     On a pristine fabric this is a transparent proxy (bit-identical
     routes and loads); the paper's pristine results are the
     ``rate == 0`` end of every fault sweep.
 
-    On a damaged fabric one table per NCA level holds a row per pair
-    (:func:`~repro.routing.vectorized.level_pairs`): a row is selected
-    the first time a query names its pair, served from the table after
-    that, and dropped when the fabric's ``version`` moves.  Selection is
-    row-local, so a row holds the same floats whichever batch filled it.
-    Rows are selected by :func:`select_level`: natively when the library
-    loads, else with numpy, bit for bit alike.
+    On a damaged fabric it serves queries as a
+    :class:`~repro.routing.compiled.LazyPlan`: a pair is selected the
+    first time a query names it, served from its level's table after
+    that, and dropped with every other row when the fabric's ``version``
+    moves.  Rows are selected by
+    :func:`select_level`: natively when the library loads, else with
+    numpy, bit for bit alike.  A bad query raises
+    :class:`~repro.errors.FaultError`.
     """
 
+    error = FaultError
+
     def __init__(self, base: RoutingScheme, degraded: DegradedFabric):
-        if not hasattr(base, "path_order_matrix"):
-            raise FaultError(
-                f"{type(base).__name__} exposes no path preference order; "
-                f"wrap the underlying scheme, not a compiled plan"
-            )
         if isinstance(base, DegradedScheme):
             raise FaultError("refusing to stack degraded wrappers; rebuild "
                              "one wrapper from the combined fault set")
+        if isinstance(base, LazyPlan) or not hasattr(base,
+                                                     "path_order_matrix"):
+            raise FaultError(
+                f"{type(base).__name__} keeps no path preference order of "
+                f"its own; wrap the underlying scheme, not a compiled plan"
+            )
         if base.xgft != degraded.xgft:
             raise FaultError(
                 "scheme and degraded fabric were built for different topologies"
@@ -169,10 +174,6 @@ class DegradedScheme(RoutingScheme):
         self.base = base
         self.degraded = degraded
         self.name = base.name
-        # NCA level -> [idx, weights, filled]: the (pairs, P) selection
-        # at fabric version ``_version`` and the mask of the rows filled
-        # so far, None once every row is.
-        self._tables: dict[int, list] = {}
         self._version = degraded.version
 
     def __repr__(self) -> str:
@@ -191,17 +192,6 @@ class DegradedScheme(RoutingScheme):
         return self.base.fractions(k)
 
     # ------------------------------------------------------------------
-    def _keys(self, s, d) -> np.ndarray:
-        """Pair keys ``s * n_procs + d`` of a batch, after checking that
-        every node id is in ``[0, n_procs)``."""
-        n = self.xgft.n_procs
-        s = np.asarray(s, dtype=np.int64)
-        d = np.asarray(d, dtype=np.int64)
-        if s.size and (min(s.min(), d.min()) < 0
-                       or max(s.max(), d.max()) >= n):
-            raise FaultError(f"batch contains node ids outside [0, {n})")
-        return s * n + d
-
     def _select(self, k: int, rows) -> tuple[np.ndarray, np.ndarray]:
         """Padded ``(idx, weights)`` of level ``k``'s ``rows`` on the
         fabric as it is now."""
@@ -218,49 +208,11 @@ class DegradedScheme(RoutingScheme):
             self._tables.clear()
             self._version = self.degraded.version
 
-    def _lookup(self, s, d, k: int) -> tuple[list, np.ndarray]:
-        """Level ``k``'s table and the batch's rows in it, once the rows
-        not yet filled at the fabric's current version are selected."""
-        keys = self._keys(s, d)
-        pairs = level_pairs(self.xgft)
-        if k not in pairs.pairs or (pairs.level[keys] != k).any():
-            raise FaultError(
-                f"batch contains pairs whose NCA level is not {k}")
-        rows = pairs.row[keys]
-        self._drop_stale()
-        table = self._tables.get(k)
-        if table is None:
-            n_rows = len(pairs.pairs[k][0])
-            shape = (n_rows, self.paths_per_pair(k))
-            # np.empty: rows no query names cost address space, not RSS
-            table = self._tables[k] = [np.empty(shape, dtype=np.int64),
-                                       np.empty(shape),
-                                       np.zeros(n_rows, dtype=bool)]
-        filled = table[2]
-        if filled is not None:
-            missing = ~filled[rows]
-            if missing.any():
-                todo = np.zeros_like(filled)
-                todo[rows[missing]] = True  # each row once, in row order
-                todo = np.flatnonzero(todo)
-                table[0][todo], table[1][todo] = self._select(k, todo)
-                filled[todo] = True
-                if filled.all():
-                    table[2] = None
-        return table, rows
-
     # -- RoutingScheme surface -----------------------------------------
-    def path_index_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
-        return self.path_selection(s, d, k)[0]
-
-    def path_weight_matrix(self, s: np.ndarray, d: np.ndarray, k: int):
-        return self.path_selection(s, d, k)[1]
-
     def path_selection(self, s: np.ndarray, d: np.ndarray, k: int):
         if self.degraded.is_pristine:
             return self.base.path_index_matrix(s, d, k), None
-        table, rows = self._lookup(s, d, k)
-        return table[0][rows], table[1][rows]
+        return super().path_selection(s, d, k)
 
     def path_order_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
         return self.base.path_order_matrix(s, d, k)

@@ -1,12 +1,12 @@
-"""The compiled flow engine: permutation batches over a compiled plan.
+"""The compiled flow engine: permutation batches over a routing plan.
 
-:class:`BatchFlowEngine` holds one
-:class:`~repro.routing.compiled.CompiledScheme` and evaluates each batch
+:class:`BatchFlowEngine` holds one plan
+(:func:`repro.routing.compiled.compile_scheme`) and evaluates each batch
 of permutations with the same :func:`repro.flow.loads.permutation_mloads`
-call as the reference engine, reading the plan as the scheme.  The two
-engines differ only in when path selection runs, so they agree bit for
-bit; the plan pays off when one scheme meets many batches and its
-selection is costly (a fault-aware scheme checks every candidate path).
+call as the reference engine, reading the plan as the scheme.  The plan
+selects a pair the first time a batch names it and serves it from its
+tables after that, so the two engines differ only in when selection
+runs and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.flow.loads import permutation_mloads
-from repro.routing.compiled import CompiledScheme
+from repro.routing.compiled import LazyPlan
 
 
 class BatchFlowEngine:
-    """Evaluates permutation batches against one compiled routing plan.
+    """Evaluates permutation batches against one routing plan.
 
     >>> from repro.topology import m_port_n_tree
     >>> from repro.routing import make_scheme
@@ -31,7 +31,7 @@ class BatchFlowEngine:
     array([1., 1.])
     """
 
-    def __init__(self, plan: CompiledScheme):
+    def __init__(self, plan: LazyPlan):
         self.plan = plan
         self.xgft = plan.xgft
 

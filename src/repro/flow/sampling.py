@@ -13,12 +13,13 @@ Each adaptive round is one batched evaluation
 (:func:`~repro.flow.loads.permutation_mloads`, no traffic matrices
 built): by default through
 :meth:`repro.flow.simulator.FlowSimulator.permutation_mloads`; with
-``engine="compiled"`` the scheme is compiled once per study run and the
-round goes to :meth:`repro.flow.engine.BatchFlowEngine.permutation_mloads`,
-which reads the plan in place of the scheme.  Both engines consume the
-identical permutation stream for a fixed seed, so their samples are
-bit-identical.  Sampling is serial: a study's sample stream is a
-function of its seed alone.
+``engine="compiled"`` each study run takes one plan of the scheme
+(:func:`~repro.routing.compiled.compile_scheme`), which selects a pair
+the first time a round names it, and every round goes to
+:meth:`repro.flow.engine.BatchFlowEngine.permutation_mloads` over that
+plan.  Both engines consume the identical permutation stream for a
+fixed seed, so their samples are bit-identical.  Sampling is serial: a
+study's sample stream is a function of its seed alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.flow.simulator import FlowSimulator, check_engine
 from repro.obs.recorder import get_recorder, use_recorder
 from repro.obs.trace import span
 from repro.routing.base import RoutingScheme
-from repro.routing.compiled import CompiledScheme, compile_scheme
+from repro.routing.compiled import compile_scheme
 from repro.topology.xgft import XGFT
 from repro.traffic.permutations import random_permutation
 from repro.util.rng import as_generator
@@ -86,9 +87,9 @@ class PermutationStudy:
         reports ``converged=False`` when the cap bites.
     engine:
         ``"reference"`` evaluates each round with one closed-form call
-        through :class:`FlowSimulator`; ``"compiled"`` compiles the
-        scheme once per :meth:`run` and evaluates each round with the
-        same call over the compiled plan.
+        through :class:`FlowSimulator`; ``"compiled"`` takes one plan of
+        the scheme per :meth:`run` and evaluates each round with the
+        same call over it, so a pair named again is not selected again.
     recorder:
         Optional :class:`repro.obs.Recorder`.  ``None`` (default) uses
         the ambient recorder (:func:`repro.obs.get_recorder`) at run
@@ -142,7 +143,7 @@ class PermutationStudy:
         rec.count("flow.samples", count)
         return out.tolist()
 
-    def run(self, scheme: RoutingScheme | CompiledScheme) -> PermutationStudyResult:
+    def run(self, scheme: RoutingScheme) -> PermutationStudyResult:
         """Average max permutation load of ``scheme`` under the adaptive
         stopping rule."""
         rec = self._recorder if self._recorder is not None else get_recorder()
@@ -153,7 +154,7 @@ class PermutationStudy:
         with use_recorder(rec), span("flow.study", scheme=scheme.label):
             evaluate = partial(self.sim.permutation_mloads, scheme)
             if self.engine == "compiled":
-                # Compile once; every round reuses the plan.
+                # One plan per run: every round reuses its filled rows.
                 evaluate = BatchFlowEngine(
                     compile_scheme(self.xgft, scheme)).permutation_mloads
             optimal = self.permutation_optimal

@@ -6,14 +6,14 @@ experiments and the CLI.
 
 Both engines evaluate with the one closed-form evaluator,
 :func:`repro.flow.loads.link_loads` (see ``docs/architecture.md``); they
-differ only in when path selection runs:
+differ only in what the evaluator reads:
 
-* ``"reference"`` — the scheme is queried on every call (a fault-aware
-  scheme serves the pairs it has met from its own tables).  The spec.
-* ``"compiled"`` — the scheme is compiled once
-  (:func:`repro.routing.compiled.compile_scheme`) into a cached plan,
-  and every call reads the plan in place of the scheme.  Pays off when
-  one scheme meets many batches and its selection is costly.
+* ``"reference"`` — the scheme itself (a fault-aware scheme serves the
+  pairs it has met from its own tables).  The spec.
+* ``"compiled"`` — the scheme's plan
+  (:func:`repro.routing.compiled.compile_scheme`), kept per scheme, which
+  selects each pair the first time a query names it and serves it from
+  its tables after that.
 
 They agree bit for bit on every scheme family, pristine or degraded;
 the parity suites in ``tests/flow/test_engine.py`` and
@@ -27,13 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.faults.scheme import DegradedScheme
 from repro.flow.engine import BatchFlowEngine
 from repro.flow.loads import link_loads, permutation_mloads
 from repro.flow.metrics import max_link_load, optimal_load
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
-from repro.routing.compiled import CompiledScheme, compile_scheme
+from repro.routing.compiled import compile_scheme
 from repro.topology.xgft import XGFT
 from repro.traffic.matrix import TrafficMatrix
 
@@ -46,15 +45,6 @@ def check_engine(engine: str) -> None:
     if engine not in ENGINES:
         raise SimulationError(
             f"unknown flow engine {engine!r}; choose from {ENGINES}")
-
-
-def _fabric_version(scheme) -> int | None:
-    """Mutation counter of the fabric a fault-aware scheme routes around
-    (``None`` for any other scheme).  A plan compiled at one version is
-    stale at the next: an in-place fail/repair event moved the routes."""
-    if isinstance(scheme, DegradedScheme):
-        return scheme.degraded.version
-    return None
 
 
 @dataclass(frozen=True)
@@ -114,9 +104,9 @@ class FlowSimulator:
         Topology under test.
     engine:
         ``"reference"`` (default) queries the scheme per evaluation;
-        ``"compiled"`` compiles each scheme on first use and evaluates
-        its cached plan, recompiling a fault-aware scheme after an
-        in-place fail/repair event on its fabric.
+        ``"compiled"`` evaluates each scheme's plan, built on first use
+        and kept; a fault-aware scheme is its own plan and follows
+        in-place fail/repair events on its fabric.
 
     >>> from repro.topology import m_port_n_tree
     >>> from repro.routing import make_scheme
@@ -139,23 +129,21 @@ class FlowSimulator:
         self._boundary_slices = tuple(
             xgft.boundary_link_slices(l) for l in range(xgft.h)
         )
-        self._batch_engines: dict[
-            RoutingScheme, tuple[int | None, BatchFlowEngine]] = {}
+        self._batch_engines: dict[RoutingScheme, BatchFlowEngine] = {}
 
-    def batch_engine(self, scheme: RoutingScheme | CompiledScheme) -> BatchFlowEngine:
-        """The cached :class:`BatchFlowEngine` for ``scheme``, compiling
-        the plan on first use and again once the fabric a fault-aware
-        scheme routes around has changed."""
-        version = _fabric_version(scheme)
-        cached = self._batch_engines.get(scheme)
-        if cached is None or cached[0] != version:
-            cached = version, BatchFlowEngine(compile_scheme(self.xgft, scheme))
-            self._batch_engines[scheme] = cached
-        return cached[1]
+    def batch_engine(self, scheme: RoutingScheme) -> BatchFlowEngine:
+        """The :class:`BatchFlowEngine` over ``scheme``'s plan, built on
+        first use and kept, so the plan's filled rows serve every later
+        call."""
+        engine = self._batch_engines.get(scheme)
+        if engine is None:
+            engine = self._batch_engines[scheme] = BatchFlowEngine(
+                compile_scheme(self.xgft, scheme))
+        return engine
 
     def _routes(self, scheme):
         """What the evaluator reads for ``scheme``: under the compiled
-        engine, its cached plan."""
+        engine, its plan."""
         if self.engine == "compiled":
             return self.batch_engine(scheme).plan
         return scheme
@@ -165,7 +153,7 @@ class FlowSimulator:
 
     def evaluate(
         self,
-        scheme: RoutingScheme | CompiledScheme,
+        scheme: RoutingScheme,
         tm: TrafficMatrix,
         *,
         optimal: float | None = None,

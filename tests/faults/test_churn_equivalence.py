@@ -118,8 +118,8 @@ def test_identical_mload_under_both_engines(engine, tree8x2):
     # The engines consume the scheme through path_index/weight_matrix,
     # so equality there implies equal loads — this pins the integration
     # end to end anyway: evaluate real permutations on both wrappers.
-    # One simulator serves the whole trace, so the compiled engine must
-    # also recompile its cached plan after every event.
+    # One simulator serves the whole trace, so the compiled engine's plan
+    # (the scheme itself) must follow every event.
     base = make_scheme(tree8x2, "disjoint:2")
     trace = generate_trace(tree8x2, ChurnSpec(n_events=6, seed=3))
     inc = IncrementalDegradedScheme(base)

@@ -62,13 +62,17 @@ def test_reference_and_compiled_loads_agree(xgft, rate, spec):
 
 @pytest.mark.parametrize("xgft,rate", TOPOLOGIES)
 def test_compiled_plan_serves_identical_tables(xgft, rate):
-    """Route tables compiled from the plan equal the scheme's own
-    (padding filtered on both paths)."""
+    """A fault-aware scheme is its own plan: after a compiled-engine
+    round filled some of its rows, route tables compiled from it equal a
+    fresh wrapper's (padding filtered on both paths)."""
     fabric = _connected_fabric(xgft, rate)
-    scheme = DegradedScheme(make_scheme(xgft, "umulti"), fabric)
-    plan = compile_scheme(xgft, scheme)
-    assert plan.masked
-    assert compile_routes(xgft, plan) == compile_routes(xgft, scheme)
+    base = make_scheme(xgft, "umulti")
+    scheme = DegradedScheme(base, fabric)
+    assert compile_scheme(xgft, scheme) is scheme
+    perms = np.stack([np.random.default_rng(3).permutation(xgft.n_procs)])
+    FlowSimulator(xgft, engine="compiled").permutation_mloads(scheme, perms)
+    assert compile_routes(xgft, scheme) == compile_routes(
+        xgft, DegradedScheme(base, fabric))
 
 
 def test_study_streams_are_engine_invariant():

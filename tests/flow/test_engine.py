@@ -1,7 +1,8 @@
 """Engine parity: the compiled engine must match the reference bit for bit.
 
 Both engines evaluate with the one closed-form evaluator; the compiled
-one reads a cached plan in place of the scheme.  So link loads,
+one reads the scheme's plan, filled pair by pair, in place of the
+scheme.  So link loads,
 permutation MLOADs, ``FlowSimulator.evaluate`` and study samples must be
 *equal* on identical traffic, across every scheme family, pristine and
 degraded, on 2- and 3-level topologies (including irregular ones with
@@ -177,8 +178,8 @@ class TestFlowSimulatorEngines:
 
     @pytest.mark.parametrize("wrapper", ["from-scratch", "incremental"])
     def test_plan_follows_in_place_fault_events(self, tree8x3, wrapper):
-        # A cable fails in place after the plan is cached: the compiled
-        # engine must recompile, not keep routing over the dead link.
+        # A cable fails in place after the engine met the scheme: the
+        # compiled engine must not keep routing over the dead link.
         base = make_scheme(tree8x3, "disjoint:2")
         if wrapper == "from-scratch":
             fabric = DegradedFabric(tree8x3)
