@@ -10,8 +10,7 @@ Commands
 * ``list`` — list every registered experiment and routing scheme;
 * ``report <path...>`` — aggregate ``--log-json`` JSONL run logs
   (files or directories) into a cross-run summary: per-phase
-  p50/p95/p99 wall times, counter totals, span waterfalls
-  (``--format text|json``).
+  p50/p95/p99 wall times and counter totals (``--format text|json``).
 
 Every experiment subcommand also accepts the telemetry options
 (:mod:`repro.obs`): ``--seed N`` for a reproducible invocation,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ from repro.flow.engine import BatchFlowEngine
 from repro.flow.metrics import permutation_optimal_load
 from repro.flow.simulator import FlowSimulator, check_engine
 from repro.obs.recorder import get_recorder, use_recorder
-from repro.obs.trace import span
 from repro.routing.base import RoutingScheme
 from repro.routing.compiled import compile_scheme
 from repro.topology.xgft import XGFT
@@ -94,8 +94,8 @@ class PermutationStudy:
         Optional :class:`repro.obs.Recorder`.  ``None`` (default) uses
         the ambient recorder (:func:`repro.obs.get_recorder`) at run
         time.  When recording is enabled, each adaptive round emits a
-        ``convergence_round`` event (scheme, samples, running mean, CI
-        half-width).
+        ``convergence_round`` event (scheme, routing seed, samples,
+        running mean, CI half-width, seconds since the study began).
     """
 
     def __init__(
@@ -151,7 +151,8 @@ class PermutationStudy:
         samples: list[float] = []
         target = self.initial_samples
         round_index = 0
-        with use_recorder(rec), span("flow.study", scheme=scheme.label):
+        t0 = perf_counter()
+        with use_recorder(rec):
             evaluate = partial(self.sim.permutation_mloads, scheme)
             if self.engine == "compiled":
                 # One plan per run: every round reuses its filled rows.
@@ -167,11 +168,13 @@ class PermutationStudy:
                     rec.event(
                         "convergence_round",
                         scheme=scheme.label,
+                        seed=getattr(scheme, "seed", None),
                         round=round_index,
                         n_samples=interval.n_samples,
                         mean=interval.mean,
                         half_width=interval.half_width,
                         rel_half_width=interval.relative_half_width,
+                        elapsed_s=perf_counter() - t0,
                     )
                 round_index += 1
                 if interval.meets(self.rel_precision):

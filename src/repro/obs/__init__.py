@@ -6,9 +6,6 @@ CLI report through:
 * :class:`Recorder` / :class:`NullRecorder` — counters, nesting
   context-manager timers, mergeable histograms and a typed event stream,
   with a shared no-op default so uninstrumented runs stay fast;
-* :func:`span` / :func:`trace_context` / :func:`render_waterfall` —
-  span-based tracing with trace/span ids and parent links that survive
-  process boundaries (:mod:`repro.obs.trace`);
 * :class:`JsonlSink` / :func:`read_jsonl` / :func:`write_run` — the
   JSON Lines run-log format (manifest line, event stream, metrics line);
 * :class:`RunManifest` — reproducibility provenance attached to every
@@ -42,13 +39,6 @@ from repro.obs.recorder import (
     use_recorder,
 )
 from repro.obs.report import render_report, sparkline
-from repro.obs.trace import (
-    current_trace_context,
-    render_waterfall,
-    span,
-    spans_of,
-    trace_context,
-)
 
 __all__ = [
     "Recorder",
@@ -57,11 +47,6 @@ __all__ = [
     "get_recorder",
     "set_recorder",
     "use_recorder",
-    "span",
-    "spans_of",
-    "trace_context",
-    "current_trace_context",
-    "render_waterfall",
     "JsonlSink",
     "read_jsonl",
     "write_run",

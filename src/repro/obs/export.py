@@ -7,8 +7,8 @@ Two renderings of recorder state, each aimed at a different consumer:
   structure is flattened into dotted column names.
 * :func:`aggregate_runs` / :func:`render_cross_run_report` — the
   ``repro report`` view: fold a directory of ``--log-json`` JSONL run
-  logs into counter totals, per-phase wall-time distributions
-  (p50/p95/p99 across runs) and the latest run's span waterfall.
+  logs into counter totals and per-phase wall-time distributions
+  (p50/p95/p99 across runs).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 
 from repro.obs.events import read_jsonl
 from repro.obs.recorder import Recorder
-from repro.obs.trace import render_waterfall, spans_of
 from repro.util.tables import format_table
 
 def to_wide_row(recorder, *, prefix: str = "") -> dict:
@@ -170,11 +169,4 @@ def render_cross_run_report(runs: list[RunRecord], *,
         rows = [[k, f"{v:g}"] for k, v in sorted(merged.counters.items())]
         sections.append(format_table(["counter", "total"], rows,
                                      title="counter totals"))
-
-    latest_with_spans = next(
-        (run for run in reversed(runs) if spans_of(run.events)), None)
-    if latest_with_spans is not None:
-        sections.append(
-            f"span waterfall ({Path(latest_with_spans.path).name}):\n"
-            + render_waterfall(latest_with_spans.events))
     return "\n\n".join(sections)

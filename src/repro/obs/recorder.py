@@ -8,7 +8,7 @@ runs pay one attribute check per recording site — nothing is allocated,
 formatted or stored until a caller opts in.
 
 Timers nest: entering ``rec.timer("a")`` and then ``rec.timer("b")``
-records the inner span under the qualified name ``"a/b"``, so the
+records the inner interval under the qualified name ``"a/b"``, so the
 profile report reads as a call tree.
 
 Recorder state is plain data (dicts of floats) and therefore
@@ -106,7 +106,7 @@ class _Hist:
 
 
 class _Timer:
-    """Context manager recording one span into its recorder."""
+    """Context manager timing one interval into its recorder."""
 
     __slots__ = ("_rec", "_name", "_qualified", "_t0")
 

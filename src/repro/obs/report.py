@@ -1,14 +1,13 @@
 """Human-readable rendering of recorder state (the ``--profile`` view).
 
-Counters and timers become tables (:mod:`repro.util.tables`), the
-flow-level convergence trace becomes an :class:`~repro.util.ascii_chart.
-AsciiChart` of running mean vs samples, and per-interval flit series and
-CI half-widths become compact unicode sparklines.
+Counters and timers become tables (:mod:`repro.util.tables`), each
+flow-level study becomes one convergence row (a sparkline of its CI
+half-width per round, then its rounds, samples, mean and wall time), and
+per-interval flit series become compact unicode sparklines.
 """
 
 from __future__ import annotations
 
-from repro.util.ascii_chart import AsciiChart
 from repro.util.tables import format_table
 
 _SPARK_BARS = "▁▂▃▄▅▆▇█"
@@ -107,33 +106,31 @@ def _faults_section(recorder) -> str:
 
 
 def _convergence_section(recorder) -> str:
-    rounds = recorder.events_of("convergence_round")
-    if not rounds:
-        return ""
-    by_scheme: dict[str, list[dict]] = {}
-    for ev in rounds:
-        by_scheme.setdefault(str(ev.get("scheme", "?")), []).append(ev)
-
-    lines = ["convergence (CI half-width per round, first -> last):"]
-    chart = AsciiChart(width=56, height=10)
-    chartable = 0
-    for scheme, evs in by_scheme.items():
+    """One row per study.  A study's rounds are consecutive
+    ``convergence_round`` events, the first with ``round == 0``."""
+    studies: list[list[dict]] = []
+    for ev in recorder.events_of("convergence_round"):
+        if not studies or ev.get("round") == 0:
+            studies.append([])
+        studies[-1].append(ev)
+    rows = []
+    for evs in studies:
+        first, final = evs[0], evs[-1]
+        label = str(first.get("scheme", "?"))
+        if first.get("seed") is not None:
+            label += f" seed={first['seed']}"
         widths = [e.get("rel_half_width", float("nan")) for e in evs]
-        final = evs[-1]
-        lines.append(
-            f"  {scheme:<16s} {sparkline(widths):<10s} "
-            f"rounds={len(evs)} samples={final.get('n_samples')} "
-            f"mean={final.get('mean'):.4f}"
-        )
-        xs = [e.get("n_samples") for e in evs]
-        ys = [e.get("mean") for e in evs]
-        if len(xs) >= 2:
-            chart.add_series(scheme, xs, ys)
-            chartable += 1
-    out = "\n".join(lines)
-    if chartable:
-        out += "\n" + chart.render(xlabel="samples", ylabel="mean")
-    return out
+        rows.append((label, (
+            f"{sparkline(widths):<10s} rounds={len(evs)} "
+            f"samples={final.get('n_samples')} mean={final.get('mean'):.4f} "
+            f"wall={final.get('elapsed_s'):.4f}s")))
+    if not rows:
+        return ""
+    width = max(len(label) for label, _ in rows)
+    return "\n".join(
+        ["convergence (one row per study; CI half-width per round, "
+         "first -> last):"]
+        + [f"  {label:<{width}s} {rest}" for label, rest in rows])
 
 
 def _flit_section(recorder) -> str:
@@ -151,15 +148,6 @@ def _flit_section(recorder) -> str:
         f"  credit stalls      {sparkline(stalls)}  total={sum(stalls)}",
         f"  buffer occupancy   {sparkline(occupancy)}  max={max(occupancy)}",
     ])
-
-
-def _span_section(recorder) -> str:
-    """Waterfall of recorded spans (local + merged worker spans)."""
-    from repro.obs.trace import render_waterfall, spans_of
-
-    if not spans_of(recorder):
-        return ""
-    return "spans:\n" + render_waterfall(recorder)
 
 
 def render_report(recorder, *, title: str = "run telemetry") -> str:
@@ -180,8 +168,7 @@ def render_report(recorder, *, title: str = "run telemetry") -> str:
             _hist_rows(recorder), title="histograms (~ = bucket estimate)",
         ))
     for section in (_runner_section(recorder), _faults_section(recorder),
-                    _convergence_section(recorder), _flit_section(recorder),
-                    _span_section(recorder)):
+                    _convergence_section(recorder), _flit_section(recorder)):
         if section:
             sections.append(section)
     if len(sections) == 1:

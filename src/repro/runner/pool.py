@@ -30,13 +30,11 @@ Telemetry (through the ambient :mod:`repro.obs` recorder):
 ``runner.pool_created`` (executor constructions — the pool-churn
 metric), ``runner.context_spilled`` (payload registrations) and
 ``runner.pool_tasks`` (submitted tasks).  :meth:`PersistentPool.
-submit_task` additionally carries the parent's trace context
-(:mod:`repro.obs.trace`) into the worker and runs the task under a
-per-task :class:`~repro.obs.Recorder`, shipping its ``snapshot()`` back
-alongside the result — so worker-side timers, counters, histograms and
-spans (including ``runner.context_load`` spill-file unpickle time)
-merge into the parent recorder instead of vanishing into the worker
-process's no-op default.
+submit_task` runs each task under a per-task :class:`~repro.obs.
+Recorder` and ships its ``snapshot()`` back alongside the result — so
+worker-side timers, counters, histograms and events (including
+``runner.context_load`` spill-file unpickle time) merge into the parent
+recorder instead of vanishing into the worker process's no-op default.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.errors import RunnerError
 from repro.obs.recorder import Recorder, get_recorder, use_recorder
-from repro.obs.trace import current_trace_context, span, trace_context
 
 # -- worker-process state ----------------------------------------------
 _WORKER_DIR: str | None = None
@@ -103,10 +100,10 @@ class PersistentPool:
     ...     load_context(token)["base"]  # resolves inline in the parent too
     40
 
-    The executor is created lazily at the first :meth:`submit` and torn
-    down by :meth:`close` (or the context manager exit).  A closed pool
-    may be reused — the next submit starts a fresh generation with its
-    own context directory.
+    The executor is created lazily at the first :meth:`submit_task` and
+    torn down by :meth:`close` (or the context manager exit).  A closed
+    pool may be reused — the next submit starts a fresh generation with
+    its own context directory.
 
     An owner that hands the pool to several consumers keeps one set of
     worker processes alive across all of them; each consumer registers
@@ -195,46 +192,32 @@ class PersistentPool:
         get_recorder().count("runner.context_spilled")
         return token
 
-    def submit(self, fn, /, *args):
-        """Submit ``fn(*args)`` to the pool; returns a Future."""
-        future = self._ensure_executor().submit(fn, *args)
-        get_recorder().count("runner.pool_tasks")
-        return future
-
     def submit_task(self, fn, /, *args):
         """Submit ``fn(*args)`` under the ambient telemetry context.
 
         The returned Future resolves to ``(result, snapshot)``.  When
         the ambient recorder is enabled at submit time, the task runs
         worker-side under its own per-task :class:`~repro.obs.Recorder`
-        — with the parent's trace context adopted, so worker spans
-        parent under the submitting span — and ``snapshot`` is that
-        recorder's JSON-safe state for the parent to
-        :meth:`~repro.obs.Recorder.merge`.  When disabled, the task
-        runs under the no-op recorder (an enabled recorder inherited
-        across ``fork`` cannot slow the worker down) and ``snapshot``
-        is ``None``.
+        and ``snapshot`` is that recorder's JSON-safe state for the
+        parent to :meth:`~repro.obs.Recorder.merge`.  When disabled, the
+        task runs under the no-op recorder (an enabled recorder
+        inherited across ``fork`` cannot slow the worker down) and
+        ``snapshot`` is ``None``.
         """
         rec = get_recorder()
-        ctx = current_trace_context() if rec.enabled else None
         future = self._ensure_executor().submit(
-            _run_task, fn, args, ctx, rec.enabled)
+            _run_task, fn, args, rec.enabled)
         rec.count("runner.pool_tasks")
         return future
 
 
-def _run_task(fn, args, trace_ctx, record: bool):
-    """Worker-side wrapper behind :meth:`PersistentPool.submit_task`.
-
-    Builds the per-task recorder, adopts the parent's trace context,
-    wraps the task in a ``runner.task`` span, and ships the recorder
-    snapshot back with the result.
-    """
+def _run_task(fn, args, record: bool):
+    """Worker-side wrapper behind :meth:`PersistentPool.submit_task`:
+    run the task under a fresh recorder and ship its snapshot back with
+    the result."""
     if not record:
         with use_recorder(None):
             return fn(*args), None
     rec = Recorder()
-    with use_recorder(rec), trace_context(trace_ctx):
-        with span("runner.task", task=getattr(fn, "__name__", str(fn))):
-            result = fn(*args)
-    return result, rec.snapshot()
+    with use_recorder(rec):
+        return fn(*args), rec.snapshot()

@@ -23,8 +23,11 @@ one path every such grid takes:
   cache builds no simulator and performs zero runs.
 
 Telemetry: ``runner.points_total`` / ``runner.points_computed``
-counters, plus the pool and cache counters of the underlying layers;
-each merged load point emits a ``flit_load_point`` event.
+counters, a ``flit.load_point`` timer per inline load point or a
+``flit.point_eval`` timer per pooled point (each task's worker-side
+recorder merges into the caller's, in submission order), plus the pool
+and cache counters of the underlying layers; each merged load point
+emits a ``flit_load_point`` event.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from repro.flit.stats import FlitRunResult
 from repro.flit.sweep import SweepResult, _merge_runs, default_loads
 from repro.flit.workload import UniformRandom, Workload
 from repro.obs.recorder import get_recorder
-from repro.obs.trace import span
 from repro.routing.base import RoutingScheme
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.pool import PersistentPool, load_context
@@ -86,16 +88,14 @@ def _flit_point_task(token: str, label: str, load: float, seed: int):
     Runs under whatever recorder the pool's task wrapper installed
     (:meth:`~repro.runner.pool.PersistentPool.submit_task` builds a
     per-task recorder and ships its snapshot back), so the simulator's
-    ``flit.*`` counters/histograms and this ``flit.point`` span land in
-    the parent recorder.
+    ``flit.*`` counters/histograms and this ``flit.point_eval`` timer
+    land in the parent recorder.
     """
     ctx = load_context(token)
     sim: FlitSimulator = ctx["sims"][label]
     workload: Workload = ctx["workload_factory"](load)
-    rec = get_recorder()
-    with span("flit.point", scheme=label, load=load, seed=seed):
-        with rec.timer("flit.point_eval"):
-            return sim.run(workload, seed=seed)
+    with get_recorder().timer("flit.point_eval"):
+        return sim.run(workload, seed=seed)
 
 
 def run_sweeps(
@@ -186,8 +186,7 @@ def run_sweeps(
                             seed=point_seed(config, point[2])))
             del sim  # drop this route table before building the next
     elif pending:
-        with PersistentPool(n_jobs) as pool, span(
-                "runner.run_sweeps", points=n_pending, schemes=len(pending)):
+        with PersistentPool(n_jobs) as pool:
             token = pool.put_context({
                 "sims": {label: make_flit_simulator(
                              engine, xgft, schemes[label], config)

@@ -90,9 +90,16 @@ class TestTelemetry:
         assert rounds[-1]["half_width"] == pytest.approx(
             res.interval.half_width)
         assert all(e["scheme"] == "d-mod-k" for e in rounds)
+        assert all(e["seed"] is None for e in rounds)  # not randomized
+        elapsed = [e["elapsed_s"] for e in rounds]
+        assert 0 < elapsed[0] <= elapsed[1] <= elapsed[2]
         assert rec.counters["flow.samples"] == 16
         assert "flow.sampling.round" in rec.timers
         assert rec.timers["flow.sampling.round"][1] == 3
+
+        study.run(make_scheme(tree8x2, "random:2", seed=3))
+        assert {e["seed"] for e in rec.events_of("convergence_round")[3:]} \
+            == {3}
 
     def test_reference_round_batch_telemetry(self, tree8x2):
         from repro.obs import Recorder

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import Recorder, use_recorder
+from repro.obs import Recorder
 from repro.obs.events import JsonlSink, write_run
 from repro.obs.export import (
     aggregate_runs,
@@ -17,7 +17,6 @@ from repro.obs.export import (
     to_wide_row,
 )
 from repro.obs.manifest import RunManifest
-from repro.obs.trace import span
 
 
 class TestWideRow:
@@ -56,14 +55,13 @@ class TestQuantile:
         assert quantile([1.0, float("nan"), 3.0], 1.0) == 3.0
 
 
-def _write_log(path, experiment, *, seed=1, wall=2.0, with_span=False):
+def _write_log(path, experiment, *, seed=1, wall=2.0):
     rec = Recorder()
     rec.count("flow.samples", 64)
     with rec.timer("flow.sampling"):
         pass
-    if with_span:
-        with use_recorder(rec), span("study", scheme="d-mod-k"):
-            pass
+    rec.event("convergence_round", scheme="d-mod-k", seed=None, round=0,
+              n_samples=64, mean=3.75, elapsed_s=0.01)
     manifest = RunManifest(experiment, fidelity="fast", seed=seed,
                            wall_time_s=wall)
     with JsonlSink(path) as sink:
@@ -73,11 +71,11 @@ def _write_log(path, experiment, *, seed=1, wall=2.0, with_span=False):
 class TestCrossRunReport:
     def test_load_run_partitions_lines(self, tmp_path):
         log = tmp_path / "a.jsonl"
-        _write_log(log, "figure4a", with_span=True)
+        _write_log(log, "figure4a")
         run = load_run(log)
         assert run.experiment == "figure4a"
         assert run.metrics["counters"]["flow.samples"] == 64
-        assert any(e.get("type") == "span" for e in run.events)
+        assert [e["type"] for e in run.events] == ["convergence_round"]
 
     def test_discover_expands_directories(self, tmp_path):
         _write_log(tmp_path / "b.jsonl", "x")
@@ -95,15 +93,17 @@ class TestCrossRunReport:
     def test_report_includes_runs_phases_counters_and_waterfall(
             self, tmp_path):
         _write_log(tmp_path / "a.jsonl", "figure4a", seed=1)
-        _write_log(tmp_path / "b.jsonl", "figure4a", seed=2, with_span=True)
+        _write_log(tmp_path / "b.jsonl", "figure4a", seed=2)
         out = render_cross_run_report(aggregate_runs([tmp_path]))
         assert "2 run(s)" in out
         assert "a.jsonl" in out and "b.jsonl" in out
         assert "flow.sampling" in out  # phase table
         assert "p95 s" in out
         assert "flow.samples" in out  # counter totals
-        assert "span waterfall (b.jsonl)" in out
-        assert "study" in out
+        # exactly these sections after the title: no waterfall any more
+        titles = [section.splitlines()[0] for section in out.split("\n\n")]
+        assert titles[1:] == ["runs", "per-phase wall time across runs",
+                              "counter totals"]
 
     def test_report_with_no_runs(self):
         assert "(no run logs found)" in render_cross_run_report([])

@@ -1,5 +1,6 @@
 """Profile-report rendering: sparklines and section assembly."""
 
+from repro.experiments.registry import run_instrumented
 from repro.obs import Recorder, render_report, sparkline
 
 
@@ -34,17 +35,30 @@ class TestRenderReport:
 
     def test_convergence_section(self):
         rec = Recorder()
-        for i, (n, mean, rel) in enumerate(
-            [(8, 3.9, 0.2), (16, 3.8, 0.08), (32, 3.75, 0.009)]
-        ):
-            rec.event("convergence_round", scheme="d-mod-k", round=i,
-                      n_samples=n, mean=mean, half_width=rel * mean,
-                      rel_half_width=rel)
+        studies = [
+            ("d-mod-k", None, [(8, 3.9, 0.2), (16, 3.8, 0.08),
+                               (32, 3.75, 0.009)]),
+            # one label, two routing seeds: two studies, two rows
+            ("random(2)", 0, [(8, 4.1, 0.05), (16, 4.0, 0.008)]),
+            ("random(2)", 1, [(8, 4.2, 0.009)]),
+        ]
+        for k, (scheme, seed, rounds) in enumerate(studies):
+            for i, (n, mean, rel) in enumerate(rounds):
+                rec.event("convergence_round", scheme=scheme, seed=seed,
+                          round=i, n_samples=n, mean=mean,
+                          half_width=rel * mean, rel_half_width=rel,
+                          elapsed_s=0.01 * (k + 1) + 0.001 * i)
         out = render_report(rec)
-        assert "convergence" in out
-        assert "d-mod-k" in out
-        assert "samples=32" in out
-        assert "mean=3.7500" in out
+        section = next(part for part in out.split("\n\n")
+                       if part.startswith("convergence"))
+        rows = section.splitlines()[1:]
+        assert len(rows) == 3
+        assert rows[0].split()[0] == "d-mod-k"
+        assert "rounds=3 samples=32 mean=3.7500 wall=0.0120s" in rows[0]
+        assert rows[1].split()[:2] == ["random(2)", "seed=0"]
+        assert "rounds=2 samples=16 mean=4.0000 wall=0.0210s" in rows[1]
+        assert rows[2].split()[:2] == ["random(2)", "seed=1"]
+        assert "rounds=1 samples=8 mean=4.2000 wall=0.0300s" in rows[2]
 
     def test_flit_section(self):
         rec = Recorder()
@@ -57,3 +71,15 @@ class TestRenderReport:
         assert "flit engine (3 interval(s))" in out
         assert "credit stalls" in out and "total=4" in out
         assert "buffer occupancy" in out and "max=9" in out
+
+    def test_figure4a_prints_one_convergence_row_per_study(self):
+        """Figure 4(a) averages the random heuristic over five routing
+        seeds; each seed's study gets its own row."""
+        run = run_instrumented("figure4a", fidelity_name="fast",
+                               recorder=Recorder())
+        section = next(part for part in render_report(run.recorder)
+                       .split("\n\n") if part.startswith("convergence"))
+        rows = section.splitlines()[1:]
+        assert len(rows) == run.recorder.counters["flow.studies"]
+        assert all(" wall=" in row for row in rows)
+        assert sum(" seed=" in row for row in rows) == 5 * 8  # 5 seeds, 8 Ks

@@ -186,6 +186,17 @@ class TestExperiments:
         for spec in serial.sweeps:
             assert _runs_equal(par.sweeps[spec], serial.sweeps[spec])
 
+    def test_figure5_pooled_manifest_lists_serial_schemes(self, tree):
+        """The manifest names the schemes that ran, never the pool's
+        internal grid keys (``random:1``)."""
+        kwargs = dict(fidelity_name="fast", topology=tree, loads=LOADS,
+                      config=CFG, curves=("d-mod-k", "random:1"))
+        serial = run_instrumented("figure5", recorder=Recorder(), **kwargs)
+        pooled = run_instrumented("figure5", recorder=Recorder(), jobs=2,
+                                  **kwargs)
+        assert serial.manifest.schemes == ("d-mod-k", "random(1)")
+        assert pooled.manifest.schemes == serial.manifest.schemes
+
     def test_table1_parallel_and_cached_matches_serial(self, tree, tmp_path):
         kwargs = dict(fidelity_name="fast", topology=tree,
                       loads=(0.5, 0.8), ks=(1, 2), random_seeds=(0, 1))

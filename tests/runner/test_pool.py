@@ -50,16 +50,19 @@ class TestExecution:
     def test_submit_resolves_context_in_worker(self):
         with PersistentPool(2) as pool:
             token = pool.put_context({"base": 40})
-            futures = [pool.submit(_ctx_plus, token, x) for x in range(6)]
-            assert [f.result() for f in futures] == [40 + x for x in range(6)]
+            futures = [pool.submit_task(_ctx_plus, token, x)
+                       for x in range(6)]
+            assert [f.result() for f in futures] == [
+                (40 + x, None) for x in range(6)]
 
     def test_executor_created_once_across_many_submits(self):
         rec = Recorder()
         with use_recorder(rec), PersistentPool(2) as pool:
             token = pool.put_context({"base": 0})
             for _ in range(3):  # three "rounds" of tasks, one executor
-                futures = [pool.submit(_token_seen, token) for _ in range(4)]
-                assert all(f.result() == 0 for f in futures)
+                futures = [pool.submit_task(_token_seen, token)
+                           for _ in range(4)]
+                assert all(f.result()[0] == 0 for f in futures)
         assert rec.counters["runner.pool_created"] == 1
         assert rec.counters["runner.pool_tasks"] == 12
         assert rec.counters["runner.context_spilled"] == 1
@@ -69,11 +72,11 @@ class TestExecution:
         pool = PersistentPool(1)
         with use_recorder(rec):
             t1 = pool.put_context({"base": 1})
-            assert pool.submit(_ctx_plus, t1, 0).result() == 1
+            assert pool.submit_task(_ctx_plus, t1, 0).result()[0] == 1
             pool.close()
             assert not pool.running
             t2 = pool.put_context({"base": 2})
-            assert pool.submit(_ctx_plus, t2, 0).result() == 2
+            assert pool.submit_task(_ctx_plus, t2, 0).result()[0] == 2
             pool.close()
         assert rec.counters["runner.pool_created"] == 2
 
@@ -81,16 +84,16 @@ class TestExecution:
         """Late contexts reach already-running workers via the spill file."""
         with PersistentPool(1) as pool:
             early = pool.put_context({"base": 1})
-            assert pool.submit(_ctx_plus, early, 0).result() == 1
+            assert pool.submit_task(_ctx_plus, early, 0).result() == (1, None)
             late = pool.put_context({"base": 2})
-            assert pool.submit(_ctx_plus, late, 0).result() == 2
+            assert pool.submit_task(_ctx_plus, late, 0).result() == (2, None)
 
     def test_running_property(self):
         pool = PersistentPool(1)
         assert not pool.running
         pool.put_context({"base": 0})  # registering alone starts nothing
         assert not pool.running
-        pool.submit(_token_seen, pool.put_context({"base": 0}))
+        pool.submit_task(_token_seen, pool.put_context({"base": 0}))
         assert pool.running
         pool.close()
         assert not pool.running
