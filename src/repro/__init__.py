@@ -70,7 +70,7 @@ from repro.flow import (
 # repro.analysis (theorem validators, exact LP ratios),
 # repro.experiments (the paper's tables and figures),
 # repro.obs (run telemetry: recorder, JSONL logs, manifests),
-# repro.runner (persistent pools, on-disk result cache, parallel sweeps).
+# repro.runner (on-disk result cache, pooled and cached flit sweeps).
 
 __version__ = "1.2.0"
 

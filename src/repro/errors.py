@@ -49,8 +49,8 @@ class SimulationError(ReproError):
 
 
 class RunnerError(ReproError):
-    """Parallel-runner misuse (bad pool parameters, unknown context,
-    malformed cache directory, ...)."""
+    """Sweep-runner misuse (bad ``n_jobs`` or ``repeats``, malformed
+    cache directory, ...)."""
 
 
 class ResourceError(ReproError):

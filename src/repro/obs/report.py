@@ -3,7 +3,8 @@
 Counters and timers become tables (:mod:`repro.util.tables`), each
 flow-level study becomes one convergence row (a sparkline of its CI
 half-width per round, then its rounds, samples, mean and wall time), and
-per-interval flit series become compact unicode sparklines.
+per-interval flit series become unicode sparklines of at most 60
+characters.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 from repro.util.tables import format_table
 
 _SPARK_BARS = "▁▂▃▄▅▆▇█"
+
+#: the most characters a flit sparkline takes (see :func:`_peaks`)
+_FLIT_WIDTH = 60
 
 
 def sparkline(values) -> str:
@@ -56,8 +60,8 @@ def _hist_rows(recorder) -> list[list]:
 
 def _runner_section(recorder) -> str:
     """Derived view of the ``runner.*`` counters: cache effectiveness
-    and pool utilization, instead of raw numbers scattered through the
-    counter table."""
+    and the pool's worker and task counts, instead of raw numbers
+    scattered through the counter table."""
     c = recorder.counters
     if not any(k.startswith("runner.") for k in c):
         return ""
@@ -83,12 +87,10 @@ def _runner_section(recorder) -> str:
         lines.append(
             f"  grid points total={total:g} computed={computed:g} "
             f"replayed={total - computed:g}")
-    if "runner.pool_tasks" in c or "runner.pool_created" in c:
+    if "runner.pool_workers" in c:
         lines.append(
-            f"  pools created={c.get('runner.pool_created', 0):g} "
-            f"tasks={c.get('runner.pool_tasks', 0):g} "
-            f"contexts spilled={c.get('runner.context_spilled', 0):g} "
-            f"worker loads={c.get('runner.context_loads', 0):g}")
+            f"  pool workers={c['runner.pool_workers']:g} "
+            f"tasks={c.get('runner.pool_tasks', 0):g}")
     return "\n".join(lines) if len(lines) > 1 else ""
 
 
@@ -133,7 +135,23 @@ def _convergence_section(recorder) -> str:
         + [f"  {label:<{width}s} {rest}" for label, rest in rows])
 
 
+def _peaks(values: list, width: int = _FLIT_WIDTH) -> list:
+    """At most ``width`` values: the maximum of each of ``width``
+    consecutive bins of near-equal size (a shorter series unchanged).
+
+    >>> _peaks([1, 5, 2, 2, 7, 0], width=3)
+    [5, 2, 7]
+    """
+    n = len(values)
+    if n <= width:
+        return values
+    return [max(values[i * n // width:(i + 1) * n // width])
+            for i in range(width)]
+
+
 def _flit_section(recorder) -> str:
+    """Per-interval flit series, each drawn in at most ``_FLIT_WIDTH``
+    characters; ``max=`` and ``total=`` read the full series."""
     intervals = recorder.events_of("flit_interval")
     if not intervals:
         return ""
@@ -141,12 +159,16 @@ def _flit_section(recorder) -> str:
     injected = [e.get("injected", 0) for e in intervals]
     stalls = [e.get("credit_stalls", 0) for e in intervals]
     occupancy = [e.get("occupancy", 0) for e in intervals]
+
+    def spark(values):
+        return sparkline(_peaks(values))
+
     return "\n".join([
         f"flit engine ({len(intervals)} interval(s)):",
-        f"  injected/interval  {sparkline(injected)}  max={max(injected)}",
-        f"  delivered/interval {sparkline(delivered)}  max={max(delivered)}",
-        f"  credit stalls      {sparkline(stalls)}  total={sum(stalls)}",
-        f"  buffer occupancy   {sparkline(occupancy)}  max={max(occupancy)}",
+        f"  injected/interval  {spark(injected)}  max={max(injected)}",
+        f"  delivered/interval {spark(delivered)}  max={max(delivered)}",
+        f"  credit stalls      {spark(stalls)}  total={sum(stalls)}",
+        f"  buffer occupancy   {spark(occupancy)}  max={max(occupancy)}",
     ])
 
 

@@ -101,14 +101,14 @@ class ResultCache:
     """
 
     def __init__(self, directory: str = DEFAULT_CACHE_DIR, *,
-                 version: str | None = None, filename: str = _FILENAME):
+                 version: str | None = None):
         self.directory = str(directory)
         if os.path.exists(self.directory) and not os.path.isdir(self.directory):
             raise RunnerError(
                 f"cache directory {self.directory!r} exists and is not a "
                 f"directory")
         self.version = version if version is not None else _code_version()
-        self.path = os.path.join(self.directory, filename)
+        self.path = os.path.join(self.directory, _FILENAME)
         self._index: dict[str, dict] | None = None
         #: entries skipped at load time because they were written by a
         #: different code version (0 until the file is first read)

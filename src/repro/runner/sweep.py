@@ -10,31 +10,36 @@ one path every such grid takes:
   function of ``(workload, seed)``; inline, pooled and cached runs
   therefore produce bit-identical :class:`~repro.flit.sweep.SweepResult`
   values;
-* **one simulator at a time** — a simulator (with its route table) is
-  built only for a scheme that still has uncached points.  Inline
-  (``n_jobs == 1``) each is built, run and dropped before the next, so
-  a grid never holds more than one route table; with ``n_jobs > 1`` the
-  pending ones ship to one :class:`~repro.runner.pool.PersistentPool`
-  once, as a pool context, not once per task;
+* **simulators built once, only where needed** — a simulator (with its
+  route table) is built only for a scheme that still has uncached
+  points.  Inline (``n_jobs == 1``) each is built, run and dropped
+  before the next, so a grid never holds more than one route table.
+  With ``n_jobs > 1`` the pending ones are built up front and reach one
+  :class:`~concurrent.futures.ProcessPoolExecutor` through its
+  initializer: fork workers inherit them, spawn and forkserver workers
+  unpickle them once each, and a task carries only its grid point;
 * **resumability** — with a :class:`~repro.runner.cache.ResultCache`,
   each point is probed before it is scheduled and stored as soon as it
   is computed, so re-running an interrupted sweep replays the completed
   points from disk and only simulates the remainder.  A fully warm
-  cache builds no simulator and performs zero runs.
+  cache builds no simulator and performs zero runs;
+* **prompt stops** — when a pooled point raises, or ^C interrupts the
+  caller, the points not yet started are cancelled and the error is
+  re-raised at once; the points already stored stay in the cache.
 
 Telemetry: ``runner.points_total`` / ``runner.points_computed``
-counters, a ``flit.load_point`` timer per inline load point or a
-``flit.point_eval`` timer per pooled point (each task's worker-side
-recorder merges into the caller's, in submission order), plus the pool
-and cache counters of the underlying layers; each merged load point
-emits a ``flit_load_point`` event.
+counters, a ``flit.point`` timer around each point's run (a pooled
+point runs under its own recorder, whose snapshot merges into the
+caller's in submission order), ``runner.pool_workers`` (worker
+processes started) and ``runner.pool_tasks`` (points submitted), plus
+the cache counters; each merged load point emits a ``flit_load_point``
+event.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict
-from itertools import groupby
 from typing import Mapping, Sequence
 
 from repro.errors import RunnerError
@@ -43,11 +48,10 @@ from repro.flit.config import FlitConfig
 from repro.flit.engine import FlitSimulator
 from repro.flit.stats import FlitRunResult
 from repro.flit.sweep import SweepResult, _merge_runs, default_loads
-from repro.flit.workload import UniformRandom, Workload
-from repro.obs.recorder import get_recorder
+from repro.flit.workload import UniformRandom
+from repro.obs.recorder import Recorder, get_recorder, use_recorder
 from repro.routing.base import RoutingScheme
 from repro.runner.cache import ResultCache, cache_key
-from repro.runner.pool import PersistentPool, load_context
 from repro.topology.xgft import XGFT
 
 
@@ -82,20 +86,38 @@ def _version() -> str:
     return __version__
 
 
-def _flit_point_task(token: str, label: str, load: float, seed: int):
-    """Pool worker: simulate one grid point against the shipped context.
+#: a pool worker's ``(simulators by label, workload factory)``, set once
+#: by :func:`_init_worker`
+_GRID: tuple[dict[str, FlitSimulator], object] | None = None
 
-    Runs under whatever recorder the pool's task wrapper installed
-    (:meth:`~repro.runner.pool.PersistentPool.submit_task` builds a
-    per-task recorder and ships its snapshot back), so the simulator's
-    ``flit.*`` counters/histograms and this ``flit.point_eval`` timer
-    land in the parent recorder.
+
+def _init_worker(sims: dict[str, FlitSimulator], workload_factory) -> None:
+    """Pool initializer: keep the grid for the worker's lifetime."""
+    global _GRID
+    _GRID = sims, workload_factory
+
+
+def _run_point(sim: FlitSimulator, workload_factory, load: float,
+               seed: int) -> FlitRunResult:
+    """Simulate one grid point under a ``flit.point`` timer."""
+    with get_recorder().timer("flit.point"):
+        return sim.run(workload_factory(load), seed=seed)
+
+
+def _pool_task(label: str, load: float, seed: int, recording: bool):
+    """Pool worker: simulate one grid point of the initializer's grid.
+
+    Returns ``(result, snapshot)``.  When the caller's recorder was
+    enabled the point runs under a fresh :class:`~repro.obs.Recorder`
+    and ``snapshot`` is its state, for the caller to merge; otherwise it
+    runs under the no-op recorder (an enabled recorder inherited across
+    ``fork`` cannot slow the worker down) and ``snapshot`` is ``None``.
     """
-    ctx = load_context(token)
-    sim: FlitSimulator = ctx["sims"][label]
-    workload: Workload = ctx["workload_factory"](load)
-    with get_recorder().timer("flit.point_eval"):
-        return sim.run(workload, seed=seed)
+    sims, workload_factory = _GRID
+    rec = Recorder() if recording else None
+    with use_recorder(rec):
+        result = _run_point(sims[label], workload_factory, load, seed)
+    return result, rec.snapshot() if rec is not None else None
 
 
 def run_sweeps(
@@ -178,31 +200,35 @@ def run_sweeps(
     if n_jobs == 1:
         for label, todo in pending.items():
             sim = make_flit_simulator(engine, xgft, schemes[label], config)
-            for load, group in groupby(todo, key=lambda point: point[1]):
-                with rec.timer("flit.load_point"):
-                    for point in group:
-                        store(point, sim.run(
-                            workload_factory(load),
-                            seed=point_seed(config, point[2])))
+            for point in todo:
+                store(point, _run_point(sim, workload_factory, point[1],
+                                        point_seed(config, point[2])))
             del sim  # drop this route table before building the next
     elif pending:
-        with PersistentPool(n_jobs) as pool:
-            token = pool.put_context({
-                "sims": {label: make_flit_simulator(
-                             engine, xgft, schemes[label], config)
-                         for label in pending},
-                "workload_factory": workload_factory,
-            })
+        sims = {label: make_flit_simulator(engine, xgft, schemes[label],
+                                           config)
+                for label in pending}
+        pool = ProcessPoolExecutor(n_jobs, initializer=_init_worker,
+                                   initargs=(sims, workload_factory))
+        rec.count("runner.pool_workers", n_jobs)
+        # An error or ^C cancels the queued points and re-raises at once;
+        # a ``with`` block's exit would wait for all of them instead.
+        try:
             futures = {
-                pool.submit_task(_flit_point_task, token, label, load,
-                                 point_seed(config, rep)): (label, load, rep)
+                pool.submit(_pool_task, label, load, point_seed(config, rep),
+                            rec.enabled): (label, load, rep)
                 for todo in pending.values() for label, load, rep in todo
             }
+            rec.count("runner.pool_tasks", len(futures))
             snapshots = {}
             for future in as_completed(futures):
                 point = futures[future]
                 result, snapshots[point] = future.result()
                 store(point, result)
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
         # Merge in submission order so the event stream is deterministic.
         for point in futures.values():
             if snapshots[point] is not None:

@@ -86,7 +86,7 @@ def test_kernels_ran_reads_nested_timers():
     assert batched.kernels_ran({}) is None
     assert batched.kernels_ran({"experiment.table1/flit.kernel": (1.0, 0)}) is None
     assert batched.kernels_ran({
-        "experiment.table1/flit.load_point/flit.kernel": (1.0, 4),
+        "experiment.table1/flit.point/flit.kernel": (1.0, 4),
         "flit.build": (0.5, 2)}) == "native"
 
 

@@ -72,6 +72,39 @@ class TestRenderReport:
         assert "credit stalls" in out and "total=4" in out
         assert "buffer occupancy" in out and "max=9" in out
 
+    @staticmethod
+    def _flit_bars(out: str) -> dict[str, str]:
+        section = next(part for part in out.split("\n\n")
+                       if part.startswith("flit engine"))
+        return {line.split()[0]: line.split()[-2]
+                for line in section.splitlines()[1:]}
+
+    def test_long_flit_series_draw_sixty_peaks(self):
+        """``table1 --fidelity fast`` records 4,424 intervals: each
+        series draws 60 characters, each the peak of its bin, while
+        ``max=`` and ``total=`` read every interval."""
+        rec = Recorder()
+        for t in range(4424):
+            rec.event("flit_interval", t=t, injected=100 * (t == 1234),
+                      delivered=7, credit_stalls=1, occupancy=t)
+        out = render_report(rec)
+        bars = self._flit_bars(out)
+        assert {len(bar) for bar in bars.values()} == {60}
+        assert bars["injected/interval"].count("█") == 1  # the one spike
+        assert bars["delivered/interval"] == "▁" * 60
+        levels = ["▁▂▃▄▅▆▇█".index(bar) for bar in bars["buffer"]]
+        assert levels == sorted(levels) and levels[-1] == 7  # a ramp
+        assert "max=100" in out and "total=4424" in out and "max=4423" in out
+
+    def test_short_flit_series_draw_every_interval(self):
+        rec = Recorder()
+        occupancy = [(7 * t) % 11 for t in range(60)]
+        for t, occ in enumerate(occupancy):
+            rec.event("flit_interval", t=t, injected=0, delivered=0,
+                      credit_stalls=0, occupancy=occ)
+        assert self._flit_bars(render_report(rec))["buffer"] == \
+            sparkline(occupancy)
+
     def test_figure4a_prints_one_convergence_row_per_study(self):
         """Figure 4(a) averages the random heuristic over five routing
         seeds; each seed's study gets its own row."""

@@ -1,7 +1,17 @@
-"""Parallel/cached flit sweeps: bit-parity with serial, cache replay."""
+"""Parallel/cached flit sweeps: bit-parity with serial, cache replay,
+and pooled runs that stop at once on an error or ^C."""
 
+import json
 import math
-from dataclasses import asdict
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import asdict, astuple
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +22,7 @@ from repro.experiments.registry import run_instrumented
 from repro.flit.config import FlitConfig
 from repro.flit.engine import FlitSimulator
 from repro.flit.sweep import load_sweep
+from repro.flit.workload import UniformRandom
 from repro.obs.recorder import Recorder, use_recorder
 from repro.routing.factory import make_scheme
 from repro.runner.cache import ResultCache, cache_key
@@ -26,6 +37,55 @@ LOADS = (0.2, 0.6)
 @pytest.fixture(scope="module")
 def tree():
     return m_port_n_tree(4, 2)
+
+
+def _python_env() -> dict:
+    """The environment of a child interpreter that imports this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+#: a pooled ``run_sweeps`` on the 4-port 2-tree under the start method
+#: named by ``argv[1]``, for the scheme specs, ``FlitConfig`` fields and
+#: loads in the JSON of ``argv[2]``; prints each sweep's runs as field tuples
+_POOLED_SWEEP = """
+import multiprocessing, json, sys
+from dataclasses import astuple
+from repro.flit.config import FlitConfig
+from repro.routing.factory import make_scheme
+from repro.runner.sweep import run_sweeps
+from repro.topology.variants import m_port_n_tree
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    grid = json.loads(sys.argv[2])
+    tree = m_port_n_tree(4, 2)
+    out = run_sweeps(tree, {spec: make_scheme(tree, spec)
+                            for spec in grid["specs"]},
+                     FlitConfig(**grid["config"]), loads=grid["loads"],
+                     n_jobs=2)
+    print(repr({key: [astuple(run) for run in sweep.runs]
+                for key, sweep in out.items()}))
+"""
+
+
+class _RefusingFactory:
+    """A workload factory that leaves one marker file in ``directory``
+    per call, raises on the ``refused`` load and takes 100 ms on any
+    other (module-level, so it pickles into pool workers)."""
+
+    def __init__(self, directory, refused: float):
+        self.directory, self.refused = str(directory), refused
+
+    def __call__(self, load: float):
+        fd, _ = tempfile.mkstemp(dir=self.directory)
+        os.close(fd)
+        if load == self.refused:
+            raise ValueError(f"load {load} refused")
+        time.sleep(0.1)
+        return UniformRandom(load)
 
 
 def _runs_equal(a, b):
@@ -51,6 +111,24 @@ class TestParity:
     def test_point_seed_matches_serial_formula(self):
         assert point_seed(CFG, 0) == CFG.seed
         assert point_seed(CFG, 3) == CFG.seed + 3000
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_method_matches_inline(self, tree, method):
+        """Spawn and forkserver workers unpickle the grid once each (fork
+        workers, the default on Linux, inherit it): same results."""
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        specs = ("d-mod-k", "shift-1:2")
+        inline = run_sweeps(tree, {spec: make_scheme(tree, spec)
+                                   for spec in specs}, CFG, loads=LOADS)
+        grid = {"specs": specs, "config": asdict(CFG), "loads": LOADS}
+        child = subprocess.run(
+            [sys.executable, "-c", _POOLED_SWEEP, method, json.dumps(grid)],
+            env=_python_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == repr(
+            {key: [astuple(run) for run in sweep.runs]
+             for key, sweep in inline.items()})
 
     def test_multi_scheme_grid_matches_per_scheme_serial(self, tree):
         schemes = {spec: make_scheme(tree, spec)
@@ -81,7 +159,7 @@ class TestCacheReplay:
                               n_jobs=2)["d"]
         assert warm_rec.counters["runner.cache_hit"] == n_points
         assert "runner.points_computed" not in warm_rec.counters
-        assert "runner.pool_created" not in warm_rec.counters
+        assert "runner.pool_workers" not in warm_rec.counters
         assert "flit.build" not in warm_rec.timers  # no route table built
         assert _runs_equal(warm, serial) and _runs_equal(cold, serial)
 
@@ -164,7 +242,19 @@ class TestPoolSharing:
         with use_recorder(rec):
             run_sweeps(tree, {"d-mod-k": make_scheme(tree, "d-mod-k")}, CFG,
                        loads=LOADS[:1], n_jobs=2)
-        assert rec.counters["runner.pool_created"] == 1
+        assert rec.counters["runner.pool_workers"] == 2
+
+    def test_zero_jobs_rejected(self, tree):
+        """A pool size below one is refused before any point is planned
+        or any worker starts."""
+        for n_jobs in (0, -1):
+            rec = Recorder()
+            with use_recorder(rec), pytest.raises(RunnerError,
+                                                  match="n_jobs"):
+                run_sweeps(tree, {"d-mod-k": make_scheme(tree, "d-mod-k")},
+                           CFG, loads=LOADS[:1], n_jobs=n_jobs)
+            assert "runner.points_total" not in rec.counters
+            assert "runner.pool_workers" not in rec.counters
 
     def test_validation(self, tree):
         schemes = {"d-mod-k": make_scheme(tree, "d-mod-k")}
@@ -174,6 +264,54 @@ class TestPoolSharing:
             run_sweeps(tree, schemes, CFG, n_jobs=0)
         with pytest.raises(ReproError, match="unknown flit engine"):
             run_sweeps(tree, schemes, CFG, engine="turbo")
+
+
+class TestStops:
+    def test_failing_point_cancels_the_queued_points(self, tree, tmp_path):
+        """The first load raises in the workers; the error reaches the
+        caller and the queued points never start (a pool whose exit
+        waited for its queue would run all 40)."""
+        loads = tuple(0.1 * i for i in range(1, 11))
+        factory = _RefusingFactory(tmp_path, refused=loads[0])
+        with pytest.raises(ValueError, match="refused"):
+            run_sweeps(tree, {"d-mod-k": make_scheme(tree, "d-mod-k")}, CFG,
+                       loads=loads, repeats=4, workload_factory=factory,
+                       n_jobs=2)
+        deadline = time.monotonic() + 30
+        while multiprocessing.active_children():  # the points under way
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert len(os.listdir(tmp_path)) <= 12  # of 10 loads x 4 repeats
+
+    @pytest.mark.skipif(os.name != "posix",
+                        reason="needs process groups and SIGINT")
+    def test_interrupt_stops_a_pooled_run(self, tmp_path):
+        """^C (SIGINT to the process group), then a second SIGINT to the
+        parent: the run ends at once instead of finishing its grid."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "figure5", "--fidelity", "full",
+             "--jobs", "2", "--cache-dir", str(tmp_path)],
+            env=_python_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120
+            while not (tmp_path / "flit-runs.jsonl").exists():
+                assert proc.poll() is None, "the run ended before any point"
+                assert time.monotonic() < deadline, "no point stored"
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGINT)  # a no-op once it has exited
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                pytest.fail("the pooled run outlived two SIGINTs by 10 s")
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
 
 
 class TestExperiments:

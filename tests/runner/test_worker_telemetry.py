@@ -1,15 +1,18 @@
 """Cross-process telemetry: snapshot/merge round-trips and worker
-recorder state merging into the parent through the persistent pool."""
+recorder state merging into the parent through a pooled sweep."""
 
 import json
-import math
+from dataclasses import asdict
 
 import pytest
 
+from repro.flit.batched import make_flit_simulator
 from repro.flit.config import FlitConfig
-from repro.obs.recorder import Recorder, get_recorder, use_recorder
+from repro.flit.workload import UniformRandom
+from repro.obs import render_report
+from repro.obs.recorder import Recorder, use_recorder
 from repro.routing.factory import make_scheme
-from repro.runner.pool import PersistentPool
+from repro.runner import sweep
 from repro.runner.sweep import run_sweeps
 from repro.topology.variants import m_port_n_tree
 
@@ -50,13 +53,6 @@ def _populated_recorder():
     rec.event("flit_load_point", scheme="d-mod-k", offered_load=0.6,
               mean_delay=float("nan"), saturated=True)
     return rec
-
-
-def _counting_sqrt(x):
-    """Module-level so it pickles into pool workers; counts one call
-    into whatever recorder the task runs under."""
-    get_recorder().count("test.worker_calls")
-    return math.sqrt(x)
 
 
 class TestSnapshotRoundTrip:
@@ -106,20 +102,30 @@ class TestSnapshotRoundTrip:
 
 
 class TestPoolTaskTelemetry:
-    def test_submit_task_ships_worker_snapshot(self):
-        rec = Recorder()
-        with use_recorder(rec), PersistentPool(1) as pool:
-            result, snapshot = pool.submit_task(_counting_sqrt, 4.0).result()
-        assert result == 2.0
-        assert snapshot is not None
-        assert snapshot["counters"] == {"test.worker_calls": 1}
-        assert rec.counters["runner.pool_tasks"] == 1
+    """The worker side of a pooled sweep, called in this process."""
 
-    def test_submit_task_without_recorder_ships_nothing(self):
-        with PersistentPool(1) as pool:
-            result, snapshot = pool.submit_task(math.sqrt, 9.0).result()
-        assert result == 3.0
+    @pytest.fixture
+    def sim(self, tree, monkeypatch):
+        sim = make_flit_simulator("batched", tree,
+                                  make_scheme(tree, "d-mod-k"), CFG)
+        monkeypatch.setattr(sweep, "_GRID", None)  # restored afterwards
+        sweep._init_worker({"d": sim}, UniformRandom)
+        return sim
+
+    def test_pool_task_ships_worker_snapshot(self, sim):
+        result, snapshot = sweep._pool_task("d", 0.2, CFG.seed, True)
+        expected = sim.run(UniformRandom(0.2), seed=CFG.seed)
+        assert _nan_eq(asdict(result), asdict(expected))
+        assert snapshot["counters"]["flit.runs"] == 1
+        assert snapshot["timers"]["flit.point"]["calls"] == 1
+
+    def test_pool_task_without_recorder_ships_nothing(self, sim):
+        inherited = Recorder()  # what a fork worker inherits
+        with use_recorder(inherited):
+            result, snapshot = sweep._pool_task("d", 0.2, CFG.seed, False)
         assert snapshot is None
+        assert result.offered_load == 0.2
+        assert not inherited.counters and not inherited.timers
 
 
 class TestParallelSweepTelemetry:
@@ -151,7 +157,7 @@ class TestParallelSweepTelemetry:
         assert serial_flit and serial_flit == par_flit
 
         # worker-side timers are non-zero and merged into the parent
-        total, calls = par_rec.timers["flit.point_eval"]
+        total, calls = par_rec.timers["flit.point"]
         assert calls == len(LOADS) * 2 and total > 0
 
         # histograms merge bucket-exactly (totals are float sums whose
@@ -163,3 +169,9 @@ class TestParallelSweepTelemetry:
             assert par_hist.vmin == serial_hist.vmin
             assert par_hist.vmax == serial_hist.vmax
             assert par_hist.total == pytest.approx(serial_hist.total)
+
+    def test_pool_counters_reach_the_report(self, tree):
+        _, rec = self._sweep(tree, n_jobs=2)
+        assert rec.counters["runner.pool_workers"] == 2
+        assert rec.counters["runner.pool_tasks"] == len(LOADS) * 2
+        assert "  pool workers=2 tasks=4" in render_report(rec)
