@@ -2,7 +2,7 @@
 
 Each check runs the actual simulators against the statement of a lemma or
 theorem and reports the measured quantities; tests assert the reports, and
-the theorem benchmark regenerates them for EXPERIMENTS.md.
+``python -m repro theorems`` regenerates them for EXPERIMENTS.md.
 """
 
 from __future__ import annotations

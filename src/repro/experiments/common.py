@@ -17,7 +17,7 @@ RANDOM_SEEDS = (0, 1, 2, 3, 4)
 class Fidelity:
     """Experiment size preset.
 
-    ``fast`` keeps wall time in seconds for tests/benchmarks; ``full``
+    ``fast`` keeps wall time in seconds for tests and CI; ``full``
     follows the paper's protocol (tighter CIs, longer flit windows) and
     is what EXPERIMENTS.md records.
     """

@@ -1,4 +1,4 @@
-"""Experiment registry: names the CLI and benchmarks dispatch on.
+"""Experiment registry: the names the CLI dispatches on.
 
 :func:`run_experiment` is the bare dispatcher; :func:`run_instrumented`
 wraps it with the observability layer — it runs the experiment under a
@@ -64,6 +64,8 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
                "fault_sweep:run"),
     Experiment("churn-sweep", "MLOAD trajectory under streaming fail/repair churn",
                "churn_sweep:run"),
+    Experiment("ablations", "seven ablations of what the paper holds constant",
+               "ablations:run"),
 )}
 
 #: CLI option -> the runner keyword it is forwarded as.  An experiment
@@ -152,15 +154,14 @@ def run_instrumented(
     for the do-nothing values ``engine="reference"``, ``jobs=1`` and
     ``cache=False``.  Other keyword arguments go to the runner as is.
 
-    When the runner's flit runs take the batched engine (the flit
-    runners' default, or ``engine="batched"``), the manifest's
-    ``extra["flit_kernel"]`` records which path they took: ``"native"`` or
-    ``"reference: <why>"``, joined by ``"; "`` when runs differ.  With
-    the recorder enabled that is what actually ran (see
-    :func:`repro.flit.batched.kernels_ran`); otherwise it is whether the
-    kernel is available.  With the recorder enabled, a run that evaluated
-    flow loads also gets ``extra["flow_kernel"]``: ``"native"`` or
-    ``"numpy: <why>"``, joined the same way (see
+    With the recorder enabled, a run whose flit runs took the batched
+    engine gets ``extra["flit_kernel"]``: what they actually ran,
+    ``"native"`` or ``"reference: <why>"``, joined by ``"; "`` when runs
+    differ (see :func:`repro.flit.batched.kernels_ran`).  Without it, a
+    runner whose engine is ``"batched"`` (the flit runners' default)
+    records whether the kernel is available.  With the recorder enabled,
+    a run that evaluated flow loads also gets ``extra["flow_kernel"]``:
+    ``"native"`` or ``"numpy: <why>"``, joined the same way (see
     :func:`repro.flow.loads.kernels_ran`).
     """
     rec = recorder if recorder is not None else get_recorder()
@@ -211,11 +212,10 @@ def run_instrumented(
     if rec.enabled:
         timers = {timer: (seconds, calls - before.get(timer, (0.0, 0))[1])
                   for timer, (seconds, calls) in rec.timers.items()}
-        ran = {"flow_kernel": flow_kernels_ran(timers)}
-        if batched:
-            from repro.flit.batched import kernels_ran
+        from repro.flit.batched import kernels_ran as flit_kernels_ran
 
-            ran["flit_kernel"] = kernels_ran(timers)
+        ran = {"flow_kernel": flow_kernels_ran(timers),
+               "flit_kernel": flit_kernels_ran(timers)}
         manifest.extra.update(
             (field, what) for field, what in ran.items() if what is not None)
     for attr, field in (("samples_used", "samples_used"),

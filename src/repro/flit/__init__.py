@@ -17,12 +17,7 @@ from repro.flit.engine import FlitSimulator
 from repro.flit.message import Message, Packet
 from repro.flit.stats import FlitRunResult, delay_stats
 from repro.flit.sweep import SweepResult, default_loads, load_sweep
-from repro.flit.traces import (
-    TraceEntry,
-    TraceWorkload,
-    phased_trace,
-    synthesize_trace,
-)
+from repro.flit.traces import TraceEntry, synthesize_trace
 from repro.flit.workload import (
     FixedPermutation,
     HotspotWorkload,
@@ -50,7 +45,5 @@ __all__ = [
     "FixedPermutation",
     "HotspotWorkload",
     "TraceEntry",
-    "TraceWorkload",
     "synthesize_trace",
-    "phased_trace",
 ]

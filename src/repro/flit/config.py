@@ -41,7 +41,7 @@ class FlitConfig:
         evaluates routing with a single VC; more VCs give each physical
         link several independent FIFO buffers sharing its bandwidth,
         which relieves head-of-line blocking in the ``input-fifo``
-        switch model (see the VC ablation benchmark).  A packet is
+        switch model (see ``python -m repro ablations``).  A packet is
         assigned a free VC each time it wins an output port.
     wire_delay:
         Link propagation delay in cycles.

@@ -211,9 +211,20 @@ class FlitSimulator:
         Every ``(cycle, src, dst)`` entry becomes one message at exactly
         that cycle, regardless of the measurement window (entries inside
         ``[warmup, warmup+measure)`` are the measured ones).  The seed
-        only affects path selection randomness.
+        only affects path selection randomness.  An entry with ``src`` or
+        ``dst`` outside ``[0, n_procs)``, ``src == dst`` or ``cycle < 0``
+        raises :class:`SimulationError`, naming the first such entry,
+        before anything runs.
         """
-        return self.run(None, seed=seed, _trace=tuple(entries))
+        entries = tuple(entries)
+        n = self._n_procs
+        for i, e in enumerate(entries):
+            if not (0 <= e.src < n and 0 <= e.dst < n and e.src != e.dst
+                    and e.cycle >= 0):
+                raise SimulationError(
+                    f"trace entry {i} {e}: needs 0 <= src != dst < {n} "
+                    f"and cycle >= 0")
+        return self.run(None, seed=seed, _trace=entries)
 
     def run(self, workload: Workload | None, *, seed: int | None = None,
             recorder=None, _trace=None) -> FlitRunResult:

@@ -57,11 +57,3 @@ class Packet:
         self.path = path
         self.hop = 0
         self.holding = -1
-
-    @property
-    def next_channel(self) -> int:
-        return self.path[self.hop]
-
-    @property
-    def at_last_hop(self) -> bool:
-        return self.hop == len(self.path) - 1

@@ -1,20 +1,17 @@
 """Trace-driven flit-level workloads.
 
 A *trace* is an explicit list of timed message injections ``(cycle,
-src, dst)``.  Traces make flit runs exactly repeatable across schemes
-(identical arrivals, only routing differs — removing workload noise
-from A/B comparisons) and let application-level schedules, such as the
-phased collectives in :mod:`repro.traffic.collectives`, be replayed on
-the dynamic network.
+src, dst)``, replayed by :meth:`repro.flit.engine.FlitSimulator.run_trace`.
+Traces make flit runs exactly repeatable across schemes (identical
+arrivals, only routing differs — removing workload noise from A/B
+comparisons).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from repro.errors import SimulationError
 from repro.flit.workload import Workload
 
 
@@ -60,57 +57,3 @@ def synthesize_trace(
             t = int(clock) + 1
     entries.sort(key=lambda e: (e.cycle, e.src))
     return entries
-
-
-def phased_trace(
-    phases: Iterable,
-    messages_per_phase: int,
-    phase_gap: int,
-    *,
-    start: int = 1,
-) -> list[TraceEntry]:
-    """Compile a phased schedule (e.g. shift all-to-all) into a trace.
-
-    Each phase is a permutation-like :class:`~repro.traffic.matrix.
-    TrafficMatrix`; every network pair of the phase injects
-    ``messages_per_phase`` back-to-back messages at the phase start, and
-    phases are ``phase_gap`` cycles apart.
-    """
-    if messages_per_phase < 1 or phase_gap < 1:
-        raise SimulationError("messages_per_phase and phase_gap must be >= 1")
-    entries: list[TraceEntry] = []
-    t = start
-    for tm in phases:
-        src, dst, _ = tm.network_pairs()
-        for s, d in zip(src, dst):
-            for _ in range(messages_per_phase):
-                entries.append(TraceEntry(t, int(s), int(d)))
-        t += phase_gap
-    entries.sort(key=lambda e: (e.cycle, e.src))
-    return entries
-
-
-class TraceWorkload(Workload):
-    """Replays a fixed trace through the engine.
-
-    The engine polls each host's next injection; this adapter serves the
-    per-host sub-trace in order, ignoring the Poisson clock except as a
-    polling tick.  Because polling granularity is the engine's
-    injection process, the adapter exposes :meth:`entries_for` so the
-    simulator can instead schedule exact injection events — which
-    :meth:`repro.flit.engine.FlitSimulator.run_trace` does.
-    """
-
-    name = "trace"
-
-    def __init__(self, entries: Sequence[TraceEntry]):
-        super().__init__(load=1.0)  # nominal; unused for exact replay
-        self.entries = tuple(entries)
-        for e in self.entries:
-            if e.cycle < 0 or e.src == e.dst:
-                raise SimulationError(f"bad trace entry {e}")
-
-    def pick_destination(self, src: int, n_procs: int, rng: random.Random) -> int:
-        raise SimulationError(
-            "TraceWorkload must be run via FlitSimulator.run_trace()"
-        )

@@ -12,7 +12,8 @@ things the paper relies on:
   level-k digit prefixes of the K full-height indices.  The disjoint
   ordering varies the lowest-level digits first and therefore keeps more
   distinct paths for nearby pairs than shift-1 — quantified by
-  :func:`effective_paths` and the ``bench_ib_resources`` ablation.
+  :func:`effective_paths` and the diversity table of ``python -m repro
+  resources``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,8 @@ class ResourceReport:
     limit_reason: str
 
     def row(self) -> tuple:
-        """Table row used by the resource benchmark."""
+        """K, LMC, LIDs per port, total LIDs, LID-space fraction and
+        feasibility, as one table row."""
         return (
             self.k_paths,
             self.lmc if self.feasible or self.lmc >= 0 else "-",

@@ -117,12 +117,10 @@ def _phase_rows(runs: list[RunRecord]) -> list[list]:
     """Per-timer wall-time distribution across runs (p50/p95/p99 of the
     per-run totals, plus total seconds and calls)."""
     per_phase: dict[str, list[float]] = {}
-    totals: dict[str, list[float]] = {}
     calls: dict[str, int] = {}
     for run in runs:
         for name, t in run.metrics.get("timers", {}).items():
             per_phase.setdefault(name, []).append(float(t["total_s"]))
-            totals.setdefault(name, []).append(float(t["total_s"]))
             calls[name] = calls.get(name, 0) + int(t["calls"])
     rows = []
     for name in sorted(per_phase, key=lambda n: -sum(per_phase[n])):

@@ -4,7 +4,7 @@ Counters and timers become tables (:mod:`repro.util.tables`), each
 flow-level study becomes one convergence row (a sparkline of its CI
 half-width per round, then its rounds, samples, mean and wall time), and
 per-interval flit series become unicode sparklines of at most 60
-characters.
+characters, each the peak of whole runs when several ran.
 """
 
 from __future__ import annotations
@@ -149,22 +149,42 @@ def _peaks(values: list, width: int = _FLIT_WIDTH) -> list:
             for i in range(width)]
 
 
+def _run_starts(intervals: list) -> list[int]:
+    """Index of each run's first ``flit_interval`` event.  A run's marks
+    rise from its first ``obs_interval``, so a run starts wherever ``t``
+    does not exceed the previous event's.
+
+    >>> _run_starts([{"t": 50}, {"t": 100}, {"t": 50}, {"t": 50}])
+    [0, 2, 3]
+    """
+    ts = [e.get("t", 0) for e in intervals]
+    return [0] + [i for i in range(1, len(ts)) if ts[i] <= ts[i - 1]]
+
+
 def _flit_section(recorder) -> str:
     """Per-interval flit series, each drawn in at most ``_FLIT_WIDTH``
-    characters; ``max=`` and ``total=`` read the full series."""
+    characters; ``max=`` and ``total=`` read the full series.  Over
+    several runs each character is the peak of whole runs, so no
+    character straddles the end of one run and the start of the next."""
     intervals = recorder.events_of("flit_interval")
     if not intervals:
         return ""
+    starts = _run_starts(intervals)
+    bounds = list(zip(starts, starts[1:] + [len(intervals)]))
     delivered = [e.get("delivered", 0) for e in intervals]
     injected = [e.get("injected", 0) for e in intervals]
     stalls = [e.get("credit_stalls", 0) for e in intervals]
     occupancy = [e.get("occupancy", 0) for e in intervals]
 
     def spark(values):
+        if len(bounds) > 1:
+            values = [max(values[a:b]) for a, b in bounds]
         return sparkline(_peaks(values))
 
+    runs = (f", {len(bounds)} runs, each character the peak of whole runs"
+            if len(bounds) > 1 else "")
     return "\n".join([
-        f"flit engine ({len(intervals)} interval(s)):",
+        f"flit engine ({len(intervals)} interval(s){runs}):",
         f"  injected/interval  {spark(injected)}  max={max(injected)}",
         f"  delivered/interval {spark(delivered)}  max={max(delivered)}",
         f"  credit stalls      {spark(stalls)}  total={sum(stalls)}",

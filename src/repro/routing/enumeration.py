@@ -84,12 +84,6 @@ class PathCodec:
             raise RoutingError(f"level {j} out of range [0, {self.k})")
         return (t // self.strides[j]) % self.xgft.w[j]
 
-    def top_switch_digits(self, t: int) -> tuple[int, ...]:
-        """Little-endian label digits (within the NCA subtree) of the
-        top-level switch that path ``t`` traverses: digit ``i`` (0-based)
-        is the port chosen at level ``i``."""
-        return self.index_to_ports(t)
-
 
 @lru_cache(maxsize=512)
 def path_codec(xgft: XGFT, k: int) -> PathCodec:

@@ -1,6 +1,6 @@
 """Routing-scheme factory: build schemes from string specs.
 
-Experiments, the CLI and benchmarks refer to schemes by name, optionally
+Experiments, the CLI and the tests refer to schemes by name, optionally
 with a path limit, e.g. ``"d-mod-k"``, ``"disjoint:4"``, ``"random:8"``.
 """
 

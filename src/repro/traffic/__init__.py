@@ -27,11 +27,6 @@ from repro.traffic.adversarial import (
     suggest_theorem2_topology,
     theorem2_pattern,
 )
-from repro.traffic.collectives import (
-    recursive_doubling,
-    schedule_cost,
-    shift_all_to_all,
-)
 
 __all__ = [
     "TrafficMatrix",
@@ -49,7 +44,4 @@ __all__ = [
     "theorem2_pattern",
     "suggest_theorem2_topology",
     "adversarial_permutation",
-    "shift_all_to_all",
-    "recursive_doubling",
-    "schedule_cost",
 ]

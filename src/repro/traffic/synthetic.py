@@ -3,7 +3,8 @@
 These patterns are standard in the interconnection-network literature
 (Dally & Towles; the paper's references use shift all-to-all [Zahavi] and
 uniform traffic).  They exercise the routing heuristics under structured
-(non-random) load and power the pattern-ablation benchmarks.
+(non-random) load and drive the traffic-pattern ablation
+(:mod:`repro.experiments.ablations`).
 """
 
 from __future__ import annotations

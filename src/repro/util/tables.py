@@ -1,6 +1,6 @@
 """Plain-text table rendering for experiment reports.
 
-The benchmark harness prints the same rows the paper's tables report; this
+Every experiment prints the same rows the paper's tables report; this
 module renders them as aligned ASCII so results are readable in a terminal
 and diffable in EXPERIMENTS.md.
 """

@@ -119,14 +119,21 @@ def test_round_robin_carry_parity(kernel, ppm):
                          ids=["absent", "src-negative", "key-wraps",
                               "key-beyond"])
 def test_missing_route_raises_key_error(kernel, engine, src, dst):
-    """A pair absent from a ``from_tables`` route table, or a key outside
-    it, fails the same way on both engines (the reference's table
-    lookup) instead of reading another pair's paths."""
+    """A pair absent from a ``from_tables`` route table fails the same
+    way on both engines (the reference's table lookup).  A node id
+    outside the hosts, whose key would wrap onto another pair or fall
+    beyond the table, never reaches the lookup: ``run_trace`` refuses
+    the entry before anything runs."""
     cfg = FlitConfig(warmup_cycles=0, measure_cycles=100, drain_cycles=100)
     sim = flit_engine_class(engine).from_tables(2, 1, {1: [(0,)]}, cfg)
-    with pytest.raises(KeyError) as err:
-        sim.run_trace([TraceEntry(5, 0, 1), TraceEntry(9, src, dst)])
-    assert err.value.args == (src * 2 + dst,)
+    trace = [TraceEntry(5, 0, 1), TraceEntry(9, src, dst)]
+    if 0 <= src < 2 and 0 <= dst < 2:
+        with pytest.raises(KeyError) as err:
+            sim.run_trace(trace)
+        assert err.value.args == (src * 2 + dst,)
+    else:
+        with pytest.raises(SimulationError, match="trace entry 1 "):
+            sim.run_trace(trace)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

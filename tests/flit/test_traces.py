@@ -1,20 +1,18 @@
-"""Trace-driven flit runs: exact replay, synthesis, phased schedules."""
+"""Trace-driven flit runs: exact replay, entry checks, synthesis."""
+
+import re
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.flit.batched import ENGINES, flit_engine_class
 from repro.flit.config import FlitConfig
 from repro.flit.engine import FlitSimulator
-from repro.flit.traces import (
-    TraceEntry,
-    TraceWorkload,
-    phased_trace,
-    synthesize_trace,
-)
+from repro.flit.traces import TraceEntry, synthesize_trace
 from repro.flit.workload import UniformRandom
+from repro.obs.recorder import Recorder, use_recorder
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
-from repro.traffic.collectives import shift_all_to_all
 
 
 @pytest.fixture
@@ -48,14 +46,37 @@ class TestRunTrace:
         with pytest.raises(SimulationError):
             sim4x2.run(None)
 
-    def test_trace_workload_guard(self):
-        wl = TraceWorkload([TraceEntry(1, 0, 1)])
-        with pytest.raises(SimulationError):
-            wl.pick_destination(0, 4, None)
+    def test_trace_entry_validation(self, sim4x2):
+        """The error names the first bad entry, and nothing runs."""
+        rec = Recorder()
+        trace = [TraceEntry(1, 0, 1), TraceEntry(1, 2, 2), TraceEntry(-1, 0, 1)]
+        with use_recorder(rec), pytest.raises(
+                SimulationError, match=r"entry 1 TraceEntry\(cycle=1, src=2, dst=2\)"):
+            sim4x2.run_trace(trace)
+        assert not rec.events and not rec.counters and not rec.timers
 
-    def test_trace_entry_validation(self):
-        with pytest.raises(SimulationError):
-            TraceWorkload([TraceEntry(1, 2, 2)])
+
+class TestEntryChecks:
+    """Each entry names a host outside the 4-port 2-tree's 8, its own
+    source, or a negative cycle.  Both engines refuse it before running:
+    the pair key ``src * n + dst`` of ``(5, 0, 8)`` would wrap onto pair
+    (1, 0)'s paths, and a negative destination would drop the message."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("entry", [
+        TraceEntry(5, 0, 8), TraceEntry(5, 1, -1), TraceEntry(5, 2, 2),
+        TraceEntry(5, -1, 3), TraceEntry(-3, 0, 1),
+    ], ids=["dst-wraps", "dst-negative", "self", "src-negative",
+            "cycle-negative"])
+    def test_bad_entry_raises(self, engine, entry):
+        xgft = m_port_n_tree(4, 2)
+        cfg = FlitConfig(warmup_cycles=0, measure_cycles=300,
+                         drain_cycles=300)
+        sim = flit_engine_class(engine)(xgft, make_scheme(xgft, "d-mod-k"),
+                                        cfg)
+        with pytest.raises(SimulationError,
+                           match=re.escape(f"trace entry 1 {entry}:")):
+            sim.run_trace([TraceEntry(1, 0, 1), entry])
 
 
 class TestSynthesize:
@@ -90,28 +111,3 @@ class TestSynthesize:
             results[spec] = sim.run_trace(trace)
         assert (results["d-mod-k"].messages_measured
                 == results["umulti"].messages_measured)
-
-
-class TestPhased:
-    def test_shift_all_to_all_trace(self):
-        entries = phased_trace(shift_all_to_all(8), messages_per_phase=1,
-                               phase_gap=500)
-        assert len(entries) == 7 * 8
-        assert entries[0].cycle == 1
-        assert entries[-1].cycle == 1 + 6 * 500
-
-    def test_replay_completes(self):
-        xgft = m_port_n_tree(4, 2)
-        cfg = FlitConfig(warmup_cycles=0, measure_cycles=5000,
-                         drain_cycles=5000)
-        sim = FlitSimulator(xgft, make_scheme(xgft, "disjoint:2"), cfg)
-        entries = phased_trace(shift_all_to_all(xgft.n_procs),
-                               messages_per_phase=1, phase_gap=600)
-        res = sim.run_trace(entries)
-        assert res.messages_completed == res.messages_measured \
-            == len(entries)
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            phased_trace(shift_all_to_all(4), messages_per_phase=0,
-                         phase_gap=10)

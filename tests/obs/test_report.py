@@ -2,6 +2,7 @@
 
 from repro.experiments.registry import run_instrumented
 from repro.obs import Recorder, render_report, sparkline
+from repro.obs.report import _peaks
 
 
 class TestSparkline:
@@ -104,6 +105,39 @@ class TestRenderReport:
                       credit_stalls=0, occupancy=occ)
         assert self._flit_bars(render_report(rec))["buffer"] == \
             sparkline(occupancy)
+
+    def test_runs_draw_apart(self):
+        """Each run's marks restart at its first interval, so two runs
+        draw as two characters, each its run's peak, and the header
+        names the run count; ``max=`` and ``total=`` read every
+        interval."""
+        rec = Recorder()
+        for run, occupancy in enumerate(([1, 9, 2], [4, 4, 5, 3])):
+            for i, occ in enumerate(occupancy):
+                rec.event("flit_interval", t=(i + 1) * 50, injected=run,
+                          delivered=1, credit_stalls=occ, occupancy=occ)
+        out = render_report(rec)
+        assert "flit engine (7 interval(s), 2 runs," in out
+        bars = self._flit_bars(out)
+        assert bars["buffer"] == sparkline([9, 5])
+        assert bars["injected/interval"] == sparkline([0, 1])
+        assert "max=9" in out and "total=28" in out
+
+    def test_many_runs_draw_whole_runs_per_character(self):
+        """``figure5 --fidelity fast`` makes 72 flit runs: each of the 60
+        characters is the peak of whole runs."""
+        rec = Recorder()
+        peaks = [(7 * run) % 11 for run in range(72)]
+        for peak in peaks:
+            for i in range(40):  # each run peaks in its last interval
+                rec.event("flit_interval", t=(i + 1) * 50, injected=0,
+                          delivered=0, credit_stalls=0,
+                          occupancy=peak * (i == 39))
+        out = render_report(rec)
+        assert "(2880 interval(s), 72 runs," in out
+        bar = self._flit_bars(out)["buffer"]
+        assert len(bar) == 60 and bar == sparkline(_peaks(peaks))
+        assert "max=10" in out
 
     def test_figure4a_prints_one_convergence_row_per_study(self):
         """Figure 4(a) averages the random heuristic over five routing
