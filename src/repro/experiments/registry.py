@@ -141,8 +141,9 @@ def run_instrumented(
     for the duration, so every instrumented layer (sampling rounds, the
     flit engine, scheme construction) reports into it.  ``seed`` and
     ``fidelity_name`` reach the runner only when it names them (``seed``
-    only when given, so each experiment keeps its documented default);
-    the manifest records both either way.
+    only when given, so each experiment keeps its documented default),
+    and the manifest records each only when it reached the runner, so
+    its replay command names no option that did not apply.
 
     The CLI options (``engine``, ``fault_rate``, ``fault_links``,
     ``fault_seed``, ``churn_events``, ``churn_seed``, ``jobs``, and
@@ -195,7 +196,7 @@ def run_instrumented(
     if "fidelity_name" in accepts:
         kwargs["fidelity_name"] = fidelity_name
     manifest = RunManifest.create(
-        name, fidelity=fidelity_name, seed=seed,
+        name, fidelity=kwargs.get("fidelity_name"), seed=kwargs.get("seed"),
         argv=tuple(argv) if argv is not None else None,
     )
     if batched:

@@ -16,7 +16,8 @@ paths are padded with a duplicate of their first live path at weight 0
 (:meth:`~repro.routing.base.RoutingScheme.path_weight_matrix` carries
 the per-pair weights).  Padding is invisible to load accumulation
 (weight 0) and is filtered out wherever concrete path *lists* are
-materialized (route sets, flit route tables, LFTs).
+materialized (route sets, LFTs); a flit route table keeps each row's
+live count instead, since the padding ends the row.
 """
 
 from __future__ import annotations

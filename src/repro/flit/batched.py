@@ -15,8 +15,9 @@ runs in two phases:
   over hosts keyed by (cycle, push id), and continues the run's
   ``random.Random`` state with CPython's formulas (destination, path
   choices, arrival clock, per pop).  Traces are replayed in stable
-  cycle order.  Each packet gets one path of the
-  :class:`~repro.routing.vectorized.RouteTable`.
+  cycle order.  Each packet draws one of its pair's live path ids in
+  the :class:`~repro.routing.vectorized.RouteTable`, and the kernel
+  writes the path's hop links from the table's path and pair parts.
 * **Phase B** replays the reference's ``(time, seq)`` heap order with a
   per-cycle calendar queue (ties share a bucket; append order *is* seq
   order), dense packet ids, and the adjacent ``_PORT_FREE``/``_CREDIT``

@@ -48,7 +48,7 @@ from repro.flit.stats import FlitRunResult, delay_stats
 from repro.obs.recorder import get_recorder
 from repro.flit.workload import Workload
 from repro.routing.base import RoutingScheme
-from repro.routing.vectorized import RouteTable, compile_routes
+from repro.routing.vectorized import RouteTable, compile_routes, level_pairs
 from repro.topology.xgft import XGFT
 
 # Event kinds (heap entries are (time, seq, kind, payload)).
@@ -104,8 +104,11 @@ def free_vc(credits: list, channel: int, n_vcs: int) -> int:
 class FlitSimulator:
     """Flit-level simulator bound to one topology and routing scheme.
 
-    Route sets for all SD pairs are compiled once (vectorized) and reused
-    across runs, so load sweeps only pay the event loop.
+    The scheme's path selection for all SD pairs is taken once, as a
+    :class:`~repro.routing.vectorized.RouteTable` of per-level path ids,
+    and reused across runs, so load sweeps only pay the event loop.  A
+    run builds a pair's link tuples from it when a message names the
+    pair.
 
     >>> from repro.topology import m_port_n_tree
     >>> from repro.routing import make_scheme
@@ -126,9 +129,9 @@ class FlitSimulator:
         self.scheme = scheme
         self.config = config
         # Degraded fabrics: failed channels carry zero credits (below),
-        # and the route table — compiled from a fault-aware scheme —
-        # never references them.  When the scheme is a DegradedScheme the
-        # fabric is picked up from it automatically.
+        # and the live paths of the route table — compiled from a
+        # fault-aware scheme — never cross them.  When the scheme is a
+        # DegradedScheme the fabric is picked up from it automatically.
         if degraded is None:
             degraded = getattr(scheme, "degraded", None)
         if degraded is not None and degraded.xgft != xgft:
@@ -138,14 +141,27 @@ class FlitSimulator:
         with get_recorder().timer("flit.build"):
             self.routes = compile_routes(xgft, scheme)
         if self.degraded is not None and not self.degraded.is_pristine:
-            dead = ~self.degraded.link_ok[self.routes.links]
-            if dead.any():
-                raise SimulationError(
-                    f"route table references failed channel "
-                    f"{self.routes.links[dead.argmax()]}; "
-                    f"wrap the scheme in DegradedScheme first")
+            self._refuse_failed_channels()
         self._n_procs = xgft.n_procs
         self._n_channels = xgft.n_links
+
+    def _refuse_failed_channels(self) -> None:
+        """Raise :class:`SimulationError`, naming a failed channel, if a
+        live path of the route table crosses one."""
+        fabric = self.degraded
+        for k, block in self.routes.blocks.items():
+            s, d = level_pairs(self.xgft).pairs[k]
+            dead = ~fabric.path_alive_matrix(s, d, block.idx, k)
+            if block.live is not None:
+                dead &= np.arange(dead.shape[1]) < block.live[:, None]
+            if dead.any():
+                r, j = divmod(int(dead.argmax()), dead.shape[1])
+                key = int(s[r]) * self.xgft.n_procs + int(d[r])
+                path = self.routes[key][j]
+                channel = next(c for c in path if not fabric.link_ok[c])
+                raise SimulationError(
+                    f"route table references failed channel {channel}; "
+                    f"wrap the scheme in DegradedScheme first")
 
     @classmethod
     def from_tables(
@@ -165,12 +181,14 @@ class FlitSimulator:
         ``routes`` maps pair keys ``src * n_hosts + dst`` to non-empty
         lists of channel-id paths; every ordered host pair that the
         workload can produce must be present.  It is converted once
-        into a :class:`~repro.routing.vectorized.RouteTable`.
+        into a one-block :class:`~repro.routing.vectorized.RouteTable`
+        (:meth:`~repro.routing.vectorized.RouteTable.from_mapping`).
 
-        Keys and channel ids are validated up front: a route referencing
-        a channel ``>= n_channels`` (or a key implying a negative or
-        out-of-range src/dst) would otherwise surface mid-event-loop as
-        a raw ``IndexError`` on the credit list, long after the bad
+        Keys, paths and channel ids are validated up front: a route
+        referencing a channel ``>= n_channels``, an empty path (or a key
+        implying a negative or out-of-range src/dst) would otherwise
+        surface mid-event-loop as a raw ``IndexError`` on the credit
+        list, or as a crash of the native kernel, long after the bad
         table was accepted.
         """
         if n_hosts < 1 or n_channels < 1:
@@ -186,14 +204,16 @@ class FlitSimulator:
         if len(table) < len(routes):  # an empty path list reads as absent
             key = next(key for key, paths in routes.items() if not paths)
             raise SimulationError(f"pair key {key} has no paths")
-        bad = (table.links < 0) | (table.links >= n_channels)
-        if bad.any():
-            at = bad.argmax()
-            path = np.searchsorted(table.path_ptr, at, side="right") - 1
-            key = np.searchsorted(table.pair_ptr, path, side="right") - 1
-            raise SimulationError(
-                f"route for pair key {key} references channel "
-                f"{table.links[at]} outside [0, {n_channels})")
+        for key, paths in sorted(routes.items()):
+            for path in paths:
+                if not path:
+                    raise SimulationError(
+                        f"route for pair key {key} has an empty path")
+                bad = [c for c in path if not 0 <= c < n_channels]
+                if bad:
+                    raise SimulationError(
+                        f"route for pair key {key} references channel "
+                        f"{bad[0]} outside [0, {n_channels})")
         sim = cls.__new__(cls)
         sim.xgft = None
         sim.scheme = None

@@ -19,8 +19,16 @@
  *     randrange(1) still consumes words;
  *   - expovariate(rate) is -log(1.0 - random()) / rate.
  * The result is a plan: the injection events in push order, the
- * messages, and each packet's link range in the route table.  Traces
- * arrive sorted stably by cycle and only choose paths.
+ * messages, and each packet's route as a range of a per-run array of
+ * hop links.  The route table holds path ids, not links.  A pair key
+ * names a block and a row: in a compiled table, its NCA level k and its
+ * row in level_pairs.  The row lists the pair's path ids and, for a
+ * fault-aware scheme, how many of them are live.  Each block reads its
+ * paths from a CSR path table, so hop c of path t from s to d is
+ *   links[path_ptr[t] + c] + (c < k ? up[s][c] : down[d][c - k]),
+ * the sum flow/loads.c's scatter_loads forms.  A block without a pair
+ * part (a hand-made table) holds whole link ids.  Traces arrive sorted
+ * stably by cycle and only choose paths.
  *
  * Phase B is pure integer event processing that mirrors the reference
  * event for event, for both switch models, in the same (time, seq)
@@ -33,8 +41,8 @@
  *    output-queued model, an input buffer in the input-FIFO model), and
  *    an input buffer sits in at most one request queue (head_pending
  *    guards it), so one next-link array per id space suffices.
- *  - A packet's current hop is an offset into `links`; its route ends
- *    at `pkt_end`.
+ *  - A packet's current hop is an offset into the plan's hop links;
+ *    its route ends at `pkt_end`.
  *  - Calendar buckets are intrusive lists over an event-node arena whose
  *    capacity is computed from the plan (arena_capacity below); every
  *    push is checked against it, and drained nodes are recycled
@@ -213,10 +221,23 @@ typedef struct {
     i64 host;
 } Arrival;
 
+/* One block of the route table, as repro.flit.native's _Block. */
+typedef struct {
+    i64 p;               /* path ids per row */
+    i64 k;               /* pair-part links each way (0: none) */
+    const i64 *idx;      /* (rows, p) path ids */
+    const i64 *live;     /* live ids per row, a prefix; NULL: all p */
+    const i64 *path_ptr; /* path t owns links[path_ptr[t]:path_ptr[t+1]] */
+    const i64 *links;
+    const i64 *up;       /* (n_procs, k) by source, or NULL */
+    const i64 *down;     /* (n_procs, k) by destination, or NULL */
+} Block;
+
 typedef struct {
     /* inputs */
-    const i64 *pair_ptr;
-    const i64 *path_ptr;
+    const int8_t *level; /* each pair key's block; 0: no route */
+    const i64 *row;      /* each pair key's row in its block */
+    const Block *blocks;
     i64 n_procs;
     i64 n_keys;
     i64 ppm;
@@ -241,10 +262,10 @@ typedef struct {
     Vec msg_created;
     Vec msg_measured;
     i64 n_measured;
-    /* packets: link offsets of the first hop and past the last */
+    /* packets: offsets in `hop` of the first hop and past the last */
     Vec pkt_link;
     Vec pkt_end;
-    i64 hops;
+    Vec hop; /* every packet's hop links, in packet order */
     int overflow; /* an injection lands past the horizon */
     i64 bad_key;
 } Plan;
@@ -260,6 +281,7 @@ static void plan_free(Plan *pl)
     free(pl->msg_measured.at);
     free(pl->pkt_link.at);
     free(pl->pkt_end.at);
+    free(pl->hop.at);
 }
 
 static int put_event(Plan *pl, i64 cycle, i64 msg)
@@ -268,16 +290,38 @@ static int put_event(Plan *pl, i64 cycle, i64 msg)
            put(&pl->ev_child, -1);
 }
 
+/* One packet's route: the links of block `b`'s path `t` from `src` to
+ * `dst`, appended to the plan's hop links. */
+static int put_route(Plan *pl, const Block *b, i64 t, i64 src, i64 dst)
+{
+    const i64 *path = b->links + b->path_ptr[t];
+    const i64 n = b->path_ptr[t + 1] - b->path_ptr[t];
+    i64 c, link;
+
+    if (!put(&pl->pkt_link, pl->hop.n))
+        return 0;
+    for (c = 0; c < n; c++) {
+        link = path[c];
+        if (b->up)
+            link += c < b->k ? b->up[src * b->k + c]
+                             : b->down[dst * b->k + c - b->k];
+        if (!put(&pl->hop, link))
+            return 0;
+    }
+    return put(&pl->pkt_end, pl->hop.n);
+}
+
 /* A message from `src` to `dst` created at `cyc`, and its packets'
  * paths, drawn as the reference draws them. */
 static long emit(Plan *pl, i64 src, i64 dst, i64 cyc)
 {
     const i64 key = src * pl->n_procs + dst;
     const int measured = pl->warmup <= cyc && cyc < pl->window_end;
-    i64 first, n_paths, base = 0, path = 0, j;
+    const Block *b;
+    const i64 *ids;
+    i64 r, n_paths, base = 0, path = 0, j;
 
-    if (key < 0 || key >= pl->n_keys ||
-        pl->pair_ptr[key + 1] == pl->pair_ptr[key]) {
+    if (key < 0 || key >= pl->n_keys || pl->level[key] == 0) {
         pl->bad_key = key; /* as the reference's table lookup */
         return RC_NO_ROUTE;
     }
@@ -285,23 +329,23 @@ static long emit(Plan *pl, i64 src, i64 dst, i64 cyc)
         !put(&pl->msg_measured, measured))
         return RC_NO_MEMORY;
     pl->n_measured += measured;
-    first = pl->pair_ptr[key];
-    n_paths = pl->pair_ptr[key + 1] - first;
+    b = &pl->blocks[pl->level[key]];
+    r = pl->row[key];
+    ids = b->idx + r * b->p;
+    n_paths = b->live ? b->live[r] : b->p;
     if (pl->selection == SEL_ROUND_ROBIN) {
         base = pl->rr[key];
         pl->rr[key] = (base + pl->ppm) % n_paths;
     } else if (pl->selection == SEL_PER_MESSAGE) {
-        path = first + rand_below(&pl->rng, n_paths);
+        path = ids[rand_below(&pl->rng, n_paths)];
     }
     for (j = 0; j < pl->ppm; j++) {
         if (pl->selection == SEL_PER_PACKET)
-            path = first + rand_below(&pl->rng, n_paths);
+            path = ids[rand_below(&pl->rng, n_paths)];
         else if (pl->selection == SEL_ROUND_ROBIN)
-            path = first + (base + j) % n_paths;
-        if (!put(&pl->pkt_link, pl->path_ptr[path]) ||
-            !put(&pl->pkt_end, pl->path_ptr[path + 1]))
+            path = ids[(base + j) % n_paths];
+        if (!put_route(pl, b, path, src, dst))
             return RC_NO_MEMORY;
-        pl->hops += pl->path_ptr[path + 1] - pl->path_ptr[path];
     }
     return RC_OK;
 }
@@ -623,11 +667,11 @@ static i64 *alloc_fill(i64 n, i64 value)
  * plan event plus 2 per route hop output-queued or 4 input-FIFO. */
 static i64 arena_capacity(const Plan *pl, int input_fifo)
 {
-    return pl->ev_cycle.n + (input_fifo ? 4 : 2) * pl->hops + 8;
+    return pl->ev_cycle.n + (input_fifo ? 4 : 2) * pl->hop.n + 8;
 }
 
-static long simulate(Plan *pl, const i64 *params, const i64 *links,
-                     i64 *credits, i64 *delays, i64 *telemetry, i64 *out)
+static long simulate(Plan *pl, const i64 *params, i64 *credits,
+                     i64 *delays, i64 *telemetry, i64 *out)
 {
     const i64 *ev_cycle = pl->ev_cycle.at;
     const i64 *ev_msg = pl->ev_msg.at;
@@ -669,7 +713,7 @@ static long simulate(Plan *pl, const i64 *params, const i64 *links,
     x.free_head = -1;
     x.pkt_link = pl->pkt_link.at;
     x.pkt_end = pl->pkt_end.at;
-    x.links = links;
+    x.links = pl->hop.at;
     x.credits = credits;
     out[O_CAPACITY] = x.cap;
 
@@ -830,11 +874,12 @@ done:
 
 /* One batched run.  `mt` is random.Random.getstate()'s internal state
  * (624 words, then the index); `rates` is the arrival rate and the hot
- * fraction; `model` holds the permutation, the hot nodes or the trace
- * columns.  On RC_OK, *delays holds out[O_N_DELAYS] message delays;
- * the caller frees it with release(). */
+ * fraction; `level`, `row` and `blocks` are the route table (indexed by
+ * pair key, pair key, and block); `model` holds the permutation, the
+ * hot nodes or the trace columns.  On RC_OK, *delays holds
+ * out[O_N_DELAYS] message delays; the caller frees it with release(). */
 long run_batched(const i64 *params, const double *rates, const uint32_t *mt,
-                 const i64 *pair_ptr, const i64 *path_ptr, const i64 *links,
+                 const int8_t *level, const i64 *row, const Block *blocks,
                  const i64 *model, i64 *credits, i64 *telemetry, i64 *out,
                  i64 **delays)
 {
@@ -846,8 +891,9 @@ long run_batched(const i64 *params, const double *rates, const uint32_t *mt,
     for (i = 0; i < MT_N; i++)
         pl.rng.mt[i] = mt[i];
     pl.rng.index = (int)mt[MT_N];
-    pl.pair_ptr = pair_ptr;
-    pl.path_ptr = path_ptr;
+    pl.level = level;
+    pl.row = row;
+    pl.blocks = blocks;
     pl.n_procs = params[P_N_PROCS];
     pl.n_keys = params[P_N_KEYS];
     pl.ppm = params[P_PPM];
@@ -874,8 +920,7 @@ long run_batched(const i64 *params, const double *rates, const uint32_t *mt,
 
     out[O_MESSAGES_MEASURED] = pl.n_measured;
     *delays = malloc((pl.n_measured ? pl.n_measured : 1) * sizeof(i64));
-    rc = *delays ? simulate(&pl, params, links, credits, *delays, telemetry,
-                            out)
+    rc = *delays ? simulate(&pl, params, credits, *delays, telemetry, out)
                  : RC_NO_MEMORY;
 done:
     plan_free(&pl);

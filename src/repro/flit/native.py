@@ -3,7 +3,8 @@
 One ``run_batched`` call of ``kernel.c`` runs a whole batched flit run,
 from the ``random.Random`` state to the statistics: phase A replays the
 arrival process (destinations, path choices, arrival clocks) with
-CPython's own random-number formulas, and phase B processes the events,
+CPython's own random-number formulas and writes each packet's hop links
+from the route table's blocks, and phase B processes the events,
 mirroring :meth:`repro.flit.engine.FlitSimulator.run` event for event,
 for both switch models and with telemetry.  :mod:`repro.native` builds
 and loads the library; its :func:`available` and
@@ -49,6 +50,16 @@ _UNIFORM, _PERMUTATION, _HOTSPOT, _TRACE = range(4)
 _ROW = 5
 
 
+class _Block(ctypes.Structure):
+    """One :class:`~repro.routing.vectorized.RouteBlock`, as the ``Block``
+    struct in kernel.c reads it: two counts, then six array addresses
+    (NULL for an absent ``live`` or pair part)."""
+
+    _fields_ = [("p", ctypes.c_int64), ("k", ctypes.c_int64),
+                *((name, ctypes.c_void_p) for name in
+                  ("idx", "live", "path_ptr", "links", "up", "down"))]
+
+
 def arrivals(workload: Workload | None, trace, n_procs: int,
              message_flits: int) -> tuple | None:
     """The kernel's arrival source for a run, as :func:`run` takes it:
@@ -91,7 +102,8 @@ def run(state: tuple, source: tuple, routes, cfg, n_channels: int,
     ``state`` is :meth:`random.Random.getstate` of the run's generator,
     which the kernel continues draw for draw; ``source`` is what
     :func:`arrivals` returns, and ``routes`` the
-    :class:`~repro.routing.vectorized.RouteTable`.
+    :class:`~repro.routing.vectorized.RouteTable`, whose key map and
+    blocks the kernel reads in place.
 
     Returns ``(stats, rows)``: ``stats`` is the positional tail of
     :meth:`~repro.flit.engine.FlitSimulator._finish` (delays through
@@ -105,7 +117,7 @@ def run(state: tuple, source: tuple, routes, cfg, n_channels: int,
     obs_interval = (cfg.obs_interval or max(1, cfg.measure_cycles // 20)
                     if record else 0)
     params = np.array([
-        n_procs, routes.pair_ptr.size - 1, n_channels, cfg.virtual_channels,
+        n_procs, routes.level.size, n_channels, cfg.virtual_channels,
         cfg.packets_per_message, cfg.packet_flits,
         cfg.wire_delay + cfg.packet_flits,
         cfg.wire_delay + cfg.routing_delay,
@@ -124,17 +136,28 @@ def run(state: tuple, source: tuple, routes, cfg, n_channels: int,
     out = np.zeros(_O_COUNT, dtype=np.int64)
     delays = ctypes.POINTER(ctypes.c_int64)()
     kernel = lib()
-    # the kernel reads contiguous int64 arrays, but for the two rates
-    # (float64) and the Mersenne Twister state (uint32); ``arrays`` keeps
-    # every one alive for the call
-    arrays = (params, np.array([rate, hot_fraction]),
-              np.array(state[1], dtype=np.uint32),
-              *(np.ascontiguousarray(a, dtype=np.int64)
-                for a in (routes.pair_ptr, routes.path_ptr, routes.links,
-                          data, initial_credits)),
-              telemetry, out)
-    rc = kernel.run_batched(*(a.ctypes.data for a in arrays),
-                            ctypes.byref(delays))
+    # every array as the contiguous dtype kernel.c reads; ``keep`` holds
+    # each one alive for the call
+    keep = []
+
+    def address(a, dtype=np.int64):
+        if a is None:
+            return None
+        keep.append(np.ascontiguousarray(a, dtype=dtype))
+        return keep[-1].ctypes.data
+
+    blocks = (_Block * (max(routes.blocks, default=0) + 1))()
+    for b, block in routes.blocks.items():
+        blocks[b] = _Block(
+            block.idx.shape[1], 0 if block.up is None else block.up.shape[1],
+            *map(address, (block.idx, block.live, block.path_ptr,
+                           block.links, block.up, block.down)))
+    rc = kernel.run_batched(
+        address(params), address([rate, hot_fraction], np.float64),
+        address(state[1], np.uint32), address(routes.level, np.int8),
+        address(routes.row), ctypes.addressof(blocks), address(data),
+        address(initial_credits), address(telemetry), address(out),
+        ctypes.byref(delays))
     try:
         if rc == _RC_NO_ROUTE:
             raise KeyError(int(out[_O_KEY]))

@@ -24,8 +24,10 @@ Two kinds of plan fill these tables:
 
 A plan reads as a scheme, so the one flow evaluator
 (:func:`repro.flow.loads.link_loads`), the flit route compiler
-(:func:`repro.routing.vectorized.compile_routes`) and the InfiniBand LFT
-compiler take it in place of the scheme and give bit-identical results.
+(:func:`repro.routing.vectorized.compile_routes`, which keeps each
+level's path ids and live counts as the plan serves them) and the
+InfiniBand LFT compiler take it in place of the scheme and give
+bit-identical results.
 """
 
 from __future__ import annotations

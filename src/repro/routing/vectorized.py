@@ -5,8 +5,8 @@ one gather and one add, mirroring the closed forms used by
 :func:`repro.routing.path.build_path` (which remains the readable scalar
 reference; tests assert both agree): a link id is a per-pair part (two
 per-node tables, :func:`pair_part_tables`) plus a per-path part
-(:func:`path_link_table`).  The flow evaluator's native scatter-add and
-the fault liveness tables read the tables directly.
+(:func:`path_link_table`).  The flow evaluator's native scatter-add, the
+fault liveness tables and the flit kernel read the tables directly.
 """
 
 from __future__ import annotations
@@ -165,71 +165,70 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return ptr
 
 
+class RouteBlock(NamedTuple):
+    """The rows of one :class:`RouteTable` block: each row picks its
+    paths from one CSR path table, and a path's link ids are its entries
+    there plus, when the block has a pair part, the row's source's and
+    destination's entries in ``up`` and ``down``."""
+
+    #: ``(rows, P)`` int64: each row's path ids, in the scheme's order
+    idx: np.ndarray
+    #: ``(rows,)`` int64: each row's live paths, the first ``live[r]``
+    #: entries of its ``idx`` row; None when every row uses all ``P``
+    live: np.ndarray | None
+    #: ``(paths + 1,)`` int64: path ``t`` owns
+    #: ``links[path_ptr[t]:path_ptr[t + 1]]``
+    path_ptr: np.ndarray
+    #: int64 link ids (the path part, with a pair part), traversal order
+    links: np.ndarray
+    #: ``(n_procs, k)`` int64 pair part of a path's first ``k`` links, by
+    #: source, and of its last ``k`` links, by destination; both None
+    #: when the path table holds whole link ids
+    up: np.ndarray | None
+    down: np.ndarray | None
+
+
 class RouteTable(Mapping):
-    """Every pair's paths as one CSR over pair keys ``src * n + dst``.
+    """Every pair's paths, kept as path ids over shared path tables.
 
-    Three int64 arrays:
+    Pair key ``q = src * n_procs + dst`` is row ``row[q]`` of block
+    ``level[q]`` of :attr:`blocks`; ``level[q] == 0`` means the pair has
+    no route.  A table :func:`compile_routes` builds has one block per
+    NCA level ``k``: its rows are :func:`level_pairs`'s level-``k`` pairs,
+    its path ids the scheme's selection, its path table
+    :func:`path_link_table` (``path_ptr = 2k * arange(W(k) + 1)``) and its
+    pair part :func:`pair_part_tables`, so the table holds nothing per
+    path link.  :meth:`from_mapping` makes one block of explicit paths.
 
-    * ``pair_ptr`` (``n_keys + 1``): pair key ``q`` owns path ids
-      ``pair_ptr[q]:pair_ptr[q + 1]``, in the scheme's path order;
-    * ``path_ptr`` (``n_paths + 1``): path id ``p`` owns link offsets
-      ``path_ptr[p]:path_ptr[p + 1]``;
-    * ``links``: directed link (channel) ids in traversal order.
-
-    The batched flit engine's kernel reads the three arrays directly.
-    Read as a :class:`~collections.abc.Mapping` — the reference
-    engine's view — ``table[key]`` is the pair's list of link-id tuples,
-    and the keys are the pairs that have at least one path.
+    The batched flit engine's kernel reads the blocks directly and
+    writes each packet's links as it picks the packet's path.  Read as a
+    :class:`~collections.abc.Mapping` (the reference engine's view),
+    ``table[key]`` builds the pair's list of link-id tuples, and the
+    keys are the pairs with a route.
 
     >>> table = RouteTable.from_mapping({1: [(0,), (1, 2)]}, n_keys=4)
-    >>> table.pair_ptr.tolist(), table.path_ptr.tolist(), table.links.tolist()
-    ([0, 0, 2, 2, 2], [0, 1, 3], [0, 1, 2])
     >>> dict(table)
     {1: [(0,), (1, 2)]}
+    >>> block = table.blocks[1]
+    >>> block.idx.tolist(), block.path_ptr.tolist(), block.links.tolist()
+    ([[0, 1]], [0, 1, 3], [0, 1, 2])
     """
 
-    def __init__(self, pair_ptr: np.ndarray, path_ptr: np.ndarray,
-                 links: np.ndarray):
-        self.pair_ptr = pair_ptr
-        self.path_ptr = path_ptr
-        self.links = links
+    def __init__(self, level: np.ndarray, row: np.ndarray,
+                 blocks: Mapping[int, RouteBlock]):
+        self.level = level
+        self.row = row
+        self.blocks = blocks
 
     def __repr__(self) -> str:
-        return (f"RouteTable(pairs={len(self)}, paths={self.n_paths}, "
-                f"links={self.links.size})")
-
-    @property
-    def n_paths(self) -> int:
-        return self.path_ptr.size - 1
-
-    @classmethod
-    def from_blocks(cls, n_keys: int, blocks: list[tuple]) -> "RouteTable":
-        """Scatter fixed-shape path blocks into one table.
-
-        Each block is ``(keys, keep, links)``: ``n`` distinct pair keys,
-        an ``(n, P)`` boolean mask of the paths to keep, and the
-        ``(n, P, L)`` link ids of all ``P`` paths.  Blocks are written at
-        their pairs' offsets, so their order does not matter and nothing
-        is sorted.
-        """
-        counts = np.zeros(n_keys, dtype=np.int64)
-        width = np.zeros(n_keys, dtype=np.int64)
-        for keys, keep, links in blocks:
-            counts[keys] = keep.sum(axis=1)
-            width[keys] = links.shape[2]
-        pair_ptr = _offsets(counts)
-        path_ptr = _offsets(np.repeat(width, counts))
-        out = np.empty(int(path_ptr[-1]), dtype=np.int64)
-        for keys, keep, links in blocks:
-            # a kept path's rank is the number of kept paths before it
-            ids = (pair_ptr[keys][:, None] + np.cumsum(keep, axis=1) - 1)[keep]
-            out[path_ptr[ids][:, None] + np.arange(links.shape[2])] = links[keep]
-        return cls(pair_ptr, path_ptr, out)
+        return f"RouteTable(pairs={len(self)}, blocks={sorted(self.blocks)})"
 
     @classmethod
     def from_mapping(cls, routes: Mapping[int, Sequence[Sequence[int]]],
                      n_keys: int) -> "RouteTable":
-        """Convert ``{key: [path, ...]}`` with paths of any length.
+        """One block of ``{key: [path, ...]}``, paths of any length.  Its
+        path table is the paths themselves, in key order, and it has no
+        pair part.
 
         A key outside ``[0, n_keys)`` raises :class:`KeyError`; a key
         with an empty path list is the same as an absent key.
@@ -239,73 +238,74 @@ class RouteTable(Mapping):
         bad = (keys < 0) | (keys >= n_keys)
         if bad.any():
             raise KeyError(keys[bad.argmax()].item())
-        counts = np.zeros(n_keys, dtype=np.int64)
-        counts[keys] = [len(paths) for _, paths in items]
+        counts = np.array([len(paths) for _, paths in items], dtype=np.int64)
+        keys, counts = keys[counts > 0], counts[counts > 0]
+        first = _offsets(counts)[:-1]
+        # padding repeats a row's first path, as fault-aware rows do
+        cols = np.arange(counts.max(initial=1))
+        idx = first[:, None] + np.where(cols < counts[:, None], cols, 0)
         paths = [path for _, pair_paths in items for path in pair_paths]
         path_ptr = _offsets(np.fromiter(map(len, paths), dtype=np.int64,
                                         count=len(paths)))
         links = np.fromiter(chain.from_iterable(paths), dtype=np.int64,
                             count=int(path_ptr[-1]))
-        return cls(_offsets(counts), path_ptr, links)
+        level = np.zeros(n_keys, dtype=np.int8)
+        level[keys] = 1
+        row = np.zeros(n_keys, dtype=np.int64)
+        row[keys] = np.arange(keys.size)
+        block = RouteBlock(idx, counts, path_ptr, links, None, None)
+        return cls(level, row, {1: block} if keys.size else {})
 
     # -- Mapping view ----------------------------------------------------
     def __getitem__(self, key) -> list[tuple[int, ...]]:
-        if not 0 <= key < self.pair_ptr.size - 1:
+        if not 0 <= key < self.level.size or not self.level[key]:
             raise KeyError(key)
-        lo, hi = self.pair_ptr[key:key + 2].tolist()
-        if lo == hi:
-            raise KeyError(key)
-        ptr = self.path_ptr[lo:hi + 1].tolist()
-        base = ptr[0]
-        flat = self.links[base:ptr[-1]].tolist()
-        return [tuple(flat[a - base:b - base]) for a, b in zip(ptr, ptr[1:])]
+        block = self.blocks[int(self.level[key])]
+        r = self.row[key]
+        ids = block.idx[r, :None if block.live is None else block.live[r]]
+        ptr = block.path_ptr
+        paths = [block.links[ptr[t]:ptr[t + 1]] for t in ids.tolist()]
+        if block.up is not None:  # (n_procs, k)
+            s, d = divmod(key, len(block.up))
+            pair = np.concatenate((block.up[s], block.down[d]))
+            paths = [path + pair for path in paths]
+        return [tuple(path.tolist()) for path in paths]
 
     def __iter__(self):
-        return iter(np.flatnonzero(np.diff(self.pair_ptr)).tolist())
+        return iter(np.flatnonzero(self.level).tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(np.diff(self.pair_ptr)))
+        return int(np.count_nonzero(self.level))
 
 
-def compile_routes(
-    xgft: XGFT, scheme: RoutingScheme, pairs: np.ndarray | None = None
-) -> RouteTable:
-    """Materialize path link sequences for SD pairs.
+def compile_routes(xgft: XGFT, scheme: RoutingScheme) -> RouteTable:
+    """The flit :class:`RouteTable` of ``scheme`` on ``xgft``.
 
-    Parameters
-    ----------
-    pairs:
-        Optional ``(n, 2)`` array of (src, dst) pairs; defaults to every
-        ordered pair with ``src != dst``.
-
-    Returns
-    -------
-    A :class:`RouteTable` over pair keys ``src * n_procs + dst`` holding
-    each pair's paths in the scheme's path order (fractions are
-    ``scheme.fractions(k)``).
+    Per NCA level ``k`` it keeps the ``(n_k, P)`` selection
+    ``scheme.path_selection`` returns over :func:`level_pairs`'s pairs,
+    as is, after checking every index against ``W(k)``.  A fault-aware
+    scheme pads a row short of ``P`` live paths with weight-0 entries at
+    its end; the row's live count leaves them out.  The path and pair
+    parts are the cached :func:`path_link_table` and
+    :func:`pair_part_tables`, so the table adds nothing per pair beyond
+    the selection.
     """
-    n = xgft.n_procs
-    if pairs is None:
-        grid_s, grid_d = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        keep = grid_s != grid_d
-        s_all, d_all = grid_s[keep], grid_d[keep]
-    else:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        s_all, d_all = pairs[:, 0], pairs[:, 1]
-        if np.any(s_all == d_all):
-            raise ValueError("self-pairs have no network route")
-
-    blocks = []
-    k_arr = xgft.nca_level(s_all, d_all)
-    for k in range(1, xgft.h + 1):
-        mask = k_arr == k
-        if not mask.any():
-            continue
-        s, d = s_all[mask], d_all[mask]
-        idx, pair_w = scheme.path_selection(s, d, k)
-        # Fault-aware schemes pad short rows with weight-0 duplicates;
-        # concrete path lists must not contain them.
-        keep = (np.ones(idx.shape, dtype=bool) if pair_w is None
-                else np.asarray(pair_w) > 0.0)
-        blocks.append((s * n + d, keep, path_link_matrix(xgft, s, d, idx, k)))
-    return RouteTable.from_blocks(n * n, blocks)
+    pairs = level_pairs(xgft)
+    blocks = {}
+    for k, (s, d) in pairs.pairs.items():
+        idx, weights = scheme.path_selection(s, d, k)
+        idx = check_path_indices(idx, xgft.W(k))
+        live = None
+        if weights is not None:
+            kept = np.asarray(weights) > 0.0
+            live = kept.sum(axis=1)
+            # select_surviving pads at the end of a row, so the kept
+            # paths are each row's first live[r]
+            if not (kept == (np.arange(kept.shape[1]) < live[:, None])).all():
+                raise RoutingError(
+                    f"{scheme.label}: weight-0 padding does not end every "
+                    f"level-{k} row")
+        path = path_link_table(xgft, k)
+        blocks[k] = RouteBlock(idx, live, 2 * k * np.arange(len(path) + 1),
+                               path.reshape(-1), *pair_part_tables(xgft, k))
+    return RouteTable(pairs.level, pairs.row, blocks)

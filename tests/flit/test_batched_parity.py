@@ -180,18 +180,26 @@ def test_zero_delay_parity(kernel):
     assert_bit_identical(ref.run(workload), bat.run(workload))
 
 
-def test_degraded_parity(kernel):
+@pytest.mark.parametrize("spec", ["umulti", "disjoint:2"])
+@pytest.mark.parametrize("selection", ["per-packet", "per-message",
+                                       "round-robin"])
+def test_degraded_parity(kernel, spec, selection):
+    """Pairs short of their K live paths draw among the live ones only,
+    in every path-selection mode."""
     xgft = m_port_n_tree(8, 2)
-    fabric = None
     for attempt in range(50):
-        candidate = FaultSpec(link_rate=0.15, seed=attempt).sample(xgft)
-        if candidate.is_connected and not candidate.is_pristine:
-            fabric = candidate
+        fabric = FaultSpec(link_rate=0.15, seed=attempt).sample(xgft)
+        if not fabric.is_connected or fabric.is_pristine:
+            continue
+        scheme = DegradedScheme(make_scheme(xgft, spec), fabric)
+        # the first fabric where some pair is short of its K paths
+        if any((block.live < block.idx.shape[1]).any()
+               for block in compile_routes(xgft, scheme).blocks.values()):
             break
-    assert fabric is not None
+    else:
+        pytest.fail("no fabric leaves a pair short of its paths")
     cfg = FlitConfig(warmup_cycles=150, measure_cycles=400,
-                     drain_cycles=600, seed=11)
-    scheme = DegradedScheme(make_scheme(xgft, "umulti"), fabric)
+                     drain_cycles=600, path_selection=selection, seed=11)
     ref = FlitSimulator(xgft, scheme, cfg, degraded=fabric)
     bat = BatchedFlitSimulator(xgft, scheme, cfg, degraded=fabric)
     workload = UniformRandom(0.4)

@@ -127,6 +127,12 @@ class TestFromTablesValidation:
         with pytest.raises(SimulationError, match="no paths"):
             FlitSimulator.from_tables(2, 3, {PAIR: []}, self._cfg())
 
+    def test_rejects_empty_path(self):
+        # an empty path would send the kernel past its packet's route
+        with pytest.raises(SimulationError,
+                           match="pair key 1 has an empty path"):
+            FlitSimulator.from_tables(2, 3, {PAIR: [SHORT, ()]}, self._cfg())
+
     def test_rejects_channel_out_of_range(self):
         with pytest.raises(SimulationError, match=r"channel 3 outside"):
             FlitSimulator.from_tables(2, 3, {PAIR: [(0, 3)]}, self._cfg())

@@ -111,18 +111,6 @@ class TestDerivedTables:
         scheme = make_scheme(tree8x2, "disjoint:2")
         assert compile_routes(tree8x2, plan) == compile_routes(tree8x2, scheme)
 
-    def test_route_table_subset_pairs(self, tree8x2, plan):
-        pairs = np.array([[0, 31], [5, 9], [30, 2]])
-        table = compile_routes(tree8x2, plan, pairs)
-        full = compile_routes(tree8x2, plan)
-        assert set(table) == {s * tree8x2.n_procs + d for s, d in pairs}
-        for key, paths in table.items():
-            assert full[key] == paths
-
-    def test_route_table_rejects_self_pairs(self, tree8x2, plan):
-        with pytest.raises(ValueError):
-            compile_routes(tree8x2, plan, np.array([[3, 3]]))
-
     def test_lfts_from_plan_match_scheme(self, tree8x2):
         scheme = make_scheme(tree8x2, "disjoint:2")
         plan = compile_scheme(tree8x2, scheme)

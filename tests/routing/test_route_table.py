@@ -1,18 +1,33 @@
-"""RouteTable: the CSR flit route table, its builders and its views."""
+"""RouteTable: per-level path ids over shared path tables, its builders
+and its views."""
 
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.errors import RoutingError, SimulationError
 from repro.faults import DegradedScheme, FaultSpec
-from repro.flit import BatchedFlitSimulator, FlitConfig, UniformRandom
+from repro.flit import (
+    BatchedFlitSimulator,
+    FlitConfig,
+    FlitSimulator,
+    UniformRandom,
+)
 from repro.routing.compiled import compile_scheme
 from repro.routing.factory import make_scheme
+from repro.routing.heuristics import Disjoint
 from repro.routing.path import build_path
-from repro.routing.vectorized import RouteTable, compile_routes
+from repro.routing.vectorized import (
+    RouteTable,
+    compile_routes,
+    level_pairs,
+    pair_part_tables,
+    path_link_table,
+)
 from repro.topology.variants import m_port_n_tree
 
 SPECS = ("d-mod-k", "disjoint:2", "shift-1:8", "random:8", "umulti")
@@ -36,27 +51,42 @@ def ordered_pairs(xgft):
     return [(s, d) for s in range(n) for d in range(n) if s != d]
 
 
+def assert_same_blocks(a: RouteTable, b: RouteTable):
+    assert sorted(a.blocks) == sorted(b.blocks)
+    for k, block in a.blocks.items():
+        for mine, theirs in zip(block, b.blocks[k]):
+            assert (mine is None) == (theirs is None)
+            if mine is not None:
+                assert np.array_equal(mine, theirs)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("spec", SPECS)
     def test_csr_shape(self, tree4x3, spec):
-        table = compile_routes(tree4x3, make_scheme(tree4x3, spec, seed=5))
+        scheme = make_scheme(tree4x3, spec, seed=5)
+        table = compile_routes(tree4x3, scheme)
         n = tree4x3.n_procs
-        for arr in (table.pair_ptr, table.path_ptr, table.links):
-            assert arr.dtype == np.int64
-        assert table.pair_ptr.size == n * n + 1
-        assert table.pair_ptr[0] == 0 and table.path_ptr[0] == 0
-        assert np.all(np.diff(table.pair_ptr) >= 0)
-        assert np.all(np.diff(table.path_ptr) >= 0)
-        assert table.pair_ptr[-1] == table.n_paths
-        assert table.path_ptr[-1] == table.links.size
-        # level-k paths have 2k links; self-pairs own no paths
+        pairs = level_pairs(tree4x3)
+        # pair keys map to a level and a row through level_pairs, uncopied
+        assert table.level is pairs.level and table.row is pairs.row
+        assert sorted(table.blocks) == sorted(pairs.pairs)
+        for k, block in table.blocks.items():
+            s, d = pairs.pairs[k]
+            assert block.idx.dtype == np.int64
+            assert np.array_equal(block.idx, scheme.path_index_matrix(s, d, k))
+            assert block.live is None  # a pristine scheme uses every path
+            # level k's CSR path table is path_link_table, 2k links a path
+            assert np.array_equal(
+                block.path_ptr, 2 * k * np.arange(tree4x3.W(k) + 1))
+            assert np.shares_memory(block.links, path_link_table(tree4x3, k))
+            for part, cached in zip((block.up, block.down),
+                                    pair_part_tables(tree4x3, k)):
+                assert part is cached
+        # self-pairs own no route
         keys = np.arange(n * n)
-        s, d = np.divmod(keys, n)
-        per_pair = np.diff(table.pair_ptr)
-        level_of_path = np.repeat(tree4x3.nca_level(s, d), per_pair)
-        assert np.array_equal(np.diff(table.path_ptr), 2 * level_of_path)
-        assert not per_pair[s == d].any()
+        assert not table.level[keys // n == keys % n].any()
         assert len(table) == n * (n - 1)
+        assert list(table) == [s * n + d for s, d in ordered_pairs(tree4x3)]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_every_pair_matches_build_path(self, tree4x3, spec):
@@ -73,21 +103,14 @@ class TestInvariants:
         table = compile_routes(tree4x3, scheme)
         served = compile_routes(tree4x3, compile_scheme(tree4x3, scheme))
         assert served == table
-        for name in ("pair_ptr", "path_ptr", "links"):
-            assert np.array_equal(getattr(served, name), getattr(table, name))
-
-
-def test_from_blocks_compacts_any_keep_mask():
-    links = np.arange(12, dtype=np.int64).reshape(2, 3, 2)
-    keep = np.array([[False, True, True], [True, False, True]])
-    table = RouteTable.from_blocks(4, [(np.array([3, 1]), keep, links)])
-    assert dict(table) == {1: [(6, 7), (10, 11)], 3: [(2, 3), (4, 5)]}
+        assert_same_blocks(served, table)
 
 
 class TestMasked:
     def test_drops_weight_zero_padding(self, tree4x3, degraded):
         n = tree4x3.n_procs
         table = compile_routes(tree4x3, degraded)
+        link_ok = degraded.degraded.link_ok
         short = 0
         for s, d in ordered_pairs(tree4x3):
             k = int(tree4x3.nca_level(s, d))
@@ -96,24 +119,51 @@ class TestMasked:
             weights = degraded.path_weight_matrix(*pair)[0]
             expected = [build_path(tree4x3, s, d, int(t)).links
                         for t, w in zip(idx, weights) if w > 0.0]
-            assert table[s * n + d] == expected
+            paths = table[s * n + d]
+            assert paths == expected
+            assert all(link_ok[list(path)].all() for path in paths)
+            # the live count covers the weighted paths, a prefix of the row
+            block = table.blocks[k]
+            assert block.live[table.row[s * n + d]] == len(expected)
             short += len(expected) < len(idx)
         assert short > 0
-        assert degraded.degraded.link_ok[table.links].all()
 
     def test_compiled_plan_drops_the_same_padding(self, tree4x3, degraded):
         # a fault-aware scheme is its own plan; a fresh one, filled by a
         # few pairs first, serves the same tables
         assert compile_scheme(tree4x3, degraded) is degraded
         plan = DegradedScheme(degraded.base, degraded.degraded)
-        pairs = np.array([[0, 15], [3, 2], [9, 4]])
-        assert (compile_routes(tree4x3, plan, pairs)
-                == compile_routes(tree4x3, degraded, pairs))
+        for s, d in ((0, 15), (3, 2), (9, 4)):
+            plan.path_index_matrix(np.array([s]), np.array([d]),
+                                   int(tree4x3.nca_level(s, d)))
         table = compile_routes(tree4x3, degraded)
         served = compile_routes(tree4x3, plan)
         assert served == table
-        assert np.array_equal(served.pair_ptr, table.pair_ptr)
-        assert np.array_equal(served.links, table.links)
+        assert_same_blocks(served, table)
+
+    def test_padding_must_end_each_row(self, tree4x3):
+        class PaddedFirst(Disjoint):
+            """Weight 0 on a row's first path, 1 on its last."""
+
+            def path_weight_matrix(self, s, d, k):
+                weights = np.zeros((len(s), self.paths_per_pair(k)))
+                weights[:, -1] = 1.0
+                return weights
+
+        with pytest.raises(RoutingError, match="level-2 row"):
+            compile_routes(tree4x3, PaddedFirst(tree4x3, 2))
+
+    def test_simulator_names_a_failed_channel(self, tree4x3, degraded):
+        # a pristine scheme on a damaged fabric routes over dead links
+        fabric = degraded.degraded
+        cfg = FlitConfig(warmup_cycles=10, measure_cycles=10)
+        with pytest.raises(SimulationError,
+                           match=r"failed channel (\d+);") as err:
+            FlitSimulator(tree4x3, degraded.base, cfg, degraded=fabric)
+        channel = int(err.value.args[0].split("channel ")[1].split(";")[0])
+        assert not fabric.link_ok[channel]
+        # the masked scheme's live paths avoid every failed channel
+        FlitSimulator(tree4x3, degraded, cfg)
 
 
 class TestMappingView:
@@ -128,8 +178,16 @@ class TestMappingView:
         assert table == self.FABRIC
         assert dict(table) == self.FABRIC
         assert list(table) == [1, 4, 7]
-        assert table.pair_ptr.tolist() == [0, 0, 1, 1, 1, 4, 4, 4, 6, 6]
-        assert table.path_ptr.tolist() == [0, 2, 3, 7, 8, 11, 12]
+        # one block: its own paths in key order, short rows padded with
+        # their first path, and no pair part
+        assert list(table.blocks) == [1]
+        block = table.blocks[1]
+        assert table.level.tolist() == [0, 1, 0, 0, 1, 0, 0, 1, 0]
+        assert table.row[[1, 4, 7]].tolist() == [0, 1, 2]
+        assert block.idx.tolist() == [[0, 0, 0], [1, 2, 3], [4, 5, 4]]
+        assert block.live.tolist() == [1, 3, 2]
+        assert block.path_ptr.tolist() == [0, 2, 3, 7, 8, 11, 12]
+        assert block.up is None and block.down is None
 
     def test_missing_and_empty_keys(self):
         table = RouteTable.from_mapping({2: [(1,)], 3: []}, n_keys=4)
@@ -146,7 +204,7 @@ class TestMappingView:
     def test_empty_table(self):
         table = RouteTable.from_mapping({}, n_keys=4)
         assert len(table) == 0 and dict(table) == {}
-        assert table.links.dtype == np.int64
+        assert table.blocks == {}
 
 
 def test_pickled_batched_simulator_runs_identically(tree4x3):
@@ -156,6 +214,23 @@ def test_pickled_batched_simulator_runs_identically(tree4x3):
                    path_selection="per-packet"))
     clone = pickle.loads(pickle.dumps(sim))
     assert isinstance(clone.routes, RouteTable)
-    assert np.array_equal(clone.routes.links, sim.routes.links)
+    assert_same_blocks(clone.routes, sim.routes)
     assert clone.run(UniformRandom(0.4), seed=9) == sim.run(UniformRandom(0.4),
                                                             seed=9)
+
+
+def test_build_keeps_only_the_selection():
+    """Building a simulator selects paths and writes no link ids: on the
+    8-port 3-tree with shift-1:8 the construction peaked at 27.9 MB of
+    Python allocations when the table held every path's links, and at
+    2.4 MB here with path ids alone; the bound is half the former."""
+    xgft = m_port_n_tree(8, 3)
+    scheme = make_scheme(xgft, "shift-1:8")
+    level_pairs(xgft)  # cached per topology, shared with the flow layer
+    tracemalloc.start()
+    try:
+        BatchedFlitSimulator(xgft, scheme, FlitConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6

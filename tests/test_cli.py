@@ -210,6 +210,8 @@ class TestGlobalOptions:
         assert manifest.experiment == "figure4a"
         assert manifest.fidelity == "fast"
         assert manifest.seed == 3
+        assert manifest.replay_command() == (
+            "xgft-repro figure4a --fidelity fast --seed 3")
         assert manifest.argv is not None and "--seed" in manifest.argv
         assert manifest.wall_time_s > 0
         assert manifest.samples_used > 0
@@ -228,12 +230,35 @@ class TestGlobalOptions:
 
         def manifest_for(seed):
             path = tmp_path / f"run{seed}.jsonl"
-            assert main(["resources", "--seed", str(seed), "--quiet",
+            assert main(["theorems", "--seed", str(seed), "--quiet",
                          "--log-json", str(path)]) == 0
             return json.loads(path.read_text().splitlines()[0])
 
         assert manifest_for(1)["seed"] == 1
         assert manifest_for(2)["seed"] == 2
+
+    def test_manifest_omits_options_the_runner_ignores(self, tmp_path):
+        """``theorems`` takes a seed but no fidelity, and ``resources``
+        neither: the manifest and its replay command name only what
+        reached the runner."""
+        import json
+
+        from repro.obs import RunManifest
+
+        def manifest_for(argv):
+            path = tmp_path / f"{argv[0]}.jsonl"
+            assert main([*argv, "--quiet", "--log-json", str(path)]) == 0
+            return RunManifest.from_dict(
+                json.loads(path.read_text().splitlines()[0]))
+
+        theorems = manifest_for(["theorems", "--fidelity", "full",
+                                 "--seed", "4"])
+        assert (theorems.fidelity, theorems.seed) == (None, 4)
+        assert theorems.replay_command() == "xgft-repro theorems --seed 4"
+        resources = manifest_for(["resources", "--fidelity", "fast",
+                                  "--seed", "1"])
+        assert (resources.fidelity, resources.seed) == (None, None)
+        assert resources.replay_command() == "xgft-repro resources"
 
 
 class TestReportCommand:
