@@ -157,8 +157,8 @@ def test_flit_short_run_overhead_reported():
         return sim.run(load, seed=1)
 
     def enabled():
-        rec = Recorder()
-        return sim.run(load, seed=1, recorder=rec)
+        with use_recorder(Recorder()):
+            return sim.run(load, seed=1)
 
     base = disabled()
     with_rec = enabled()

@@ -169,7 +169,7 @@ def _cmd_report(args) -> int:
     import json as _json
 
     from repro.obs.export import (aggregate_runs, merged_recorder,
-                                  render_cross_run_report, to_wide_row)
+                                  render_cross_run_report)
 
     runs = aggregate_runs(args.paths)
     if not runs:
@@ -178,7 +178,7 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         print(_json.dumps({
             "runs": [{"path": r.path, "manifest": r.manifest} for r in runs],
-            "merged": to_wide_row(merged_recorder(runs)),
+            "merged": merged_recorder(runs).metrics(),
         }, indent=2, default=str))
     else:
         print(render_cross_run_report(runs))
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run-log files or directories of *.jsonl (from --log-json)")
     p_report.add_argument(
         "--format", choices=("text", "json"), default="text",
-        help="text summary (default) or merged wide-row JSON")
+        help="text summary (default) or merged-metrics JSON")
     p_report.set_defaults(func=_cmd_report)
 
     # Telemetry/reproducibility options shared by every experiment

@@ -155,15 +155,15 @@ def run_instrumented(
     for the do-nothing values ``engine="reference"``, ``jobs=1`` and
     ``cache=False``.  Other keyword arguments go to the runner as is.
 
-    With the recorder enabled, a run whose flit runs took the batched
-    engine gets ``extra["flit_kernel"]``: what they actually ran,
-    ``"native"`` or ``"reference: <why>"``, joined by ``"; "`` when runs
-    differ (see :func:`repro.flit.batched.kernels_ran`).  Without it, a
-    runner whose engine is ``"batched"`` (the flit runners' default)
-    records whether the kernel is available.  With the recorder enabled,
-    a run that evaluated flow loads also gets ``extra["flow_kernel"]``:
-    ``"native"`` or ``"numpy: <why>"``, joined the same way (see
-    :func:`repro.flow.loads.kernels_ran`).
+    With the recorder enabled, the manifest says what ran, read from the
+    run's timers: a run whose flit runs took the batched engine gets
+    ``extra["flit_kernel"]``, ``"native"`` or ``"reference: <why>"``,
+    joined by ``"; "`` when runs differ (see
+    :func:`repro.flit.batched.kernels_ran`), and a run that evaluated
+    flow loads gets ``extra["flow_kernel"]``, ``"native"`` or
+    ``"numpy: <why>"``, joined the same way (see
+    :func:`repro.flow.loads.kernels_ran`).  With the recorder disabled
+    the manifest has neither field.
     """
     rec = recorder if recorder is not None else get_recorder()
     runner = get_experiment(name).load()
@@ -187,10 +187,6 @@ def run_instrumented(
 
         kwargs["cache"] = ResultCache(
             cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR)
-    # the engine the runner takes: as forwarded, else its default
-    batched = kwargs.get("engine", getattr(
-        inspect.signature(runner).parameters.get("engine"), "default",
-        None)) == "batched"
     if seed is not None and "seed" in accepts:
         kwargs["seed"] = seed
     if "fidelity_name" in accepts:
@@ -199,12 +195,6 @@ def run_instrumented(
         name, fidelity=kwargs.get("fidelity_name"), seed=kwargs.get("seed"),
         argv=tuple(argv) if argv is not None else None,
     )
-    if batched:
-        from repro.flit import native
-
-        manifest.extra["flit_kernel"] = (
-            "native" if native.available()
-            else f"reference: {native.unavailable_reason()}")
     before = rec.timers
     t0 = perf_counter()
     with use_recorder(rec), rec.timer(f"experiment.{name}"):

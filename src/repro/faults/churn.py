@@ -326,7 +326,6 @@ class IncrementalDegradedScheme(DegradedScheme):
             rec.count("faults.reroute.events")
             rec.count("faults.reroute.links_changed", stats.links_changed)
             rec.count("faults.reroute.pairs_recomputed", recomputed)
-            rec.observe("faults.reroute.pairs_per_event", recomputed)
         return stats
 
     def replay(self, events) -> list[RerouteStats]:

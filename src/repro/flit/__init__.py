@@ -18,12 +18,7 @@ from repro.flit.message import Message, Packet
 from repro.flit.stats import FlitRunResult, delay_stats
 from repro.flit.sweep import SweepResult, default_loads, load_sweep
 from repro.flit.traces import TraceEntry, synthesize_trace
-from repro.flit.workload import (
-    FixedPermutation,
-    HotspotWorkload,
-    UniformRandom,
-    Workload,
-)
+from repro.flit.workload import FixedPermutation, UniformRandom, Workload
 
 __all__ = [
     "FlitConfig",
@@ -43,7 +38,6 @@ __all__ = [
     "Workload",
     "UniformRandom",
     "FixedPermutation",
-    "HotspotWorkload",
     "TraceEntry",
     "synthesize_trace",
 ]

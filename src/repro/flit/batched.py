@@ -22,21 +22,21 @@ runs in two phases:
   per-cycle calendar queue (ties share a bucket; append order *is* seq
   order), dense packet ids, and the adjacent ``_PORT_FREE``/``_CREDIT``
   pair fused into one entry (still counted as two events).  It covers
-  both switch models and returns the per-interval telemetry rows and
-  message delays, which :meth:`run` turns into ``flit_interval`` events
-  and the delay histogram.
+  both switch models and returns the per-interval telemetry rows, which
+  :meth:`run` turns into ``flit_interval`` events, and the message
+  delays, from which the run epilogue computes the delay statistics.
 
 :meth:`~BatchedFlitSimulator.run` runs the reference instead, timed
 under ``flit.fallback.<reason>``, for three reasons (:data:`FALLBACKS`):
 no kernel (:func:`repro.flit.native.unavailable_reason` says why), a
 horizon too long for a dense calendar, or a workload the kernel has no
 model for.  The kernel models :class:`~repro.flit.workload.
-UniformRandom`, :class:`~repro.flit.workload.FixedPermutation`,
-:class:`~repro.flit.workload.HotspotWorkload` and traces, matched by
-exact type: a subclass may override ``pick_destination``.
+UniformRandom`, :class:`~repro.flit.workload.FixedPermutation` and
+traces, matched by exact type: a subclass may override
+``pick_destination``.
 
 Parity contract: every :class:`~repro.flit.stats.FlitRunResult` field,
-the ``flit.*`` recorder counters, the message-delay histogram, and the
+the message delays, the ``flit.*`` recorder counters, and the
 per-interval ``flit_interval`` telemetry are bit-identical to the
 reference for any seed, config, scheme, or trace;
 ``tests/flit/test_batched_parity.py`` enforces this differentially.
@@ -117,7 +117,7 @@ class BatchedFlitSimulator(FlitSimulator):
     """
 
     def run(self, workload: Workload | None, *, seed: int | None = None,
-            recorder=None, _trace=None) -> FlitRunResult:
+            _trace=None) -> FlitRunResult:
         """Simulate ``workload``; see :meth:`FlitSimulator.run`.
 
         Same contract, same bits; only the clock time differs.
@@ -125,7 +125,7 @@ class BatchedFlitSimulator(FlitSimulator):
         if workload is None and _trace is None:
             raise SimulationError("need a workload or a trace")
         cfg = self.config
-        rec = recorder if recorder is not None else get_recorder()
+        rec = get_recorder()
         source = None
         if not native.available():
             reason = "no_kernel"
@@ -140,7 +140,7 @@ class BatchedFlitSimulator(FlitSimulator):
         if reason is not None:
             with rec.timer(f"flit.fallback.{reason}"):
                 return FlitSimulator.run(self, workload, seed=seed,
-                                         recorder=recorder, _trace=_trace)
+                                         _trace=_trace)
         rng = random.Random(cfg.seed if seed is None else seed)
         with rec.timer("flit.kernel"):
             stats, rows = native.run(rng.getstate(), source, self.routes,

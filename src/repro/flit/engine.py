@@ -247,20 +247,20 @@ class FlitSimulator:
         return self.run(None, seed=seed, _trace=entries)
 
     def run(self, workload: Workload | None, *, seed: int | None = None,
-            recorder=None, _trace=None) -> FlitRunResult:
+            _trace=None) -> FlitRunResult:
         """Simulate ``workload`` and return window statistics.
 
-        ``recorder`` (default: the ambient :func:`repro.obs.
-        get_recorder`) receives, when enabled, a ``flit_interval`` event
-        per observation interval (injected/delivered flits, credit
-        stalls, total buffer occupancy), an end-to-end message-delay
-        histogram, and run totals.  With the no-op recorder the event
-        loop pays a single integer comparison per event.
+        The ambient recorder (:func:`repro.obs.get_recorder`) receives,
+        when enabled, a ``flit_interval`` event per observation interval
+        (injected/delivered flits, credit stalls, total buffer
+        occupancy) and the run's ``flit.*`` counters.  With the no-op
+        recorder the event loop pays a single integer comparison per
+        event.
         """
         if workload is None and _trace is None:
             raise SimulationError("need a workload or a trace")
         cfg = self.config
-        rec = recorder if recorder is not None else get_recorder()
+        rec = get_recorder()
         record = rec.enabled
         n_procs = self._n_procs
         n_channels = self._n_channels
@@ -521,8 +521,8 @@ class FlitSimulator:
     def _finish(self, rec, workload, delays, messages_measured,
                 messages_completed, flits_created, flits_delivered,
                 credit_stalls, events, sim_cycles) -> FlitRunResult:
-        """Run epilogue shared by both engines: the ``flit.*`` counters,
-        the message-delay histogram, and the window statistics."""
+        """Run epilogue shared by both engines: the ``flit.*`` counters
+        and the window statistics."""
         cfg = self.config
         if rec.enabled:
             rec.count("flit.runs", 1)
@@ -532,8 +532,6 @@ class FlitSimulator:
             rec.count("flit.credit_stalls", credit_stalls)
             rec.count("flit.messages_measured", messages_measured)
             rec.count("flit.messages_completed", messages_completed)
-            for d in delays:
-                rec.observe("flit.message_delay", d)
         mean_delay, p95_delay, max_delay = delay_stats(delays)
         denom = cfg.measure_cycles * self._n_procs
         injected = flits_created / denom if denom else 0.0

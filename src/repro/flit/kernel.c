@@ -97,14 +97,13 @@ enum {
     P_OBS_INTERVAL = 15, /* 0: telemetry off */
     P_SELECTION = 16,
     P_MODEL = 17,
-    P_MODEL_LEN = 18, /* hot nodes or trace entries */
+    P_MODEL_LEN = 18, /* permutation or trace entries */
     P_COUNT = 19
 };
 
 /* path selection and destination models */
 enum { SEL_PER_PACKET = 0, SEL_PER_MESSAGE = 1, SEL_ROUND_ROBIN = 2 };
-enum { MODEL_UNIFORM = 0, MODEL_PERMUTATION = 1, MODEL_HOTSPOT = 2,
-       MODEL_TRACE = 3 };
+enum { MODEL_UNIFORM = 0, MODEL_PERMUTATION = 1, MODEL_TRACE = 2 };
 
 enum {
     O_MESSAGES_COMPLETED = 0,
@@ -171,8 +170,8 @@ static double rand_random(Rng *r)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-/* randrange(n) for 1 <= n < 2**32 (hosts, paths per pair and hot nodes
- * all are): getrandbits(n.bit_length()) until the draw is below n. */
+/* randrange(n) for 1 <= n < 2**32 (hosts and paths per pair both are):
+ * getrandbits(n.bit_length()) until the draw is below n. */
 static i64 rand_below(Rng *r, i64 n)
 {
     int k = 0;
@@ -246,10 +245,9 @@ typedef struct {
     i64 horizon;
     int selection;
     int model;
-    const i64 *data; /* permutation, hot nodes or trace columns */
-    i64 n_data;      /* hot nodes or trace entries */
+    const i64 *data; /* permutation or trace columns */
+    i64 n_data;      /* permutation or trace entries */
     double rate;
-    double hot_fraction;
     i64 *rr; /* round-robin start per pair key */
     Rng rng;
     /* injection events, in push order */
@@ -353,26 +351,10 @@ static long emit(Plan *pl, i64 src, i64 dst, i64 cyc)
 /* The workload's pick_destination: -1 is a silent poll. */
 static i64 pick_destination(Plan *pl, i64 src)
 {
-    const i64 *data = pl->data;
-    i64 d, j, skip = -1, k = pl->n_data;
+    i64 d;
     if (pl->model == MODEL_PERMUTATION) {
-        d = data[src];
+        d = pl->data[src];
         return d == src ? -1 : d;
-    }
-    if (pl->model == MODEL_HOTSPOT &&
-        rand_random(&pl->rng) < pl->hot_fraction) {
-        /* choice() over the hot nodes other than src (sorted, unique) */
-        for (j = 0; j < pl->n_data; j++) {
-            if (data[j] == src) {
-                skip = j;
-                k--;
-                break;
-            }
-        }
-        if (k > 0) {
-            j = rand_below(&pl->rng, k);
-            return data[skip >= 0 && j >= skip ? j + 1 : j];
-        }
     }
     d = rand_below(&pl->rng, pl->n_procs - 1);
     return d >= src ? d + 1 : d;
@@ -873,12 +855,12 @@ done:
 }
 
 /* One batched run.  `mt` is random.Random.getstate()'s internal state
- * (624 words, then the index); `rates` is the arrival rate and the hot
- * fraction; `level`, `row` and `blocks` are the route table (indexed by
- * pair key, pair key, and block); `model` holds the permutation, the
- * hot nodes or the trace columns.  On RC_OK, *delays holds
- * out[O_N_DELAYS] message delays; the caller frees it with release(). */
-long run_batched(const i64 *params, const double *rates, const uint32_t *mt,
+ * (624 words, then the index); `rate` is each host's arrival rate;
+ * `level`, `row` and `blocks` are the route table (indexed by pair key,
+ * pair key, and block); `model` holds the permutation or the trace
+ * columns.  On RC_OK, *delays holds out[O_N_DELAYS] message delays; the
+ * caller frees it with release(). */
+long run_batched(const i64 *params, double rate, const uint32_t *mt,
                  const int8_t *level, const i64 *row, const Block *blocks,
                  const i64 *model, i64 *credits, i64 *telemetry, i64 *out,
                  i64 **delays)
@@ -904,8 +886,7 @@ long run_batched(const i64 *params, const double *rates, const uint32_t *mt,
     pl.model = (int)params[P_MODEL];
     pl.data = model;
     pl.n_data = params[P_MODEL_LEN];
-    pl.rate = rates[0];
-    pl.hot_fraction = rates[1];
+    pl.rate = rate;
     if (pl.selection == SEL_ROUND_ROBIN) {
         pl.rr = calloc(pl.n_keys ? pl.n_keys : 1, sizeof(i64));
         if (!pl.rr)

@@ -20,12 +20,7 @@ import ctypes
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.flit.workload import (
-    FixedPermutation,
-    HotspotWorkload,
-    UniformRandom,
-    Workload,
-)
+from repro.flit.workload import FixedPermutation, UniformRandom, Workload
 from repro.native import available, lib, unavailable_reason
 
 __all__ = ["arrivals", "available", "run", "unavailable_reason"]
@@ -45,7 +40,7 @@ _RC_NO_ROUTE = 3
 _SELECTIONS = {"per-packet": 0, "per-message": 1, "round-robin": 2}
 
 # Destination models, as the MODEL_* enum in kernel.c.
-_UNIFORM, _PERMUTATION, _HOTSPOT, _TRACE = range(4)
+_UNIFORM, _PERMUTATION, _TRACE = range(3)
 # Telemetry row width: t, injected, delivered, credit_stalls, occupancy.
 _ROW = 5
 
@@ -63,11 +58,10 @@ class _Block(ctypes.Structure):
 def arrivals(workload: Workload | None, trace, n_procs: int,
              message_flits: int) -> tuple | None:
     """The kernel's arrival source for a run, as :func:`run` takes it:
-    ``(model, rate, hot_fraction, data)``, where ``data`` is the
-    permutation, the sorted hot nodes, or the trace's cycle, source and
-    destination columns sorted stably by cycle.  None when only the
-    reference can run it.  Models are matched by exact type, since a
-    subclass may override ``pick_destination``."""
+    ``(model, rate, data)``, where ``data`` is the permutation, or the
+    trace's cycle, source and destination columns sorted stably by
+    cycle.  None when only the reference can run it.  Models are matched
+    by exact type, since a subclass may override ``pick_destination``."""
     if trace is not None:
         entries = np.array([(e.cycle, e.src, e.dst) for e in trace],
                            dtype=np.int64).reshape(-1, 3)
@@ -76,23 +70,17 @@ def arrivals(workload: Workload | None, trace, n_procs: int,
                              or entries[:, 1].max() >= n_procs):
             return None  # a cycle before 0 or a source outside the hosts
         entries = entries[np.argsort(entries[:, 0], kind="stable")]
-        return _TRACE, 0.0, 0.0, entries.T.copy()
+        return _TRACE, 0.0, entries.T.copy()
     kind = type(workload)
-    hot_fraction = 0.0
     if kind is FixedPermutation and workload.perm.size == n_procs:
         model, data = _PERMUTATION, workload.perm
     elif kind is UniformRandom and n_procs > 1:
         model, data = _UNIFORM, np.zeros(0, dtype=np.int64)
-    elif kind is HotspotWorkload and n_procs > 1:
-        model = _HOTSPOT
-        data = np.array(workload.hot_nodes, dtype=np.int64)
-        hot_fraction = float(workload.hot_fraction)
     else:
         # also a wrong-length permutation and randrange(0): the reference
         # raises those at the first arrival inside the horizon
         return None
-    rate = 1.0 / workload.mean_interarrival(message_flits)
-    return model, rate, hot_fraction, data
+    return model, 1.0 / workload.mean_interarrival(message_flits), data
 
 
 def run(state: tuple, source: tuple, routes, cfg, n_channels: int,
@@ -112,7 +100,7 @@ def run(state: tuple, source: tuple, routes, cfg, n_channels: int,
     unless ``record``.  A message whose pair has no route raises
     ``KeyError(key)``, as the reference's table lookup does.
     """
-    model, rate, hot_fraction, data = source
+    model, rate, data = source
     horizon = cfg.horizon
     obs_interval = (cfg.obs_interval or max(1, cfg.measure_cycles // 20)
                     if record else 0)
@@ -153,7 +141,7 @@ def run(state: tuple, source: tuple, routes, cfg, n_channels: int,
             *map(address, (block.idx, block.live, block.path_ptr,
                            block.links, block.up, block.down)))
     rc = kernel.run_batched(
-        address(params), address([rate, hot_fraction], np.float64),
+        address(params), rate,
         address(state[1], np.uint32), address(routes.level, np.int8),
         address(routes.row), ctypes.addressof(blocks), address(data),
         address(initial_credits), address(telemetry), address(out),

@@ -63,27 +63,3 @@ class FixedPermutation(Workload):
             )
         dst = int(self.perm[src])
         return -1 if dst == src else dst  # -1: host stays silent
-
-
-class HotspotWorkload(Workload):
-    """Uniform traffic with a fraction of messages redirected to a small
-    hot set — used by ablation benches to stress ejection links."""
-
-    name = "hotspot"
-
-    def __init__(self, load: float, hot_nodes, hot_fraction: float = 0.2):
-        super().__init__(load)
-        self.hot_nodes = sorted(set(int(x) for x in hot_nodes))
-        if not self.hot_nodes:
-            raise SimulationError("need at least one hot node")
-        if not 0.0 <= hot_fraction <= 1.0:
-            raise SimulationError("hot_fraction must be in [0, 1]")
-        self.hot_fraction = hot_fraction
-
-    def pick_destination(self, src: int, n_procs: int, rng: random.Random) -> int:
-        if rng.random() < self.hot_fraction:
-            choices = [h for h in self.hot_nodes if h != src]
-            if choices:
-                return rng.choice(choices)
-        d = rng.randrange(n_procs - 1)
-        return d + 1 if d >= src else d

@@ -35,7 +35,7 @@ from repro.analysis.ci import ConfidenceInterval, confidence_interval
 from repro.flow.engine import BatchFlowEngine
 from repro.flow.metrics import permutation_optimal_load
 from repro.flow.simulator import FlowSimulator, check_engine
-from repro.obs.recorder import get_recorder, use_recorder
+from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
 from repro.routing.compiled import compile_scheme
 from repro.topology.xgft import XGFT
@@ -73,6 +73,11 @@ class PermutationStudyResult:
 class PermutationStudy:
     """Runs the adaptive sampling protocol on one topology.
 
+    When the ambient recorder (:func:`repro.obs.get_recorder`) is
+    enabled, each adaptive round emits a ``convergence_round`` event
+    (scheme, routing seed, samples, running mean, CI half-width, seconds
+    since the study began).
+
     Parameters
     ----------
     xgft:
@@ -90,12 +95,6 @@ class PermutationStudy:
         through :class:`FlowSimulator`; ``"compiled"`` takes one plan of
         the scheme per :meth:`run` and evaluates each round with the
         same call over it, so a pair named again is not selected again.
-    recorder:
-        Optional :class:`repro.obs.Recorder`.  ``None`` (default) uses
-        the ambient recorder (:func:`repro.obs.get_recorder`) at run
-        time.  When recording is enabled, each adaptive round emits a
-        ``convergence_round`` event (scheme, routing seed, samples,
-        running mean, CI half-width, seconds since the study began).
     """
 
     def __init__(
@@ -108,7 +107,6 @@ class PermutationStudy:
         max_samples: int = 4096,
         seed=None,
         engine: str = "reference",
-        recorder=None,
     ):
         if initial_samples < 2:
             raise ValueError("need at least 2 initial samples for a CI")
@@ -123,7 +121,6 @@ class PermutationStudy:
         self.max_samples = max_samples
         self.engine = engine
         self._seed = seed
-        self._recorder = recorder
         self._perm_optimal: float | None = None
 
     @property
@@ -146,44 +143,43 @@ class PermutationStudy:
     def run(self, scheme: RoutingScheme) -> PermutationStudyResult:
         """Average max permutation load of ``scheme`` under the adaptive
         stopping rule."""
-        rec = self._recorder if self._recorder is not None else get_recorder()
+        rec = get_recorder()
         rng = as_generator(self._seed)
         samples: list[float] = []
         target = self.initial_samples
         round_index = 0
         t0 = perf_counter()
-        with use_recorder(rec):
-            evaluate = partial(self.sim.permutation_mloads, scheme)
-            if self.engine == "compiled":
-                # One plan per run: every round reuses its filled rows.
-                evaluate = BatchFlowEngine(
-                    compile_scheme(self.xgft, scheme)).permutation_mloads
-            optimal = self.permutation_optimal
-            while True:
-                with rec.timer("flow.sampling.round"):
-                    samples.extend(self._mload_samples(
-                        evaluate, target - len(samples), rng, rec))
-                interval = confidence_interval(samples, self.confidence)
-                if rec.enabled:
-                    rec.event(
-                        "convergence_round",
-                        scheme=scheme.label,
-                        seed=getattr(scheme, "seed", None),
-                        round=round_index,
-                        n_samples=interval.n_samples,
-                        mean=interval.mean,
-                        half_width=interval.half_width,
-                        rel_half_width=interval.relative_half_width,
-                        elapsed_s=perf_counter() - t0,
-                    )
-                round_index += 1
-                if interval.meets(self.rel_precision):
-                    converged = True
-                    break
-                if len(samples) >= self.max_samples:
-                    converged = False
-                    break
-                target = min(2 * len(samples), self.max_samples)
+        evaluate = partial(self.sim.permutation_mloads, scheme)
+        if self.engine == "compiled":
+            # One plan per run: every round reuses its filled rows.
+            evaluate = BatchFlowEngine(
+                compile_scheme(self.xgft, scheme)).permutation_mloads
+        optimal = self.permutation_optimal
+        while True:
+            with rec.timer("flow.sampling.round"):
+                samples.extend(self._mload_samples(
+                    evaluate, target - len(samples), rng, rec))
+            interval = confidence_interval(samples, self.confidence)
+            if rec.enabled:
+                rec.event(
+                    "convergence_round",
+                    scheme=scheme.label,
+                    seed=getattr(scheme, "seed", None),
+                    round=round_index,
+                    n_samples=interval.n_samples,
+                    mean=interval.mean,
+                    half_width=interval.half_width,
+                    rel_half_width=interval.relative_half_width,
+                    elapsed_s=perf_counter() - t0,
+                )
+            round_index += 1
+            if interval.meets(self.rel_precision):
+                converged = True
+                break
+            if len(samples) >= self.max_samples:
+                converged = False
+                break
+            target = min(2 * len(samples), self.max_samples)
         if rec.enabled:
             rec.count("flow.studies", 1)
         return PermutationStudyResult(

@@ -121,7 +121,8 @@ def _load() -> str | None:
         return f"load failed: {exc}"
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     run.restype = ctypes.c_long
-    run.argtypes = [ptr] * 10 + [ctypes.POINTER(ctypes.POINTER(i64))]
+    run.argtypes = ([ptr, ctypes.c_double] + [ptr] * 8
+                    + [ctypes.POINTER(ctypes.POINTER(i64))])
     release.restype = None
     release.argtypes = [ctypes.POINTER(i64)]
     scatter.restype = ctypes.c_long

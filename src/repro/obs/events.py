@@ -4,8 +4,8 @@ The run log format is deliberately boring: the first line is the run
 manifest (``"type": "manifest"``), followed by the recorder's event
 stream in emission order (``"convergence_round"``, ``"flit_interval"``,
 ...), and a final ``"type": "metrics"`` line holding the aggregated
-counters/timers/histograms.  Anything that reads JSON Lines can consume
-it; :func:`read_jsonl` round-trips it.
+counters and timers.  Anything that reads JSON Lines can consume it;
+:func:`read_jsonl` round-trips it.
 """
 
 from __future__ import annotations

@@ -1,14 +1,9 @@
-"""Metrics export: flat wide rows and cross-run reports.
+"""Cross-run reports: the ``repro report`` view.
 
-Two renderings of recorder state, each aimed at a different consumer:
-
-* :func:`to_wide_row` — one flat ``{column: scalar}`` dict per run,
-  the shape the result cache and any columnar store wants; nested
-  structure is flattened into dotted column names.
-* :func:`aggregate_runs` / :func:`render_cross_run_report` — the
-  ``repro report`` view: fold a directory of ``--log-json`` JSONL run
-  logs into counter totals and per-phase wall-time distributions
-  (p50/p95/p99 across runs).
+:func:`aggregate_runs` loads a directory of ``--log-json`` JSONL run
+logs, :func:`merged_recorder` folds them into one recorder, and
+:func:`render_cross_run_report` shows counter totals and per-phase
+wall-time distributions (p50/p95/p99 across runs).
 """
 
 from __future__ import annotations
@@ -20,32 +15,6 @@ from repro.obs.events import read_jsonl
 from repro.obs.recorder import Recorder
 from repro.util.tables import format_table
 
-def to_wide_row(recorder, *, prefix: str = "") -> dict:
-    """Flatten a recorder into one ``{column: scalar}`` row.
-
-    Counters keep their names; timers contribute ``<name>.total_s`` and
-    ``<name>.calls``; histograms contribute count/mean/min/max and
-    bucket-estimated p50/p95/p99.  Every value is a plain int/float, so
-    the row drops straight into a JSONL result cache or a columnar
-    store.
-    """
-    row: dict[str, float] = {}
-    for name, value in recorder.counters.items():
-        row[f"{prefix}{name}"] = value
-    for name, (total, calls) in recorder.timers.items():
-        row[f"{prefix}{name}.total_s"] = total
-        row[f"{prefix}{name}.calls"] = calls
-    for name, hist in recorder.hists.items():
-        row[f"{prefix}{name}.count"] = hist.count
-        row[f"{prefix}{name}.mean"] = hist.mean
-        row[f"{prefix}{name}.min"] = hist.vmin if hist.count else float("nan")
-        row[f"{prefix}{name}.max"] = hist.vmax if hist.count else float("nan")
-        for q in (0.5, 0.95, 0.99):
-            row[f"{prefix}{name}.p{int(q * 100)}"] = hist.quantile(q)
-    return row
-
-
-# -- cross-run aggregation (`repro report`) ----------------------------
 
 def quantile(values, q: float) -> float:
     """Exact linear-interpolation quantile of a small value list."""

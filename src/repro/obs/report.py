@@ -47,17 +47,6 @@ def _timer_rows(recorder) -> list[list]:
     return rows
 
 
-def _hist_rows(recorder) -> list[list]:
-    rows = []
-    for name, hist in sorted(recorder.hists.items()):
-        rows.append([
-            name, hist.count, f"{hist.mean:.3f}", f"{hist.vmin:.3f}",
-            f"{hist.quantile(0.5):.3f}", f"{hist.quantile(0.95):.3f}",
-            f"{hist.vmax:.3f}",
-        ])
-    return rows
-
-
 def _runner_section(recorder) -> str:
     """Derived view of the ``runner.*`` counters: cache effectiveness
     and the pool's worker and task counts, instead of raw numbers
@@ -204,11 +193,6 @@ def render_report(recorder, *, title: str = "run telemetry") -> str:
         rows = [[k, f"{v:g}"] for k, v in sorted(recorder.counters.items())]
         sections.append(format_table(["counter", "value"], rows,
                                      title="counters"))
-    if recorder.hists:
-        sections.append(format_table(
-            ["histogram", "n", "mean", "min", "p50~", "p95~", "max"],
-            _hist_rows(recorder), title="histograms (~ = bucket estimate)",
-        ))
     for section in (_runner_section(recorder), _faults_section(recorder),
                     _convergence_section(recorder), _flit_section(recorder)):
         if section:

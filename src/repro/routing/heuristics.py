@@ -15,7 +15,7 @@ from repro.errors import RoutingError
 from repro.obs.recorder import get_recorder
 from repro.routing.base import LimitedMultipathScheme
 from repro.routing.enumeration import disjoint_order
-from repro.routing.modk import modk_path_index, shifted_order
+from repro.routing.modk import modk_path_index, shifted_order, shifted_paths
 from repro.routing.vectorized import path_index_error
 from repro.util.hashing import hash_combine, hash_mod, hash_uniform
 
@@ -39,10 +39,9 @@ class Shift1(LimitedMultipathScheme):
     name = "shift-1"
 
     def path_index_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
-        x = self.xgft.W(k)
-        t0 = modk_path_index(self.xgft, np.asarray(d), k)
-        offsets = np.arange(self.paths_per_pair(k), dtype=np.int64)
-        return (t0[:, None] + offsets[None, :]) % x
+        return shifted_paths(self.xgft,
+                             modk_path_index(self.xgft, np.asarray(d), k),
+                             np.arange(self.paths_per_pair(k)), k)
 
     def path_order_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
         return shifted_order(self.xgft,
@@ -62,17 +61,14 @@ class Disjoint(LimitedMultipathScheme):
     name = "disjoint"
 
     def path_index_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
-        x = self.xgft.W(k)
-        t0 = modk_path_index(self.xgft, np.asarray(d), k)
-        base = np.asarray(disjoint_order(self.xgft, k)[: self.paths_per_pair(k)],
-                          dtype=np.int64)
-        return (t0[:, None] + base[None, :]) % x
+        return shifted_paths(
+            self.xgft, modk_path_index(self.xgft, np.asarray(d), k),
+            disjoint_order(self.xgft, k)[: self.paths_per_pair(k)], k)
 
     def path_order_matrix(self, s: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
-        x = self.xgft.W(k)
-        t0 = modk_path_index(self.xgft, np.asarray(d), k)
-        base = np.asarray(disjoint_order(self.xgft, k), dtype=np.int64)
-        return (t0[:, None] + base[None, :]) % x
+        return shifted_paths(
+            self.xgft, modk_path_index(self.xgft, np.asarray(d), k),
+            disjoint_order(self.xgft, k), k)
 
 
 class RandomMultipath(LimitedMultipathScheme):

@@ -32,14 +32,24 @@ def modk_path_index(xgft: XGFT, key, k: int):
     return t
 
 
+def shifted_paths(xgft: XGFT, t0: np.ndarray, offsets: np.ndarray,
+                  k: int) -> np.ndarray:
+    """Row ``i`` holds ``(t0[i] + offsets) mod X``, ``X = W(k)``: the
+    paths at ``offsets`` from each pair's base path.  The sum is reduced
+    in place, so the ``(n, len(offsets))`` result is the only array of
+    that size built."""
+    out = np.asarray(t0, dtype=np.int64)[:, None] + np.asarray(
+        offsets, dtype=np.int64)
+    out %= xgft.W(k)
+    return out
+
+
 def shifted_order(xgft: XGFT, t0: np.ndarray, k: int) -> np.ndarray:
     """Full path order ``(t0 + j) mod X`` for ``j = 0..X-1`` — the shift
     sequence starting at each pair's base path.  Shared by the mod-k
     schemes and shift-1, whose fault fallback walks to the next shifted
     copy of the base path."""
-    x = xgft.W(k)
-    offsets = np.arange(x, dtype=np.int64)
-    return (np.asarray(t0, dtype=np.int64)[:, None] + offsets[None, :]) % x
+    return shifted_paths(xgft, t0, np.arange(xgft.W(k)), k)
 
 
 class DModK(RoutingScheme):

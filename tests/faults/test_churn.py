@@ -250,8 +250,9 @@ class TestIncrementalDegradedScheme:
         assert rec.counters["faults.reroute.events"] == len(trace)
         assert rec.counters["faults.reroute.links_changed"] == sum(
             st.links_changed for st in stats)
-        assert "faults.reroute.apply" in rec.timers
-        assert "faults.reroute.pairs_per_event" in rec.hists
+        assert rec.counters["faults.reroute.pairs_recomputed"] == sum(
+            st.pairs_recomputed for st in stats)
+        assert rec.timers["faults.reroute.apply"][1] == len(trace)
 
     def test_batch_with_wrong_level_raises(self, tree8x2):
         inc = IncrementalDegradedScheme(make_scheme(tree8x2, "disjoint:2"))

@@ -25,14 +25,13 @@ from repro.flit import (
     FixedPermutation,
     FlitConfig,
     FlitSimulator,
-    HotspotWorkload,
     UniformRandom,
     flit_engine_class,
     make_flit_simulator,
 )
 from repro.flit import native
 from repro.flit.traces import TraceEntry, synthesize_trace
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import Recorder, use_recorder
 from repro.routing import make_scheme
 from repro.routing.vectorized import compile_routes
 from repro.topology import XGFT, m_port_n_tree
@@ -208,23 +207,33 @@ def test_degraded_parity(kernel, spec, selection):
 
 @pytest.mark.parametrize("model", ["output-queued", "input-fifo"])
 @pytest.mark.parametrize("vcs", [1, 2])
-def test_recorder_parity(kernel, model, vcs):
-    """With telemetry on, counters, events and histograms must match
-    too (the batched engine flushes intervals per bucket, the reference
-    per event — same cycles, same values)."""
+def test_recorder_parity(kernel, model, vcs, monkeypatch):
+    """With telemetry on, counters and events must match too (the
+    batched engine flushes intervals per bucket, the reference per
+    event — same cycles, same values), and so must every message delay,
+    in order, that each engine hands to the run epilogue."""
     xgft = m_port_n_tree(4, 2)
     cfg = FlitConfig(warmup_cycles=100, measure_cycles=400,
                      drain_cycles=600, switch_model=model,
                      virtual_channels=vcs, obs_interval=50, seed=21)
     ref, bat = both(xgft, "random:2", cfg)
+    delays = []
+    finish = FlitSimulator._finish
+
+    def keep_delays(self, rec, workload, run_delays, *rest):
+        delays.append(list(run_delays))
+        return finish(self, rec, workload, run_delays, *rest)
+
+    monkeypatch.setattr(FlitSimulator, "_finish", keep_delays)
     r_ref, r_bat = Recorder(), Recorder()
-    a = ref.run(UniformRandom(0.7), recorder=r_ref)
-    b = bat.run(UniformRandom(0.7), recorder=r_bat)
+    with use_recorder(r_ref):
+        a = ref.run(UniformRandom(0.7))
+    with use_recorder(r_bat):
+        b = bat.run(UniformRandom(0.7))
     assert_bit_identical(a, b)
     assert r_ref.counters == r_bat.counters
     assert r_ref.events == r_bat.events
-    assert ({k: h.to_dict() for k, h in r_ref.hists.items()}
-            == {k: h.to_dict() for k, h in r_bat.hists.items()})
+    assert len(delays) == 2 and delays[0] and delays[0] == delays[1]
 
 
 @pytest.mark.parametrize("model", ["output-queued", "input-fifo"])
@@ -254,11 +263,7 @@ def test_workload_family_parity(kernel):
     cfg = FlitConfig(warmup_cycles=100, measure_cycles=400,
                      drain_cycles=600, seed=31)
     ref, bat = both(xgft, "random:2", cfg)
-    for workload in (HotspotWorkload(0.5, (0, 1), hot_fraction=0.2),
-                     # host 3 is the only hot node: it has no hot choice
-                     HotspotWorkload(0.5, (3,), hot_fraction=0.5),
-                     HotspotWorkload(0.5, (2, 6), hot_fraction=1.0),
-                     FixedPermutation(0.5, [(i + 5) % 8 for i in range(8)]),
+    for workload in (FixedPermutation(0.5, [(i + 5) % 8 for i in range(8)]),
                      NearbyHost(0.5)):
         assert_bit_identical(ref.run(workload), bat.run(workload))
     short = FixedPermutation(0.5, [1, 2, 3, 0])  # the tree has 8 hosts

@@ -62,6 +62,16 @@ def test_long_horizon_fallback_says_why(monkeypatch):
     assert ran(run) == {"flit.fallback.horizon": 1}
 
 
+def test_disabled_recorder_manifest_claims_no_kernel(monkeypatch):
+    """Without a recorder no timer says what ran, so the manifest names
+    no flit kernel rather than guessing one the run may not have taken."""
+    monkeypatch.setattr(batched, "_DENSE_HORIZON_LIMIT", 100)
+    run = run_instrumented("figure5", fidelity_name="fast", engine="batched",
+                           **TINY)
+    assert not run.recorder.enabled
+    assert "flit_kernel" not in run.manifest.extra
+
+
 def test_workload_without_native_model_says_why():
     """A ``UniformRandom`` subclass may override ``pick_destination``, so
     it runs the reference; the fallback is timed under its reason."""
@@ -74,8 +84,9 @@ def test_workload_without_native_model_says_why():
     sim = BatchedFlitSimulator(xgft, make_scheme(xgft, "d-mod-k"),
                                TINY["config"])
     rec = Recorder()
-    sim.run(NextHost(0.3), recorder=rec)
-    sim.run(UniformRandom(0.3), recorder=rec)
+    with use_recorder(rec):
+        sim.run(NextHost(0.3))
+        sim.run(UniformRandom(0.3))
     assert {name: calls for name, (_, calls) in rec.timers.items()} == {
         "flit.fallback.workload": 1, "flit.kernel": 1}
     assert batched.kernels_ran(rec.timers) == (

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.flit.workload import FixedPermutation, HotspotWorkload, UniformRandom
+from repro.flit.workload import FixedPermutation, UniformRandom
 
 
 class TestLoadValidation:
@@ -52,24 +52,3 @@ class TestFixedPermutation:
         wl = FixedPermutation(0.5, [1, 0])
         with pytest.raises(SimulationError):
             wl.pick_destination(0, 3, random.Random(0))
-
-
-class TestHotspot:
-    def test_hot_bias(self):
-        wl = HotspotWorkload(0.5, [0], hot_fraction=0.5)
-        rng = random.Random(0)
-        picks = [wl.pick_destination(5, 16, rng) for _ in range(2000)]
-        share = picks.count(0) / len(picks)
-        assert share > 0.4  # ~0.5 hot + background share
-
-    def test_never_self_even_when_hot(self):
-        wl = HotspotWorkload(0.5, [3], hot_fraction=1.0)
-        rng = random.Random(0)
-        for _ in range(200):
-            assert wl.pick_destination(3, 8, rng) != 3
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            HotspotWorkload(0.5, [])
-        with pytest.raises(SimulationError):
-            HotspotWorkload(0.5, [0], hot_fraction=2.0)

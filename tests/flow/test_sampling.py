@@ -76,12 +76,13 @@ class TestValidation:
 
 class TestTelemetry:
     def test_convergence_trace(self, tree8x2):
-        from repro.obs import Recorder
+        from repro.obs import Recorder, use_recorder
 
         rec = Recorder()
         study = PermutationStudy(tree8x2, initial_samples=4, max_samples=16,
-                                 rel_precision=-1.0, seed=5, recorder=rec)
-        res = study.run(make_scheme(tree8x2, "d-mod-k"))
+                                 rel_precision=-1.0, seed=5)
+        with use_recorder(rec):
+            res = study.run(make_scheme(tree8x2, "d-mod-k"))
         rounds = rec.events_of("convergence_round")
         # 4 -> 8 -> 16 samples: one event per adaptive round.
         assert [e["n_samples"] for e in rounds] == [4, 8, 16]
@@ -97,17 +98,19 @@ class TestTelemetry:
         assert "flow.sampling.round" in rec.timers
         assert rec.timers["flow.sampling.round"][1] == 3
 
-        study.run(make_scheme(tree8x2, "random:2", seed=3))
+        with use_recorder(rec):
+            study.run(make_scheme(tree8x2, "random:2", seed=3))
         assert {e["seed"] for e in rec.events_of("convergence_round")[3:]} \
             == {3}
 
     def test_reference_round_batch_telemetry(self, tree8x2):
-        from repro.obs import Recorder
+        from repro.obs import Recorder, use_recorder
 
         rec = Recorder()
         study = PermutationStudy(tree8x2, initial_samples=4, max_samples=8,
-                                 rel_precision=-1.0, seed=7, recorder=rec)
-        study.run(make_scheme(tree8x2, "disjoint:2"))
+                                 rel_precision=-1.0, seed=7)
+        with use_recorder(rec):
+            study.run(make_scheme(tree8x2, "disjoint:2"))
         # one batched evaluation per round (4 then 4 more samples)
         assert rec.counters["flow.batch_permutations"] == 8
         assert rec.counters["flow.batch_eval_calls"] == 2
@@ -116,13 +119,13 @@ class TestTelemetry:
         assert "flow.max_load" not in rec.timers
 
     def test_compiled_serial_batch_telemetry(self, tree8x2):
-        from repro.obs import Recorder
+        from repro.obs import Recorder, use_recorder
 
         rec = Recorder()
         study = PermutationStudy(tree8x2, initial_samples=8, max_samples=8,
-                                 rel_precision=1.0, seed=7, engine="compiled",
-                                 recorder=rec)
-        study.run(make_scheme(tree8x2, "disjoint:2"))
+                                 rel_precision=1.0, seed=7, engine="compiled")
+        with use_recorder(rec):
+            study.run(make_scheme(tree8x2, "disjoint:2"))
         assert rec.counters["flow.batch_permutations"] == 8
         assert rec.counters["flow.batch_eval_calls"] >= 1
         # Nested under the sampling-round span.

@@ -1,4 +1,4 @@
-"""Metrics export: wide rows, cross-run reports."""
+"""Cross-run reports: loading, merging and rendering run logs."""
 
 import math
 
@@ -14,33 +14,8 @@ from repro.obs.export import (
     merged_recorder,
     quantile,
     render_cross_run_report,
-    to_wide_row,
 )
 from repro.obs.manifest import RunManifest
-
-
-class TestWideRow:
-    def test_all_dimensions_flatten(self):
-        rec = Recorder()
-        rec.count("flit.runs", 2)
-        with rec.timer("eval"):
-            pass
-        for v in (1.0, 2.0, 4.0):
-            rec.observe("lat", v)
-        row = to_wide_row(rec)
-        assert row["flit.runs"] == 2
-        assert row["eval.calls"] == 1 and row["eval.total_s"] >= 0
-        assert row["lat.count"] == 3
-        assert row["lat.mean"] == pytest.approx(7.0 / 3.0)
-        assert row["lat.min"] == 1.0 and row["lat.max"] == 4.0
-        assert "lat.p50" in row and "lat.p95" in row and "lat.p99" in row
-
-    def test_prefix_and_scalar_values(self):
-        rec = Recorder()
-        rec.count("x", 1)
-        row = to_wide_row(rec, prefix="run0.")
-        assert set(row) == {"run0.x"}
-        assert all(isinstance(v, (int, float)) for v in row.values())
 
 
 class TestQuantile:

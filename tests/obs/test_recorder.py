@@ -1,4 +1,4 @@
-"""Recorder semantics: counters, timer nesting, histograms, merging,
+"""Recorder semantics: counters, timer nesting, events, merging,
 and on/off parity with the null recorder."""
 
 import numpy as np
@@ -10,10 +10,8 @@ from repro.obs import (
     NullRecorder,
     Recorder,
     get_recorder,
-    set_recorder,
     use_recorder,
 )
-from repro.obs.recorder import _Hist
 from repro.routing.factory import make_scheme
 
 
@@ -66,36 +64,6 @@ class TestTimers:
         assert rec.timers["outer"][1] == 1  # span still recorded
 
 
-class TestHistograms:
-    def test_stats(self):
-        rec = Recorder()
-        for v in (1.0, 2.0, 4.0, 8.0):
-            rec.observe("h", v)
-        h = rec.hists["h"]
-        assert h.count == 4
-        assert h.vmin == 1.0 and h.vmax == 8.0
-        assert h.mean == pytest.approx(3.75)
-        assert h.quantile(0.0) >= 1.0
-        assert h.quantile(1.0) == 8.0
-
-    def test_quantiles_monotone(self):
-        rng = np.random.default_rng(0)
-        rec = Recorder()
-        for v in rng.exponential(10.0, size=500):
-            rec.observe("h", v)
-        h = rec.hists["h"]
-        qs = [h.quantile(q) for q in (0.1, 0.5, 0.9, 0.99)]
-        assert qs == sorted(qs)
-        assert h.vmin <= qs[0] and qs[-1] <= h.vmax
-
-    def test_zero_and_negative_values(self):
-        h = _Hist()
-        h.add(0.0)
-        h.add(0.0)
-        assert h.count == 2
-        assert h.quantile(0.5) == 0.0
-
-
 class TestEvents:
     def test_ordered_stream(self):
         rec = Recorder()
@@ -116,15 +84,11 @@ class TestMerge:
             pass
         with b.timer("t"):
             pass
-        a.observe("h", 1.0)
-        b.observe("h", 3.0)
         b.event("ev", x=1)
         a.merge(b.snapshot())
         assert a.counters["n"] == 3.0
         assert a.counters["only_b"] == 1.0
         assert a.timers["t"][1] == 2
-        assert a.hists["h"].count == 2
-        assert a.hists["h"].vmax == 3.0
         assert a.events_of("ev") == [{"type": "ev", "x": 1}]
 
     def test_merge_is_json_transportable(self):
@@ -134,12 +98,11 @@ class TestMerge:
         rec.count("n", 2)
         with rec.timer("t"):
             pass
-        rec.observe("h", 5.0)
+        rec.event("ev", x=1.5)
         wire = json.loads(json.dumps(rec.snapshot()))
         other = Recorder()
         other.merge(wire)
-        assert other.counters == rec.counters
-        assert other.hists["h"].count == 1
+        assert other.snapshot() == rec.snapshot()
 
 
 class TestActiveRecorder:
@@ -155,27 +118,17 @@ class TestActiveRecorder:
             assert get_recorder() is rec
         assert get_recorder() is NULL_RECORDER
 
-    def test_set_recorder(self):
-        rec = Recorder()
-        set_recorder(rec)
-        try:
-            assert get_recorder() is rec
-        finally:
-            set_recorder(None)
-        assert get_recorder() is NULL_RECORDER
-
 
 class TestNullRecorder:
     def test_api_is_inert(self):
         null = NullRecorder()
         null.count("a")
         with null.timer("t"):
-            null.observe("h", 1.0)
+            pass
         null.event("e", x=1)
         null.merge({"counters": {"a": 5}})
         assert null.counters == {}
         assert null.timers == {}
-        assert null.hists == {}
         assert null.events == []
         assert not null.enabled
 
@@ -185,8 +138,9 @@ class TestNullRecorder:
         def go(recorder):
             study = PermutationStudy(
                 tree8x2, initial_samples=8, max_samples=16,
-                rel_precision=0.5, seed=42, recorder=recorder)
-            return study.run(make_scheme(tree8x2, "d-mod-k"))
+                rel_precision=0.5, seed=42)
+            with use_recorder(recorder):
+                return study.run(make_scheme(tree8x2, "d-mod-k"))
 
         off = go(None)
         rec = Recorder()

@@ -27,12 +27,10 @@ class TestRenderReport:
         rec.count("flow.samples", 128)
         with rec.timer("experiment.figure4a"):
             pass
-        rec.observe("flit.message_delay", 120.0)
         out = render_report(rec, title="my run")
         assert "my run" in out
         assert "timers" in out and "experiment.figure4a" in out
         assert "counters" in out and "flow.samples" in out
-        assert "histograms" in out and "flit.message_delay" in out
 
     def test_convergence_section(self):
         rec = Recorder()

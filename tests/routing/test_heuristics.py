@@ -1,5 +1,7 @@
 """shift-1 / disjoint / random / UMULTI selection tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.routing.heuristics import (
 )
 from repro.routing.factory import make_scheme
 from repro.routing.modk import DModK
+from repro.routing.vectorized import level_pairs
 from repro.topology.variants import m_port_n_tree
 
 from tests.conftest import TOPOLOGY_POOL, pool_ids
@@ -213,6 +216,26 @@ def test_graceful_improvement_with_k():
     opt = optimal_load(xgft, tm)
     loads_at_max = max_link_load(link_loads(xgft, Disjoint(xgft, xgft.max_paths), tm))
     assert loads_at_max == pytest.approx(opt)
+
+
+@pytest.mark.parametrize("matrix", ["path_index_matrix", "path_order_matrix"])
+@pytest.mark.parametrize("spec", ["shift-1:8", "disjoint:8"])
+def test_shifted_selection_builds_one_result_sized_array(tree8x3, spec,
+                                                         matrix):
+    """``(t0 + offsets) mod X`` is reduced in place: over the level-3
+    pairs of the 8-port 3-tree the query peaked at 2.06-2.13 times its
+    result when the sum and the remainder were two arrays, and at
+    1.13-1.27 times with one."""
+    query = getattr(make_scheme(tree8x3, spec), matrix)
+    s, d = level_pairs(tree8x3).pairs[3]
+    query(s[:1], d[:1], 3)  # caches the level's path codec and order
+    tracemalloc.start()
+    try:
+        result = query(s, d, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * result.nbytes
 
 
 # shift-1, disjoint and UMULTI select without the native library, so

@@ -46,8 +46,6 @@ def _populated_recorder():
     with rec.timer("outer"):
         with rec.timer("inner"):
             pass
-    for v in (0.0, 0.5, 1.5, 3.0, 1024.0):  # floor + spread buckets
-        rec.observe("flit.message_delay", v)
     rec.event("convergence_round", scheme="d-mod-k", mean=0.5,
               half_width=float("nan"))
     rec.event("flit_load_point", scheme="d-mod-k", offered_load=0.6,
@@ -58,20 +56,13 @@ def _populated_recorder():
 class TestSnapshotRoundTrip:
     def test_merge_of_json_snapshot_is_bit_identical(self):
         """The worker transport: snapshot -> JSON -> merge into a fresh
-        recorder must lose nothing — histogram buckets, NaN event
-        fields, timer totals, every event type."""
+        recorder must lose nothing — NaN event fields, timer totals,
+        every event type."""
         worker = _populated_recorder()
         wire = json.loads(json.dumps(worker.snapshot()))
         parent = Recorder()
         parent.merge(wire)
         assert _nan_eq(parent.snapshot(), worker.snapshot())
-        # histogram internals survive exactly, including the floor bucket
-        mine = parent.hists["flit.message_delay"]
-        theirs = worker.hists["flit.message_delay"]
-        assert mine.buckets == theirs.buckets
-        assert -1075 in mine.buckets
-        assert (mine.count, mine.total, mine.vmin, mine.vmax) == \
-            (theirs.count, theirs.total, theirs.vmin, theirs.vmax)
 
     def test_merging_two_workers_sums_every_dimension(self):
         parent = Recorder()
@@ -80,10 +71,6 @@ class TestSnapshotRoundTrip:
         assert parent.counters["flit.runs"] == 6
         assert parent.timers["outer"][1] == 2
         assert parent.timers["outer/inner"][1] == 2
-        hist = parent.hists["flit.message_delay"]
-        assert hist.count == 10
-        assert hist.vmin == 0.0 and hist.vmax == 1024.0
-        assert all(n == 2 for n in hist.buckets.values())
         assert len(parent.events_of("convergence_round")) == 2
         assert len(parent.events_of("flit_load_point")) == 2
 
@@ -91,10 +78,10 @@ class TestSnapshotRoundTrip:
         """A NaN total must stay NaN-contained: call counts (ints) keep
         merging exactly even when a wall-clock total is NaN."""
         parent = Recorder()
-        parent.merge({"counters": {}, "hists": {}, "events": [],
+        parent.merge({"counters": {}, "events": [],
                       "timers": {"t": {"total_s": float("nan"),
                                        "calls": 3}}})
-        parent.merge({"counters": {}, "hists": {}, "events": [],
+        parent.merge({"counters": {}, "events": [],
                       "timers": {"t": {"total_s": 1.5, "calls": 2}}})
         total, calls = parent.timers["t"]
         assert calls == 5
@@ -148,27 +135,24 @@ class TestParallelSweepTelemetry:
                     va, vb = getattr(ra, f), getattr(rb, f)
                     assert va == vb or (va != va and vb != vb)
 
-        # every flit.* counter the simulator recorded serially arrives
-        # through the worker snapshots with the same value
-        serial_flit = {k: v for k, v in serial_rec.counters.items()
-                       if k.startswith("flit.")}
-        par_flit = {k: v for k, v in par_rec.counters.items()
-                    if k.startswith("flit.")}
-        assert serial_flit and serial_flit == par_flit
+        # every counter the serial sweep recorded arrives through the
+        # worker snapshots with the same value; the pool adds its own
+        par_counters = {k: v for k, v in par_rec.counters.items()
+                        if not k.startswith("runner.pool_")}
+        assert serial_rec.counters["flit.runs"] == len(LOADS) * 2
+        assert par_counters == serial_rec.counters
 
-        # worker-side timers are non-zero and merged into the parent
+        # the same timers, called as often; worker-side ones are
+        # non-zero and merged into the parent
+        assert ({name: calls for name, (_, calls) in par_rec.timers.items()}
+                == {name: calls
+                    for name, (_, calls) in serial_rec.timers.items()})
         total, calls = par_rec.timers["flit.point"]
         assert calls == len(LOADS) * 2 and total > 0
 
-        # histograms merge bucket-exactly (totals are float sums whose
-        # association differs, so compare them approximately)
-        for name, serial_hist in serial_rec.hists.items():
-            par_hist = par_rec.hists[name]
-            assert par_hist.buckets == serial_hist.buckets
-            assert par_hist.count == serial_hist.count
-            assert par_hist.vmin == serial_hist.vmin
-            assert par_hist.vmax == serial_hist.vmax
-            assert par_hist.total == pytest.approx(serial_hist.total)
+        # the same events, in the same order
+        assert serial_rec.events and _nan_eq(par_rec.events,
+                                             serial_rec.events)
 
     def test_pool_counters_reach_the_report(self, tree):
         _, rec = self._sweep(tree, n_jobs=2)

@@ -283,7 +283,35 @@ class TestReportCommand:
         assert main(["report", str(log_dir), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["runs"]) == 2
-        assert isinstance(data["merged"], dict)
+        # the merged metrics, shaped as a run log's metrics line
+        assert set(data["merged"]) == {"counters", "timers"}
+        assert data["merged"]["timers"]["experiment.resources"]["calls"] == 2
+
+    def test_log_with_histograms_still_reads(self, tmp_path, capsys):
+        """A run log from before the recorder dropped histograms has a
+        ``hists`` entry in its metrics line; both views read the rest."""
+        import json
+
+        log = tmp_path / "old.jsonl"
+        log.write_text("\n".join(json.dumps(line) for line in (
+            {"type": "manifest", "experiment": "figure5", "fidelity": "fast",
+             "seed": 3, "wall_time_s": 1.2},
+            {"type": "flit_load_point", "scheme": "d-mod-k",
+             "offered_load": 0.1},
+            {"type": "metrics", "counters": {"flit.runs": 72.0},
+             "timers": {"experiment.figure5": {"total_s": 0.43, "calls": 1}},
+             "hists": {"flit.message_delay": {
+                 "count": 107809, "total": 44481518.0, "min": 67.0,
+                 "max": 2504.0, "buckets": {"7": 17501, "8": 30156}}}},
+        )) + "\n")
+        assert main(["report", str(log)]) == 0
+        out = capsys.readouterr().out
+        assert "old.jsonl" in out and "experiment.figure5" in out
+        assert "flit.runs" in out and "flit.message_delay" not in out
+        assert main(["report", str(log), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["merged"] == {
+            "counters": {"flit.runs": 72.0},
+            "timers": {"experiment.figure5": {"total_s": 0.43, "calls": 1}}}
 
     def test_unknown_format_is_a_usage_error(self, log_dir, capsys):
         with pytest.raises(SystemExit) as exc:
